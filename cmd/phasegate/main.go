@@ -6,18 +6,22 @@
 //
 // Usage:
 //
-//	qssd -gen 20 -gen-seed 1 -workers 4 -o run.json
+//	qssd -gen 20 -gen-seed 1 -workers 1 -mk 9,10 -margin -o run.json
 //	phasegate -report run.json -baseline BENCH_phases.json -write   # refresh
 //	phasegate -report run.json -baseline BENCH_phases.json          # gate
+//
+// Phase totals are wall-clock spans summed over the engine's worker
+// goroutines, so the corpus runs with one worker: on a multi-core host,
+// contention between workers inflates every sum.
 //
 // The gate compares both total milliseconds and invocation counts per
 // phase. Counts are deterministic for a fixed corpus, so the count gate
 // (-max-count-regress) is tight: it catches algorithmic regressions —
-// e.g. the reduction-class dedup silently degrading so every member is
-// checked from scratch again — that a host-relative time factor could
+// e.g. the distinct-reduction search silently degrading so duplicate
+// T-reductions are checked again — that a host-relative time factor could
 // absorb, and it applies to every baseline phase: a detail phase whose
-// total sits under -floor-ms (core/dedup/wl when nearly all reductions
-// dodge the WL run) still has its count gated. Only the time comparison
+// total sits under -floor-ms (core/cycle, one short search per distinct
+// reduction) still has its count gated. Only the time comparison
 // honours the floor — sub-millisecond totals are dominated by timer
 // noise — and the default time factor of 2 leaves room for host-speed
 // differences while still catching the order-of-magnitude slips the
@@ -120,9 +124,9 @@ func run(args []string, stdout io.Writer) error {
 	// The time gate only applies above the floor — sub-millisecond phases
 	// are timer noise. Counts are deterministic for a fixed corpus, so the
 	// count gate applies to every baseline phase regardless of floor: a
-	// detail phase like core/dedup/wl can hold microseconds yet its count
-	// is exactly the signal (how many reductions escalated to a full WL
-	// run) the gate exists to pin.
+	// detail phase like core/cycle can hold well under a millisecond yet
+	// its count is exactly the signal (one cycle search per distinct
+	// T-reduction) the gate exists to pin.
 	var failures []string
 	checked := 0
 	for _, b := range base.Phases {

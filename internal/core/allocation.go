@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"fcpn/internal/invariant"
 	"fcpn/internal/petri"
 )
 
@@ -137,87 +136,11 @@ func EnumerateDistinctReductions(n *petri.Net, maxReductions int) ([]*Reduction,
 // so a per-job deadline can interrupt an adversarial choice structure
 // mid-search.
 func EnumerateDistinctReductionsCtx(ctx context.Context, n *petri.Net, maxReductions int) ([]*Reduction, error) {
-	reds, _, err := enumerateDistinctReductions(ctx, n, maxReductions, nil)
-	return reds, err
-}
-
-// PrunedBranch records one branch of the lazy reduction search cut by the
-// prune-on-unschedulable rule: with the forced choices' excluded
-// transitions removed, no parent minimal T-semiflow avoiding them covers
-// Source, so — as far as the parent's semiflow cone can tell — every
-// completion of the branch yields a reduction failing Definition 3.5.
-type PrunedBranch struct {
-	// Excluded are the transitions removed by the branch's forced choices.
-	Excluded []petri.Transition
-	// Source is the surviving source transition left uncovered.
-	Source petri.Transition
-	// Witness is the branch's default completion (first alternative for
-	// every unforced cluster): a genuine T-reduction of the net, so when
-	// its Definition 3.5 check fails the whole net is not schedulable
-	// regardless of whether the cut itself was exact. Callers verify
-	// witnesses instead of trusting the cut (see Solve).
-	Witness *Reduction
-}
-
-// EnumerateDistinctReductionsPruned is the distinct-reduction enumeration
-// with the prune-on-unschedulable cut. parentTIs must be the parent net's
-// minimal T-semiflows; branches whose forced exclusions leave a source
-// transition outside every surviving parent semiflow are cut before their
-// subtrees are reduced and returned as PrunedBranch records. The cut is
-// exact only when each completion's semiflows restrict from the parent's
-// (see invariant.RestrictTInvariants); a reduction can in general gain
-// semiflows the parent does not have, so callers must verify each
-// Witness and fall back to the unpruned enumeration when one passes.
-func EnumerateDistinctReductionsPruned(ctx context.Context, n *petri.Net, maxReductions int, parentTIs []invariant.TInvariant) ([]*Reduction, []*PrunedBranch, error) {
-	return enumerateDistinctReductions(ctx, n, maxReductions, &pruner{
-		tis:     parentTIs,
-		sources: n.SourceTransitions(),
-	})
-}
-
-// pruner holds the parent-cone data the prune-on-unschedulable cut needs.
-type pruner struct {
-	tis     []invariant.TInvariant
-	sources []petri.Transition
-}
-
-// uncoveredSource returns a source transition no parent minimal T-semiflow
-// avoiding the excluded set covers, if any. Sources survive every
-// T-reduction, so such a source stays uncovered in every completion whose
-// invariants restrict from the parent cone.
-func (pr *pruner) uncoveredSource(excluded []bool) (petri.Transition, bool) {
-	for _, s := range pr.sources {
-		covered := false
-		for _, ti := range pr.tis {
-			if !ti.Contains(s) {
-				continue
-			}
-			clean := true
-			for t, c := range ti.Counts {
-				if c != 0 && excluded[t] {
-					clean = false
-					break
-				}
-			}
-			if clean {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-func enumerateDistinctReductions(ctx context.Context, n *petri.Net, maxReductions int, pr *pruner) ([]*Reduction, []*PrunedBranch, error) {
 	if maxReductions <= 0 {
 		maxReductions = Options{}.maxAllocations()
 	}
 	clusters := n.FreeChoiceSets()
 	var out []*Reduction
-	var prunes []*PrunedBranch
 	seen := map[string]bool{}
 	// One reducer serves the whole search: its scratch buffers (alive
 	// masks, producer counts, worklist) are reused across every reduce
@@ -239,29 +162,6 @@ func enumerateDistinctReductions(ctx context.Context, n *petri.Net, maxReduction
 				alt = 0
 			}
 			chosen[i] = c.Transitions[alt]
-		}
-		if pr != nil && len(pr.sources) > 0 {
-			excluded := make([]bool, n.NumTransitions())
-			var excludedList []petri.Transition
-			for i, c := range clusters {
-				if assignment[i] < 0 {
-					continue
-				}
-				for _, t := range c.Transitions {
-					if t != chosen[i] {
-						excluded[t] = true
-						excludedList = append(excludedList, t)
-					}
-				}
-			}
-			if src, cut := pr.uncoveredSource(excluded); cut {
-				prunes = append(prunes, &PrunedBranch{
-					Excluded: excludedList,
-					Source:   src,
-					Witness:  rd.reduce(&Allocation{Clusters: clusters, Chosen: chosen}),
-				})
-				return nil
-			}
 		}
 		red := rd.reduce(&Allocation{Clusters: clusters, Chosen: chosen})
 		// Find the first unforced cluster whose choice place survives:
@@ -305,7 +205,7 @@ func enumerateDistinctReductions(ctx context.Context, n *petri.Net, maxReduction
 		initial[i] = -1
 	}
 	if err := explore(initial); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return out, prunes, nil
+	return out, nil
 }

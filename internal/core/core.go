@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"fcpn/internal/invariant"
@@ -46,24 +45,11 @@ type Options struct {
 	// firings) as a safety net.
 	MaxCycleLength int
 	// KeepDuplicateReductions disables T-reduction deduplication, keeping
-	// one cycle per allocation even when reductions coincide. Used by the
-	// ablation benchmarks. It also disables the isomorphism dedup, the
-	// parent-semiflow sharing and the prune cut below, so the ablation
-	// measures the paper's unoptimised sweep.
+	// one cycle per allocation even when reductions coincide. It also
+	// disables the parent-semiflow restriction, so every check runs Farkas
+	// from scratch: this is the paper's unoptimised sweep, the reference
+	// the equivalence tests and ablation benchmarks compare against.
 	KeepDuplicateReductions bool
-	// KeepIsomorphicDuplicates disables the canonical-hash isomorphism
-	// dedup of the schedulability sweep (Theorem 3.1 needs one verdict per
-	// equivalence class; the dedup checks one representative per class and
-	// fans its invariants out to the other members). The sweep's output is
-	// identical either way — the switch exists for the equivalence tests
-	// and ablation benchmarks.
-	KeepIsomorphicDuplicates bool
-	// NoPrune disables the prune-on-unschedulable cut in Solve's reduction
-	// search, restoring the exhaustive lazy enumeration. internal/engine
-	// sets it: the engine enumerates reductions separately for its report,
-	// and its not-schedulable diagnoses must stay identical between that
-	// path and a direct Solve.
-	NoPrune bool
 	// Workers bounds the parallel fan-out of the per-T-reduction work
 	// (reduction construction in the ablation path and the schedulability
 	// sweep). Values ≤ 1 run serially. Results are merged in enumeration
@@ -77,14 +63,10 @@ type Options struct {
 	Semiflows invariant.Cache
 	// Trace optionally records detail spans for the pipeline's inner
 	// steps: "core/enumerate" (allocation/reduction enumeration),
-	// "core/check" (one per class-representative schedulability check —
-	// the unit of Workers fan-out), "core/dedup/sig" (restriction-exact
-	// scan plus fingerprint bucketing), "core/dedup/wl" (one per
-	// Weisfeiler–Lehman escalation of a multi-member bucket), "core/dedup"
-	// (one span per fanned-out duplicate member), "core/cycle"
-	// (finite-complete-cycle search) and the invariant package's spans,
-	// plus the core/dedup/*, core/semiflow/* and core/prune/* counters
-	// (see docs/TRACING.md). Nil disables collection; spans may end on any
+	// "core/check" (one per distinct reduction — the unit of Workers
+	// fan-out), "core/cycle" (finite-complete-cycle search) and the
+	// invariant package's spans, plus the core/semiflow/* counters (see
+	// docs/TRACING.md). Nil disables collection; spans may end on any
 	// worker goroutine.
 	Trace *trace.Tracer
 	// Ctx optionally cancels the pipeline's long loops — reduction
@@ -206,73 +188,36 @@ func Solve(n *petri.Net, opt Options) (*Schedule, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.KeepDuplicateReductions {
-		// Ablation path: one reduction per allocation, duplicates kept,
-		// every check from scratch.
-		sp := opt.Trace.StartDetail("core/enumerate")
-		allocs, err := EnumerateAllocations(n, opt.maxAllocations())
-		if err != nil {
-			return nil, err
-		}
-		reductions := make([]*Reduction, len(allocs))
-		forEachIndex(len(allocs), opt.workerCount(), func(i int) {
-			reductions[i] = Reduce(n, allocs[i])
-		})
-		sp.End()
-		return solveReductions(n, reductions, opt, checkAids{})
-	}
-	// The parent's minimal T-semiflows are computed once per solve and
-	// shared three ways: the prune cut below, the per-reduction restriction
-	// (invariant.RestrictTInvariants) and the consistency checks of the
-	// sweep. A failed computation (e.g. invariant.ErrTooComplex) disables
-	// sharing rather than failing the solve — every consumer falls back to
-	// its from-scratch path.
-	parentTIs, err := invariant.TInvariants(n, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace})
-	aids := checkAids{parentTIs: parentTIs, haveParent: err == nil}
-
-	// Output-sensitive search: only distinct T-reductions are built,
-	// without touching the exponential allocation product.
 	sp := opt.Trace.StartDetail("core/enumerate")
 	var reductions []*Reduction
-	var prunes []*PrunedBranch
-	if aids.haveParent && !opt.NoPrune {
-		reductions, prunes, err = EnumerateDistinctReductionsPruned(opt.Ctx, n, opt.maxAllocations(), parentTIs)
+	var err error
+	if opt.KeepDuplicateReductions {
+		// Ablation path: one reduction per allocation, duplicates kept.
+		reductions, err = reduceEveryAllocation(n, opt)
 	} else {
+		// Output-sensitive search: only distinct T-reductions are built,
+		// without touching the exponential allocation product.
 		reductions, err = EnumerateDistinctReductionsCtx(opt.Ctx, n, opt.maxAllocations())
 	}
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if len(prunes) > 0 {
-		opt.Trace.Add("core/prune/branches", int64(len(prunes)))
-		// Verify the cut instead of trusting it: each pruned branch's
-		// Witness is a genuine T-reduction, so a failing witness proves
-		// the net unschedulable no matter whether the cut was exact.
-		for _, pb := range prunes {
-			csp := opt.Trace.StartDetail("core/check")
-			rep := checkReduction(n, pb.Witness, opt, aids)
-			csp.End()
-			if cerr := opt.cancelled(); cerr != nil {
-				return nil, cerr
-			}
-			if !rep.Schedulable {
-				return nil, &NotSchedulableError{Report: rep}
-			}
-		}
-		// Every witness passed: some completion gained semiflows the
-		// parent cone does not restrict to (the inexact corner of
-		// RestrictTInvariants), so the cut was unsound for this net.
-		// Redo the enumeration without pruning.
-		opt.Trace.Add("core/prune/fallback", 1)
-		sp = opt.Trace.StartDetail("core/enumerate")
-		reductions, err = EnumerateDistinctReductionsCtx(opt.Ctx, n, opt.maxAllocations())
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
+	return SolveReductions(n, reductions, opt)
+}
+
+// reduceEveryAllocation reduces the net under every T-allocation, in
+// allocation order, fanning the Reduce calls out across opt's workers.
+func reduceEveryAllocation(n *petri.Net, opt Options) ([]*Reduction, error) {
+	allocs, err := EnumerateAllocations(n, opt.maxAllocations())
+	if err != nil {
+		return nil, err
 	}
-	return solveReductions(n, reductions, opt, aids)
+	reductions := make([]*Reduction, len(allocs))
+	forEachIndex(len(allocs), opt.workerCount(), func(i int) {
+		reductions[i] = Reduce(n, allocs[i])
+	})
+	return reductions, nil
 }
 
 // SolveReductions is the schedulability sweep of Solve over an
@@ -284,29 +229,16 @@ func Solve(n *petri.Net, opt Options) (*Schedule, error) {
 func SolveReductions(n *petri.Net, reductions []*Reduction, opt Options) (*Schedule, error) {
 	aids := checkAids{}
 	if !opt.KeepDuplicateReductions && len(reductions) > 0 {
-		// Same parent-semiflow sharing as Solve (restriction beats a
-		// from-scratch Farkas run per reduction); errors only disable it.
+		// The parent's minimal T-semiflows are computed once per sweep and
+		// restricted to each reduction (restriction beats a from-scratch
+		// Farkas run per reduction). A failed computation (e.g.
+		// invariant.ErrTooComplex) only disables the sharing: every check
+		// then runs from scratch.
 		if parentTIs, err := invariant.TInvariants(n, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace}); err == nil {
 			aids = checkAids{parentTIs: parentTIs, haveParent: true}
 		}
 	}
 	return solveReductions(n, reductions, opt, aids)
-}
-
-// DedupClasses partitions an enumerated reduction set into isomorphism
-// classes exactly as the sweep inside Solve does — restriction-exact
-// reductions become their own representatives, the rest are bucketed by
-// structural fingerprint and only multi-member buckets pay a canonical
-// (Weisfeiler–Lehman) hash. classOf[i] is the representative index of
-// reductions[i]; a nil slice means every reduction is its own class.
-// Exported for benchmarks and tooling that measure the dedup stage in
-// isolation.
-func DedupClasses(n *petri.Net, reductions []*Reduction, opt Options) ([]int, error) {
-	aids := checkAids{}
-	if parentTIs, err := invariant.TInvariants(n, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace}); err == nil {
-		aids = checkAids{parentTIs: parentTIs, haveParent: true}
-	}
-	return dedupClasses(reductions, opt, aids)
 }
 
 func solveReductions(n *petri.Net, reductions []*Reduction, opt Options, aids checkAids) (*Schedule, error) {
@@ -321,43 +253,12 @@ func solveReductions(n *petri.Net, reductions []*Reduction, opt Options, aids ch
 	// to the serial sweep. Every reduction is checked even when an early
 	// one fails, so the phase trace (core/check count) is a function of
 	// the net alone, not of the worker count or of goroutine timing.
-	//
-	// With the isomorphism dedup (classOf non-nil), the sweep runs in two
-	// deterministic stages: full checks for the class representatives,
-	// then per-member fan-outs that reuse each representative's minimal
-	// semiflows through the canonical isomorphism (Theorem 3.1: one
-	// verdict per equivalence class suffices; the member reports are still
-	// materialised per reduction, byte-identical to from-scratch checks,
-	// so the schedule keeps its shape).
 	reports := make([]*ReductionReport, len(reductions))
-	classOf, err := dedupClasses(reductions, opt, aids)
-	if err != nil {
-		return nil, err
-	}
-	check := func(i int) {
+	forEachIndex(len(reductions), opt.workerCount(), func(i int) {
 		sp := opt.Trace.StartDetail("core/check")
 		reports[i] = checkReduction(n, reductions[i], opt, aids)
 		sp.End()
-	}
-	if classOf == nil {
-		forEachIndex(len(reductions), opt.workerCount(), check)
-	} else {
-		var reps, members []int
-		for i, r := range classOf {
-			if r == i {
-				reps = append(reps, i)
-			} else {
-				members = append(members, i)
-			}
-		}
-		forEachIndex(len(reps), opt.workerCount(), func(k int) { check(reps[k]) })
-		forEachIndex(len(members), opt.workerCount(), func(k int) {
-			i := members[k]
-			sp := opt.Trace.StartDetail("core/dedup")
-			reports[i] = fanOutReport(n, reductions[i], reductions[classOf[i]], reports[classOf[i]], opt)
-			sp.End()
-		})
-	}
+	})
 	// A cancelled sweep leaves stub reports behind; surface the
 	// cancellation instead of misreading a stub as "not schedulable".
 	if err := opt.cancelled(); err != nil {
@@ -375,130 +276,6 @@ func solveReductions(n *petri.Net, reductions []*Reduction, opt Options, aids ch
 		sched.Reports = append(sched.Reports, report)
 	}
 	return sched, nil
-}
-
-// dedupClasses groups the reductions into verdict-sharing classes and
-// returns classOf with classOf[i] the index of reduction i's class
-// representative (the class's first member in enumeration order). nil means
-// the dedup is off or pointless (every reduction its own representative).
-//
-// The grouping escalates in three stages, cheapest first:
-//
-//  1. Restriction-exact reductions (every place adjacent to a kept
-//     transition is kept) become their own representatives with no hashing
-//     at all: their check derives its invariants by exact parent-semiflow
-//     restriction, so there is no Farkas run for the isomorphism machinery
-//     to save. Requires aids.haveParent.
-//  2. The rest are bucketed by the O(arcs) round-0 fingerprint
-//     (petri.InducedFingerprint, "core/dedup/sig" span). Equal canonical
-//     hashes imply equal fingerprints, so a singleton bucket is provably
-//     alone in its isomorphism class and becomes its own representative
-//     with no Weisfeiler–Lehman run at all.
-//  3. Only multi-member buckets escalate to the full CanonicalForm
-//     refinement (one "core/dedup/wl" span per hash); classes still form
-//     only on equal full hashes, which guarantee isomorphic subnets — the
-//     hash covers the complete relabelled structure — so a class shares one
-//     schedulability verdict by Theorem 3.1.
-//
-// The error return is a cancellation: the stage boundaries and the WL
-// batch check opt.cancelled(), so a huge corpus net cannot make the dedup
-// stage uncancellable.
-func dedupClasses(reductions []*Reduction, opt Options, aids checkAids) ([]int, error) {
-	if opt.KeepDuplicateReductions || opt.KeepIsomorphicDuplicates || len(reductions) < 2 {
-		return nil, nil
-	}
-	classOf := make([]int, len(reductions))
-	for i := range classOf {
-		classOf[i] = i
-	}
-	sp := opt.Trace.StartDetail("core/dedup/sig")
-	var pool []int
-	exact := 0
-	for i, r := range reductions {
-		if aids.haveParent && r.restrictionExact() {
-			exact++
-			continue
-		}
-		pool = append(pool, i)
-	}
-	buckets := make(map[uint64][]int, len(pool))
-	for _, i := range pool {
-		fp := reductions[i].Fingerprint()
-		buckets[fp] = append(buckets[fp], i)
-	}
-	sp.End()
-	if err := opt.cancelled(); err != nil {
-		return nil, err
-	}
-	singles := 0
-	var multi []int
-	for _, b := range buckets {
-		if len(b) == 1 {
-			singles++
-		} else {
-			multi = append(multi, b...)
-		}
-	}
-	// Enumeration order: representatives must be each class's first member
-	// no matter how the bucket map iterated.
-	sort.Ints(multi)
-	hashes := make([]string, len(reductions))
-	forEachIndex(len(multi), opt.workerCount(), func(k int) {
-		if opt.cancelled() != nil {
-			return
-		}
-		wsp := opt.Trace.StartDetail("core/dedup/wl")
-		hashes[multi[k]] = reductions[multi[k]].Subnet().Net.CanonicalHash()
-		wsp.End()
-	})
-	if err := opt.cancelled(); err != nil {
-		return nil, err
-	}
-	rep := make(map[string]int, len(multi))
-	classes := exact + singles
-	for _, i := range multi {
-		if r, ok := rep[hashes[i]]; ok {
-			classOf[i] = r
-		} else {
-			rep[hashes[i]] = i
-			classes++
-		}
-	}
-	opt.Trace.Add("core/dedup/exact", int64(exact))
-	opt.Trace.Add("core/dedup/singletons", int64(singles))
-	opt.Trace.Add("core/dedup/classes", int64(classes))
-	opt.Trace.Add("core/dedup/members", int64(len(reductions)-classes))
-	if classes == len(reductions) {
-		return nil, nil
-	}
-	return classOf, nil
-}
-
-// fanOutReport re-derives a duplicate reduction's report from its class
-// representative. The minimal-semiflow *set* is the only part of the check
-// that is isomorphism-equivariant: the greedy covering combination and the
-// index-order cycle search are not, so they are recomputed in the member's
-// own index space — which is exactly what keeps the fanned-out report
-// byte-identical to a from-scratch check while still skipping the Farkas
-// run (the expensive part).
-func fanOutReport(n *petri.Net, member, rep *Reduction, repReport *ReductionReport, opt Options) *ReductionReport {
-	if repReport.Invariants == nil {
-		// The representative never produced invariants (cancellation stub
-		// or a failed computation): nothing to share, check from scratch —
-		// deterministic, so the member reproduces the same diagnosis.
-		return checkReduction(n, member, opt, checkAids{})
-	}
-	m := petri.MapTransitionsByCanonical(rep.Subnet().Net, member.Subnet().Net)
-	tis := make([]invariant.TInvariant, len(repReport.Invariants))
-	for k, ti := range repReport.Invariants {
-		counts := make([]int, len(ti.Counts))
-		for t, c := range ti.Counts {
-			counts[m[t]] = c
-		}
-		tis[k] = invariant.TInvariant{Counts: counts}
-	}
-	invariant.SortTInvariants(tis)
-	return checkReduction(n, member, opt, checkAids{pre: tis, havePre: true})
 }
 
 // forEachIndex runs fn(0..n-1), fanning out across up to workers

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -14,18 +15,11 @@ import (
 	"fcpn/internal/petri"
 )
 
-// distillSolve runs Solve and flattens everything observable about the
-// outcome — cycles, per-report verdicts, invariants, diagnosis — into a
+// distillOutcome flattens everything observable about a (Schedule, error)
+// solver outcome — cycles, per-report invariants, diagnosis — into a
 // comparable string, so the equivalence tests below can assert that two
-// solver configurations produce *identical* results, not merely equivalent
+// sweep configurations produce *identical* results, not merely equivalent
 // ones.
-func distillSolve(t *testing.T, n *petri.Net, opt Options) string {
-	t.Helper()
-	return distillOutcome(Solve(n, opt))
-}
-
-// distillOutcome flattens any (Schedule, error) solver outcome into the
-// comparable string distillSolve uses.
 func distillOutcome(s *Schedule, err error) string {
 	if err != nil {
 		var nse *NotSchedulableError
@@ -66,34 +60,56 @@ func equivalenceCorpus(t *testing.T) map[string]*petri.Net {
 	return nets
 }
 
+// TestDedupMatchesFromScratch holds Solve's sweep — the distinct-reduction
+// search plus parent-semiflow restriction — to the paper's reference sweep
+// (KeepDuplicateReductions: one reduction per allocation, every check from
+// scratch) on every corpus net small enough to enumerate its allocations.
 func TestDedupMatchesFromScratch(t *testing.T) {
-	// The canonical-hash dedup must be invisible in the output: same
-	// cycles, same reports (including the mapped invariants, byte for
-	// byte), same diagnosed failing reduction — across worker counts.
+	compared := 0
 	for name, n := range equivalenceCorpus(t) {
-		base := distillSolve(t, n, Options{KeepIsomorphicDuplicates: true, NoPrune: true})
-		for _, opt := range []Options{
-			{},
-			{Workers: 4},
-			{NoPrune: true},
-			{Workers: 3, KeepIsomorphicDuplicates: true},
-		} {
-			if got := distillSolve(t, n, opt); got != base {
-				t.Errorf("%s: %+v diverges from scratch solve:\n got: %s\nwant: %s", name, opt, got, base)
-			}
+		allocs, err := EnumerateAllocations(n, 4096)
+		if err != nil {
+			continue
 		}
+		compared++
+		// The lazy search must find exactly the transition sets that
+		// reducing every allocation finds, each once.
+		want := map[string]bool{}
+		for _, a := range allocs {
+			want[Reduce(n, a).TransitionSetKey()] = true
+		}
+		reds, err := EnumerateDistinctReductions(n, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := map[string]bool{}
+		for _, r := range reds {
+			got[r.TransitionSetKey()] = true
+		}
+		if len(got) != len(reds) || !maps.Equal(got, want) {
+			t.Errorf("%s: distinct search found %d reductions (%d keys), reference %d keys",
+				name, len(reds), len(got), len(want))
+		}
+		// Theorem 3.1 needs one verdict per distinct reduction, so the
+		// verdict cannot depend on which sweep produced it.
+		_, err = Solve(n, Options{})
+		_, refErr := Solve(n, Options{KeepDuplicateReductions: true})
+		if (err == nil) != (refErr == nil) {
+			t.Errorf("%s: Solve err=%v, reference sweep err=%v", name, err, refErr)
+		}
+	}
+	if compared < 20 {
+		t.Fatalf("only %d corpus nets compared against the reference sweep", compared)
 	}
 }
 
 func TestSweepPathsByteIdentical(t *testing.T) {
-	// The schedulability sweep resolves each reduction's invariants through
-	// one of three paths — restriction-exact own-representative checks
-	// (parent aids present), fingerprint-singleton + Weisfeiler–Lehman
-	// class checks with per-member fan-out (no aids), or from-scratch
-	// Farkas runs — and the whole point of the machinery is that the choice
-	// is invisible in the output. Running the same reduction set through
-	// the sweep with and without parent aids must produce byte-identical
-	// schedules, including every report's invariant set.
+	// The schedulability sweep resolves each reduction's invariants either
+	// by restricting the parent's semiflows (parent aids present) or by a
+	// from-scratch Farkas run, and the choice must be invisible in the
+	// output. Running the same reduction set through the sweep with and
+	// without parent aids must produce byte-identical schedules, including
+	// every report's invariant set.
 	for name, n := range equivalenceCorpus(t) {
 		reds, err := EnumerateDistinctReductions(n, 0)
 		if err != nil {
@@ -112,80 +128,6 @@ func TestSweepPathsByteIdentical(t *testing.T) {
 		if parallel != withAids {
 			t.Errorf("%s: parallel sweep diverges from serial:\n got: %s\nwant: %s", name, parallel, withAids)
 		}
-	}
-}
-
-func TestPruneMatchesUnprunedVerdict(t *testing.T) {
-	// The prune cut may pick a different failing reduction as its witness,
-	// but the verdict — schedulable or not — and every schedulable
-	// schedule must match the exhaustive search exactly.
-	for name, n := range equivalenceCorpus(t) {
-		pruned, prunedErr := Solve(n, Options{})
-		full, fullErr := Solve(n, Options{NoPrune: true})
-		if (prunedErr == nil) != (fullErr == nil) {
-			t.Fatalf("%s: pruned err=%v, unpruned err=%v", name, prunedErr, fullErr)
-		}
-		if prunedErr != nil {
-			var nse *NotSchedulableError
-			if !errors.As(prunedErr, &nse) || nse.Report.Schedulable {
-				t.Fatalf("%s: pruned diagnosis malformed: %v", name, prunedErr)
-			}
-			continue
-		}
-		a := distillSolve(t, n, Options{})
-		b := distillSolve(t, n, Options{NoPrune: true})
-		if a != b {
-			t.Errorf("%s: pruned schedule diverges:\n got: %s\nwant: %s", name, a, b)
-		}
-		_ = pruned
-		_ = full
-	}
-}
-
-func TestPrunedEnumerationRecordsBranches(t *testing.T) {
-	// Figure 3b is the paper's canonical non-schedulable net: t4 needs
-	// both branches of the choice, so no parent T-semiflow survives either
-	// forced exclusion and the lazy search is cut at the first fork.
-	n := figures.Figure3b()
-	parentTIs, err := invariant.TInvariants(n, invariant.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reds, prunes, err := EnumerateDistinctReductionsPruned(nil, n, 0, parentTIs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prunes) == 0 {
-		t.Fatalf("no branches pruned (reductions=%d): want the unschedulable branches cut", len(reds))
-	}
-	srcs := map[petri.Transition]bool{}
-	for _, s := range n.SourceTransitions() {
-		srcs[s] = true
-	}
-	for _, pb := range prunes {
-		if pb.Witness == nil {
-			t.Fatal("pruned branch without witness reduction")
-		}
-		if !srcs[pb.Source] {
-			t.Fatalf("pruned branch names non-source transition %v", pb.Source)
-		}
-		rep := CheckReduction(n, pb.Witness, Options{})
-		if rep.Schedulable {
-			t.Fatalf("figure 3b witness must fail Definition 3.5, got schedulable")
-		}
-	}
-	// The prune must not have eaten schedulable work on a schedulable net.
-	n3a := figures.Figure3a()
-	tis3a, err := invariant.TInvariants(n3a, invariant.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reds3a, prunes3a, err := EnumerateDistinctReductionsPruned(nil, n3a, 0, tis3a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prunes3a) != 0 || len(reds3a) != 2 {
-		t.Fatalf("figure 3a: reductions=%d prunes=%d, want 2/0", len(reds3a), len(prunes3a))
 	}
 }
 
@@ -287,44 +229,5 @@ func TestCoveringCombinationIncompleteCover(t *testing.T) {
 	// An empty invariant set leaves everything uncovered.
 	if _, uncovered := coveringCombination(nil, 2); len(uncovered) != 2 {
 		t.Fatalf("empty set: uncovered = %v, want both transitions", uncovered)
-	}
-}
-
-func TestDedupCountersAndClasses(t *testing.T) {
-	// The ATM model collapses 56 distinct reductions into far fewer
-	// isomorphism classes; the sweep must record the split and still
-	// produce one report per reduction.
-	n := netgen.RandomSchedulablePipeline(4, netgen.DefaultConfig())
-	reds, err := EnumerateDistinctReductions(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No parent aids: every reduction goes through the fingerprint buckets,
-	// so the Weisfeiler–Lehman escalation path is what this test exercises.
-	classOf, err := dedupClasses(reds, Options{}, checkAids{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if classOf == nil {
-		t.Skip("seed produced no isomorphic duplicates")
-	}
-	classes := 0
-	for i, r := range classOf {
-		if r == i {
-			classes++
-		}
-		if reds[r].Subnet().Net.CanonicalHash() != reds[i].Subnet().Net.CanonicalHash() {
-			t.Fatalf("class member %d hashed differently from its representative %d", i, r)
-		}
-	}
-	if classes >= len(reds) {
-		t.Fatalf("classes=%d of %d reductions: dedup found nothing", classes, len(reds))
-	}
-	s, err := Solve(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Reports) != len(reds) {
-		t.Fatalf("reports=%d, want one per reduction (%d)", len(s.Reports), len(reds))
 	}
 }

@@ -189,9 +189,6 @@ func TestReductionLazyAccessorsMatchSubnet(t *testing.T) {
 					t.Fatalf("%s: KeepsPlace(%v)=%v, subnet says %v", name, p, red.KeepsPlace(p), ok)
 				}
 			}
-			if got, want := red.Fingerprint(), sub.Net.Fingerprint(); got != want {
-				t.Fatalf("%s: bitset fingerprint %x != subnet fingerprint %x", name, got, want)
-			}
 		}
 	}
 }

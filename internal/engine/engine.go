@@ -235,11 +235,6 @@ func (e *Engine) coreOpts(ctx context.Context, tr *trace.Tracer) core.Options {
 	opt.Semiflows = semiflowCache{e.cache}
 	opt.Trace = tr
 	opt.Ctx = ctx
-	// The prune cut can change which failing reduction Solve diagnoses.
-	// The engine's cold path sweeps the reduction set it enumerated for
-	// the report (SolveReductions); its warm Solve fallback must produce
-	// the same diagnosis byte for byte, so pruning stays off here.
-	opt.NoPrune = true
 	if opt.Workers == 0 {
 		opt.Workers = e.workers
 	}

@@ -56,12 +56,6 @@ func RestrictTInvariants(parent *petri.Net, sub *petri.Subnet, parentTIs []TInva
 			out = append(out, TInvariant{Counts: counts})
 		}
 	}
-	SortTInvariants(out)
+	sortTInvariants(out)
 	return out, true
 }
-
-// SortTInvariants sorts invariants into the package's deterministic order
-// (the one TInvariants returns), for callers that assemble invariant sets
-// themselves — the restriction above and the isomorphism fan-out of
-// internal/core's reduction dedup.
-func SortTInvariants(tis []TInvariant) { sortTInvariants(tis) }

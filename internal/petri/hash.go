@@ -55,11 +55,10 @@ func (n *Net) computeCanonicalForm() *CanonicalForm {
 	tCol := make([]int, nT)
 
 	// Signatures are assembled with manual byte appends rather than fmt:
-	// the reduction-class dedup in internal/core hashes hundreds of small
-	// subnets per solve, and fmt verb parsing dominated the refinement
-	// loop in its phase traces. The byte sequences are identical to the
-	// previous fmt-built ones, so ranks — and therefore hashes — are
-	// unchanged (pinned by the golden hashes in the engine tests).
+	// fmt verb parsing dominated the refinement loop in phase traces. The
+	// byte sequences are identical to the previous fmt-built ones, so
+	// ranks — and therefore hashes — are unchanged (pinned by the golden
+	// hashes in the engine tests).
 	var buf []byte
 
 	// Round 0: structural signatures independent of any prior colours.
@@ -227,27 +226,6 @@ func (n *Net) computeCanonicalForm() *CanonicalForm {
 	sum := sha256.Sum256(buf)
 	cf.Hash = hex.EncodeToString(sum[:])
 	return cf
-}
-
-// MapTransitionsByCanonical returns the transition mapping from net a onto
-// net b induced by their canonical forms: out[t] is the b-transition at the
-// same canonical position as a-transition t.
-//
-// Precondition: a and b have equal canonical hashes. The hash covers the
-// complete relabelled structure — markings, arcs and weights in canonical
-// position space — so equal hashes mean the position-to-position
-// correspondence preserves every arc and marking: it is an isomorphism, no
-// matter how colour ties were broken on either side. Callers (the
-// reduction-class dedup in internal/core) use it to transport
-// structure-only results such as minimal semiflow sets between members of
-// a canonical-hash equivalence class.
-func MapTransitionsByCanonical(a, b *Net) []Transition {
-	fa, fb := a.CanonicalForm(), b.CanonicalForm()
-	out := make([]Transition, len(fa.TransPos))
-	for t := range out {
-		out[t] = fb.TransAt[fa.TransPos[t]]
-	}
-	return out
 }
 
 // rankSignatures replaces pCol/tCol with the rank of each node's signature

@@ -227,18 +227,23 @@ func (c *compiler) run() error {
 		return fmt.Errorf("spec: system %q has no processes", s.name)
 	}
 	// Channels become places; inputs gain source transitions; outputs
-	// gain sink transitions.
+	// gain sink transitions. Both loops walk the channels in ChannelID
+	// order, so the same system always compiles to the same net indices.
 	c.chPlaces = make([]petri.Place, len(s.channels))
 	for i, ch := range s.channels {
 		c.chPlaces[i] = c.b.Place("ch_" + ch.name)
 	}
-	for id := range s.inputs {
-		src := c.b.Transition(s.channels[id].name)
-		c.b.ArcTP(src, c.chPlaces[id])
+	for id, ch := range s.channels {
+		if s.inputs[ChannelID(id)] {
+			src := c.b.Transition(ch.name)
+			c.b.ArcTP(src, c.chPlaces[id])
+		}
 	}
-	for id := range s.outputs {
-		sink := c.b.Transition("env_" + s.channels[id].name)
-		c.b.Arc(c.chPlaces[id], sink)
+	for id, ch := range s.channels {
+		if s.outputs[ChannelID(id)] {
+			sink := c.b.Transition("env_" + ch.name)
+			c.b.Arc(c.chPlaces[id], sink)
+		}
 	}
 	for _, p := range s.processes {
 		if err := c.compileProcess(p); err != nil {

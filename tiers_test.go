@@ -58,5 +58,16 @@ func TestStandardNetsStayInInt64Tier(t *testing.T) {
 		if ps, ok := rep.Phase("linalg/int64"); !ok || ps.Count == 0 {
 			t.Errorf("%s: no linalg/int64 phase recorded; ladder not traced", name)
 		}
+		// Every T-reduction of a standard net is restriction-exact, so
+		// every Definition 3.5 check restricts the parent's semiflows. A
+		// Reduce change that breaks exactness would silently send each
+		// check to a from-scratch Farkas run instead.
+		checks, _ := rep.Phase("core/check")
+		if full := rep.Counter("core/semiflow/full"); full != 0 {
+			t.Errorf("%s: %d of %d checks fell back to from-scratch semiflows", name, full, checks.Count)
+		}
+		if got := rep.Counter("core/semiflow/restricted"); got != checks.Count {
+			t.Errorf("%s: %d restricted semiflow sets for %d checks", name, got, checks.Count)
+		}
 	}
 }
