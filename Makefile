@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test bench bench-json bench-serve bench-coord phase-baseline phase-gate cover fuzz examples atmbench clean
+.PHONY: all build test perfbench-test bench bench-json bench-serve bench-coord phase-baseline phase-gate cover fuzz examples atmbench clean
 
 all: build test
 
@@ -10,6 +10,11 @@ build:
 
 test:
 	go test ./...
+
+# perfbench/ is its own Go module (the repository benchmark), so the root
+# `go test ./...` skips it; this vets and tests it against the checkout.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...
 
 # Regenerates every paper table/figure plus the ablations.
 bench:
@@ -124,6 +129,7 @@ cover:
 fuzz:
 	go test -fuzz='FuzzParse$$' -fuzztime=30s ./internal/petri/
 	go test -fuzz='FuzzParsePN$$' -fuzztime=30s ./internal/petri/
+	go test -fuzz='FuzzScheduleReplay$$' -fuzztime=30s ./internal/sim/
 	go test -fuzz='FuzzFarkasLadder$$' -fuzztime=30s ./internal/linalg/
 	go test -fuzz='FuzzRestrictTInvariants$$' -fuzztime=30s ./internal/invariant/
 	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/

@@ -181,7 +181,7 @@ func BenchmarkTableIQSS(b *testing.B) {
 	var clock int64
 	for i := 0; i < b.N; i++ {
 		server := atm.NewServer(m, atm.DefaultConfig())
-		metrics, err := sim.RunQSSWithHooks(syn.Program, w.Events, cost, sim.Hooks{
+		metrics, err := sim.RunRobust(syn.Program, w.Events, cost, sim.RobustConfig{}, sim.Hooks{
 			Resolver:    server.Resolver(),
 			OnFire:      server.OnFire,
 			BeforeEvent: w.CellFeeder(m, server),
@@ -213,7 +213,7 @@ func BenchmarkTableIFunctional(b *testing.B) {
 	var clock int64
 	for i := 0; i < b.N; i++ {
 		server := atm.NewServer(m, atm.DefaultConfig())
-		metrics, err := sim.RunModularWithHooks(prog, w.Events, cost, sim.Hooks{
+		metrics, err := sim.RunRobust(prog, w.Events, cost, sim.RobustConfig{Modular: true}, sim.Hooks{
 			Resolver:    server.Resolver(),
 			OnFire:      server.OnFire,
 			BeforeEvent: w.CellFeeder(m, server),

@@ -34,7 +34,7 @@ func main() {
 	// buffer, real per-VC discard state.
 	server := atm.NewServer(m, atm.DefaultConfig())
 	w := atm.NewWorkload(m, atm.DefaultWorkload())
-	metrics, err := sim.RunQSSWithHooks(syn.Program, w.Events, rtos.DefaultCostModel(), sim.Hooks{
+	metrics, err := sim.RunRobust(syn.Program, w.Events, rtos.DefaultCostModel(), sim.RobustConfig{}, sim.Hooks{
 		Resolver:    server.Resolver(),
 		OnFire:      server.OnFire,
 		BeforeEvent: w.CellFeeder(m, server),

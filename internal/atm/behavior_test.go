@@ -32,7 +32,7 @@ func TestBehaviourConservation(t *testing.T) {
 	prog := buildQSS(t, m)
 	server := NewServer(m, DefaultConfig())
 	w := NewWorkload(m, DefaultWorkload())
-	_, err := sim.RunQSSWithHooks(prog, w.Events, rtos.DefaultCostModel(), sim.Hooks{
+	_, err := sim.RunRobust(prog, w.Events, rtos.DefaultCostModel(), sim.RobustConfig{}, sim.Hooks{
 		Resolver:    server.Resolver(),
 		OnFire:      server.OnFire,
 		BeforeEvent: w.CellFeeder(m, server),
@@ -77,7 +77,7 @@ func TestBehaviourBufferNeverOverflows(t *testing.T) {
 	wl.TickPeriod = 40
 	w := NewWorkload(m, wl)
 	occCheck := 0
-	_, err := sim.RunQSSWithHooks(prog, w.Events, rtos.DefaultCostModel(), sim.Hooks{
+	_, err := sim.RunRobust(prog, w.Events, rtos.DefaultCostModel(), sim.RobustConfig{}, sim.Hooks{
 		Resolver: server.Resolver(),
 		OnFire: func(tr petri.Transition) {
 			server.OnFire(tr)
@@ -190,6 +190,36 @@ func TestTableIReproduction(t *testing.T) {
 	}
 }
 
+// TestRobustModularMatchesTableI drives the functional baseline through
+// the simulator's modular cascade directly: the cascade's firings and ops
+// are charged once per event, so the run reproduces Table I's functional
+// column.
+func TestRobustModularMatchesTableI(t *testing.T) {
+	m := New()
+	var modules []codegen.Module
+	for _, mod := range m.Modules() {
+		modules = append(modules, codegen.Module{Name: mod.Name, Transitions: mod.Transitions})
+	}
+	prog, err := codegen.GenerateModular(m.Net, modules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkload(m, DefaultWorkload())
+	server := NewServer(m, DefaultConfig())
+	rm, err := sim.RunRobust(prog, w.Events, rtos.DefaultCostModel(), sim.RobustConfig{Modular: true}, sim.Hooks{
+		Resolver:    server.Resolver(),
+		OnFire:      server.OnFire,
+		BeforeEvent: w.CellFeeder(m, server),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm.Cycles != 318602 || rm.Activations != 472 || rm.Polls != 1408 {
+		t.Fatalf("functional run: cycles=%d activations=%d polls=%d, want 318602/472/1408",
+			rm.Cycles, rm.Activations, rm.Polls)
+	}
+}
+
 func TestResponseTimesQSSWins(t *testing.T) {
 	res, err := RunResponseTimes(DefaultWorkload(), rtos.DefaultCostModel(), 400, 0)
 	if err != nil {
@@ -240,7 +270,7 @@ func TestEarlyPacketDiscard(t *testing.T) {
 	wl.EOMPct = 50 // short messages: many message starts to refuse
 	w := NewWorkload(m, wl)
 	peak := 0
-	_, err := sim.RunQSSWithHooks(prog, w.Events, rtos.DefaultCostModel(), sim.Hooks{
+	_, err := sim.RunRobust(prog, w.Events, rtos.DefaultCostModel(), sim.RobustConfig{}, sim.Hooks{
 		Resolver: server.Resolver(),
 		OnFire: func(tr petri.Transition) {
 			server.OnFire(tr)
@@ -267,7 +297,7 @@ func TestEarlyPacketDiscard(t *testing.T) {
 	server2 = NewServer(m, cfg2)
 	w2 := NewWorkload(m, wl)
 	peak2 := 0
-	_, err = sim.RunQSSWithHooks(buildQSS(t, m), w2.Events, rtos.DefaultCostModel(), sim.Hooks{
+	_, err = sim.RunRobust(buildQSS(t, m), w2.Events, rtos.DefaultCostModel(), sim.RobustConfig{}, sim.Hooks{
 		Resolver: server2.Resolver(),
 		OnFire: func(tr petri.Transition) {
 			server2.OnFire(tr)
@@ -298,7 +328,7 @@ func TestStaleCellsDropped(t *testing.T) {
 	wl.CellMeanGap = 2
 	wl.TickPeriod = 200 // ticks far apart: cells age before service
 	w := NewWorkload(m, wl)
-	_, err := sim.RunQSSWithHooks(prog, w.Events, rtos.DefaultCostModel(), sim.Hooks{
+	_, err := sim.RunRobust(prog, w.Events, rtos.DefaultCostModel(), sim.RobustConfig{}, sim.Hooks{
 		Resolver:    server.Resolver(),
 		OnFire:      server.OnFire,
 		BeforeEvent: w.CellFeeder(m, server),

@@ -66,7 +66,7 @@ func RunTableI(wl WorkloadConfig, cost rtos.CostModel) (*TableIResult, error) {
 	// stream, each with its own server instance (each implementation owns
 	// its state, as the real systems would).
 	qssServer := NewServer(m, DefaultConfig())
-	qssMetrics, err := sim.RunQSSWithHooks(qssProg, w.Events, cost, sim.Hooks{
+	qssMetrics, err := sim.RunRobust(qssProg, w.Events, cost, sim.RobustConfig{}, sim.Hooks{
 		Resolver:    qssServer.Resolver(),
 		OnFire:      qssServer.OnFire,
 		BeforeEvent: w.CellFeeder(m, qssServer),
@@ -76,7 +76,7 @@ func RunTableI(wl WorkloadConfig, cost rtos.CostModel) (*TableIResult, error) {
 	}
 
 	funServer := NewServer(m, DefaultConfig())
-	funMetrics, err := sim.RunModularWithHooks(funProg, w.Events, cost, sim.Hooks{
+	funMetrics, err := sim.RunRobust(funProg, w.Events, cost, sim.RobustConfig{Modular: true}, sim.Hooks{
 		Resolver:    funServer.Resolver(),
 		OnFire:      funServer.OnFire,
 		BeforeEvent: w.CellFeeder(m, funServer),
@@ -161,9 +161,9 @@ func RunResponseTimes(wl WorkloadConfig, cost rtos.CostModel, cyclesPerTick, dea
 	}
 
 	w := NewWorkload(m, wl)
-	run := func(prog *codegen.Program, modular bool) (*sim.TimedMetrics, error) {
+	run := func(prog *codegen.Program, modular bool) (*sim.RobustMetrics, error) {
 		server := NewServer(m, DefaultConfig())
-		return sim.RunTimed(prog, w.Events, cost, sim.TimedConfig{
+		return sim.RunRobust(prog, w.Events, cost, sim.RobustConfig{
 			CyclesPerTick: cyclesPerTick,
 			Deadline:      deadline,
 			Modular:       modular,
@@ -181,10 +181,9 @@ func RunResponseTimes(wl WorkloadConfig, cost rtos.CostModel, cyclesPerTick, dea
 	if err != nil {
 		return nil, err
 	}
-	return &ResponseResult{
-		QSS: ResponseRow{Name: "QSS", ResponseMax: qm.ResponseMax, ResponseAvg: qm.ResponseAvg,
-			Utilisation: qm.Utilisation, DeadlineMisses: qm.DeadlineMisses},
-		Functional: ResponseRow{Name: "Functional", ResponseMax: fm.ResponseMax, ResponseAvg: fm.ResponseAvg,
-			Utilisation: fm.Utilisation, DeadlineMisses: fm.DeadlineMisses},
-	}, nil
+	row := func(name string, rm *sim.RobustMetrics) ResponseRow {
+		return ResponseRow{Name: name, ResponseMax: rm.ResponseMax, ResponseAvg: rm.ResponseAvg,
+			Utilisation: 100 * float64(rm.CPUBusy) / float64(rm.Makespan), DeadlineMisses: int(rm.DeadlineMisses)}
+	}
+	return &ResponseResult{QSS: row("QSS", qm), Functional: row("Functional", fm)}, nil
 }

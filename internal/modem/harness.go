@@ -173,7 +173,7 @@ func RunComparison(wl WorkloadConfig, cost rtos.CostModel) (*ComparisonResult, e
 	}
 
 	qssLine := NewLine(m)
-	qm, err := sim.RunQSSWithHooks(qssProg, events, cost, sim.Hooks{
+	qm, err := sim.RunRobust(qssProg, events, cost, sim.RobustConfig{}, sim.Hooks{
 		Resolver:    qssLine.Resolver(),
 		OnFire:      qssLine.OnFire,
 		BeforeEvent: feeder(qssLine),
@@ -182,7 +182,7 @@ func RunComparison(wl WorkloadConfig, cost rtos.CostModel) (*ComparisonResult, e
 		return nil, err
 	}
 	funLine := NewLine(m)
-	fm, err := sim.RunModularWithHooks(funProg, events, cost, sim.Hooks{
+	fm, err := sim.RunRobust(funProg, events, cost, sim.RobustConfig{Modular: true}, sim.Hooks{
 		Resolver:    funLine.Resolver(),
 		OnFire:      funLine.OnFire,
 		BeforeEvent: feeder(funLine),

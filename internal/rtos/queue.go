@@ -48,7 +48,7 @@ func ParsePolicy(s string) (OverflowPolicy, error) {
 }
 
 // QueueConfig sizes a bounded event queue. Capacity <= 0 means unbounded
-// (the idealised queue of the original simulator).
+// (the idealised queue, the simulator's default).
 type QueueConfig struct {
 	Capacity int
 	Policy   OverflowPolicy

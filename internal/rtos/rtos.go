@@ -58,8 +58,8 @@ func DefaultCostModel() CostModel {
 }
 
 // Kernel accumulates cycle costs and activation counts. A kernel may
-// optionally carry a bounded ingress queue and a deadline watchdog (the
-// robustness layer); both are nil in the idealised simulator.
+// optionally carry an ingress queue and a deadline watchdog; without
+// them Admit accepts every event and Complete records nothing.
 type Kernel struct {
 	Cost        CostModel
 	Cycles      int64
@@ -124,7 +124,7 @@ func (k *Kernel) ChargeFirings(n int64) { k.Cycles += n * k.Cost.Fire }
 func (k *Kernel) ChargeOps(n int64) { k.Cycles += n * k.Cost.Op }
 
 // ChargeDuration charges transition t's duration annotation, if it has
-// one (no-op otherwise). The simulators call it once per firing through
+// one (no-op otherwise). The simulator calls it once per firing through
 // the interpreter's OnFire hook, so annotated and unannotated runs
 // share one code path.
 func (k *Kernel) ChargeDuration(t petri.Transition) {

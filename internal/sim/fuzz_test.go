@@ -66,10 +66,19 @@ func FuzzScheduleReplay(f *testing.F) {
 		if rm.BoundViolations != 0 {
 			t.Fatalf("malformed stream produced bound violations: %v", rm.Violations)
 		}
-		// The plain simulators must hold up under the same resolver too.
+		// The functional baseline's scheduler cascade must hold up under
+		// the same resolver too.
 		i = 0
-		if _, err := RunQSSWithHooks(prog, events, rtos.DefaultCostModel(), Hooks{Resolver: resolver}); err != nil {
+		rm, err = RunRobust(prog, events, rtos.DefaultCostModel(), RobustConfig{
+			StepBudget: 1 << 16,
+			Limits:     limits,
+			Modular:    true,
+		}, Hooks{Resolver: resolver})
+		if err != nil {
 			return
+		}
+		if rm.BoundViolations != 0 {
+			t.Fatalf("malformed stream produced bound violations in the cascade: %v", rm.Violations)
 		}
 	})
 }

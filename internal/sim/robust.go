@@ -20,9 +20,10 @@ type CostPerturber interface {
 	Perturb(base rtos.CostModel, dispatch int64) rtos.CostModel
 }
 
-// RobustConfig parameterises a robust (fault-tolerant) run: a bounded
-// ingress queue, a deadline watchdog, per-dispatch cost jitter, a step
-// budget, and static buffer bounds to verify at runtime.
+// RobustConfig parameterises a RunRobust run: a bounded ingress queue, a
+// deadline watchdog, per-dispatch cost jitter, a step budget, static
+// buffer bounds to verify at runtime, and the functional baseline's
+// scheduler cascade. The zero value is the idealised run RunQSS makes.
 type RobustConfig struct {
 	// CyclesPerTick converts workload timestamps into cycles (default 1).
 	CyclesPerTick int64
@@ -122,10 +123,14 @@ func ScheduleLimits(s *core.Schedule) ([]int, error) { return s.BufferBounds() }
 
 const defaultStepBudget = 1 << 26
 
-// RunRobust drives a program against a (possibly fault-injected) workload
-// on a single CPU with real arrival times, a bounded ingress queue, an
-// optional deadline watchdog and per-dispatch cost jitter, verifying
-// observed per-place peaks against static buffer bounds.
+// RunRobust is the simulator's event loop. It drives a program against a
+// (possibly fault-injected) workload on a single CPU with real arrival
+// times, a bounded ingress queue, an optional deadline watchdog and
+// per-dispatch cost jitter, verifying observed per-place peaks against
+// static buffer bounds. Events serve in stable time order: ties keep
+// their input order. Each event's interrupt is charged to Cycles when
+// the event is admitted and does not advance the clock; its service
+// (task activation, body, and the cascade under cfg.Modular) does.
 //
 // When the step budget runs out, the metrics collected so far are
 // returned together with an error wrapping core.ErrBudgetExceeded.
@@ -135,12 +140,6 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 	}
 	if cfg.StepBudget <= 0 {
 		cfg.StepBudget = defaultStepBudget
-	}
-	if len(events) == 0 {
-		rm := &RobustMetrics{Metrics: *emptyMetrics(prog)}
-		rm.PeakCounters = append([]int(nil), prog.Net.InitialMarking()...)
-		rm.Timing = timing.NewMonitor(cfg.MK).Verdict()
-		return rm, nil
 	}
 
 	ordered := append([]rtos.Event(nil), events...)
@@ -158,15 +157,10 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 	}
 	mon := timing.NewMonitor(cfg.MK)
 
-	var clock, busy int64
-	var respMax, respSum int64
-	var lat latencyAgg
-	var dispatch int64
-	served := 0
+	var clock int64
+	var service, response cycleStats
 	next := 0 // index of the next arrival in ordered
-
 	var runErr error
-serve:
 	for {
 		// Admit every arrival up to the current clock (the interrupt
 		// handler runs even while a task occupies the CPU).
@@ -182,90 +176,60 @@ serve:
 			continue
 		}
 		qe, _ := k.Queue.Pop()
-		ev := qe.Ev
-		ti := prog.TaskBySource(ev.Source)
+		ti := prog.TaskBySource(qe.Ev.Source)
 		if ti < 0 {
-			return nil, fmt.Errorf("sim: no task for source %s", prog.Net.TransitionName(ev.Source))
+			return nil, fmt.Errorf("sim: no task for source %s", prog.Net.TransitionName(qe.Ev.Source))
 		}
 		if hooks.BeforeEvent != nil {
-			hooks.BeforeEvent(ev)
+			hooks.BeforeEvent(qe.Ev)
 		}
 		if cfg.Jitter != nil {
-			k.Cost = cfg.Jitter.Perturb(cost, dispatch)
+			// Every earlier dispatch completed, so service.n is this
+			// dispatch's index.
+			k.Cost = cfg.Jitter.Perturb(cost, service.n)
 		}
-		dispatch++
 		start := k.Cycles
-		k.Activate(prog.Tasks[ti].Task.Name)
-		beforeFired, beforeOps := totalFired(in), in.Stats.Ops
-		if err := in.RunSource(ev.Source); err != nil {
-			runErr = err
-			break serve
+		if runErr = serveEvent(prog, in, k, ti, qe.Ev.Source, cfg.Modular); runErr != nil {
+			break
 		}
-		if cfg.Modular {
-			for {
-				progress := false
-				for mi := range prog.Tasks {
-					bf, bo := totalFired(in), in.Stats.Ops
-					fired, err := in.RunTask(mi)
-					if err != nil {
-						runErr = err
-						break serve
-					}
-					if fired {
-						k.Activate(prog.Tasks[mi].Task.Name)
-						progress = true
-					} else {
-						k.Poll(prog.Tasks[mi].Task.Name)
-					}
-					k.ChargeFirings(totalFired(in) - bf)
-					k.ChargeOps(int64(in.Stats.Ops - bo))
-				}
-				if !progress {
-					break
-				}
-			}
-		}
-		k.ChargeFirings(totalFired(in) - beforeFired)
-		k.ChargeOps(int64(in.Stats.Ops - beforeOps))
-		served++
-		service := k.Cycles - start
-		lat.add(service)
-		busy += service
-		clock += service
-		response := clock - qe.Arrival
-		if response > respMax {
-			respMax = response
-		}
-		respSum += response
-		miss := k.Complete(response)
+		svc := k.Cycles - start
+		service.add(svc)
+		clock += svc
+		resp := clock - qe.Arrival
+		response.add(resp)
+		miss := k.Complete(resp)
 		if miss {
-			mon.ObserveOverrun(response - cfg.Deadline)
+			mon.ObserveOverrun(resp - cfg.Deadline)
 		}
 		mon.Observe(miss)
 	}
 
-	m := metricsFrom(k, in, served)
-	lat.into(m)
-	m.DroppedEvents = k.Queue.Lost()
-	if k.Watch != nil {
-		m.DeadlineMisses = k.Watch.Misses
-	}
 	rm := &RobustMetrics{
-		Metrics:        *m,
+		Metrics: Metrics{
+			Cycles:        k.Cycles,
+			Activations:   k.Activations,
+			Polls:         k.Polls,
+			Events:        int(service.n),
+			Fired:         append([]int(nil), in.Stats.Fired...),
+			MaxCounter:    in.Stats.MaxCounter,
+			PerTask:       k.PerTask,
+			LatencyMax:    service.max,
+			LatencyAvg:    service.avg(),
+			DroppedEvents: k.Queue.Lost(),
+		},
 		RejectedEvents: k.Queue.Rejected,
-		ResponseMax:    respMax,
-		CPUBusy:        busy,
+		ResponseMax:    response.max,
+		ResponseAvg:    response.avg(),
+		CPUBusy:        service.sum,
 		Makespan:       clock,
 		PeakCounters:   append([]int(nil), in.Stats.MaxCounters...),
 		Steps:          in.Stats.Ops,
-	}
-	if served > 0 {
-		rm.ResponseAvg = respSum / int64(served)
+		Timing:         mon.Verdict(),
 	}
 	if k.Watch != nil {
+		rm.DeadlineMisses = k.Watch.Misses
 		rm.WorstOverrun = k.Watch.WorstOverrun
 	}
-	rm.Timing = mon.Verdict()
 	rm.Violations = boundCheck(prog.Net, rm.PeakCounters, cfg.Limits)
 	rm.BoundViolations = len(rm.Violations)
 	rm.CycleExceedances = boundCheck(prog.Net, rm.PeakCounters, cfg.CycleLimits)
@@ -278,6 +242,39 @@ serve:
 		return nil, runErr
 	}
 	return rm, nil
+}
+
+// serveEvent dispatches one admitted event: it activates the source's
+// task and runs the source body, then, when modular is set, the
+// functional baseline's dynamic scheduler keeps examining the module
+// tasks until a full pass makes no progress. A task that fires pays an
+// activation, an idle one a poll. Firings and ops are charged once,
+// after the cascade, and not at all when a dispatch fails, so a run cut
+// off by its step budget reports the charges of the events it finished.
+func serveEvent(prog *codegen.Program, in *codegen.Interp, k *rtos.Kernel, ti int, src petri.Transition, modular bool) error {
+	k.Activate(prog.Tasks[ti].Task.Name)
+	beforeFired, beforeOps := totalFired(in), in.Stats.Ops
+	if err := in.RunSource(src); err != nil {
+		return err
+	}
+	for progress := modular; progress; {
+		progress = false
+		for mi := range prog.Tasks {
+			fired, err := in.RunTask(mi)
+			if err != nil {
+				return err
+			}
+			if fired {
+				k.Activate(prog.Tasks[mi].Task.Name)
+				progress = true
+			} else {
+				k.Poll(prog.Tasks[mi].Task.Name)
+			}
+		}
+	}
+	k.ChargeFirings(totalFired(in) - beforeFired)
+	k.ChargeOps(int64(in.Stats.Ops - beforeOps))
+	return nil
 }
 
 // boundCheck compares per-place peaks against limits (entries < 0 are

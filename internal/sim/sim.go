@@ -10,8 +10,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"fcpn/internal/codegen"
 	"fcpn/internal/petri"
 	"fcpn/internal/rtos"
@@ -34,42 +32,43 @@ type Metrics struct {
 	MaxCounter int
 	// PerTask counts activations per task.
 	PerTask map[string]int64
-	// LatencyMax and LatencyAvg summarise per-event processing cost in
-	// cycles (response time of one input under run-to-completion).
+	// LatencyMax and LatencyAvg summarise per-event service cost in
+	// cycles: the dispatched task plus any scheduler cascade, without
+	// the interrupt, which is charged when the event is admitted.
 	LatencyMax int64
 	LatencyAvg int64
 	// DroppedEvents counts workload events lost to a bounded ingress
-	// queue's overflow policy (robust runs only; see RunRobust).
+	// queue's overflow policy (see RobustConfig.Queue).
 	DroppedEvents int64
 	// DeadlineMisses counts events whose response time exceeded the
-	// configured watchdog budget (robust runs only).
+	// configured watchdog budget.
 	DeadlineMisses int64
 	// BoundViolations counts places whose observed peak counter exceeded
-	// the configured static bound (robust runs only): the executable form
-	// of the paper's bounded-memory claim. Zero for every valid schedule
-	// under sound (structural) bounds.
+	// the configured static bound: the executable form of the paper's
+	// bounded-memory claim. Zero for every valid schedule under sound
+	// (structural) bounds.
 	BoundViolations int
 }
 
-// recordLatency folds one event's cycle cost into the metrics aggregates.
-type latencyAgg struct {
-	max, sum int64
-	n        int64
+// cycleStats folds a stream of per-event cycle counts into their
+// maximum, sum and mean.
+type cycleStats struct {
+	max, sum, n int64
 }
 
-func (l *latencyAgg) add(cycles int64) {
-	if cycles > l.max {
-		l.max = cycles
+func (c *cycleStats) add(cycles int64) {
+	if cycles > c.max {
+		c.max = cycles
 	}
-	l.sum += cycles
-	l.n++
+	c.sum += cycles
+	c.n++
 }
 
-func (l *latencyAgg) into(m *Metrics) {
-	m.LatencyMax = l.max
-	if l.n > 0 {
-		m.LatencyAvg = l.sum / l.n
+func (c *cycleStats) avg() int64 {
+	if c.n == 0 {
+		return 0
 	}
+	return c.sum / c.n
 }
 
 // DecisionStream resolves the k-th control token of each choice place
@@ -157,123 +156,17 @@ func fireHook(k *rtos.Kernel, hooks Hooks) func(petri.Transition) {
 	}
 }
 
-// RunQSS drives the quasi-statically scheduled program: each event costs
-// one interrupt plus one task activation, then the task runs to
-// completion. Choices resolve through a seeded DecisionStream.
+// RunQSS drives the quasi-statically scheduled program through RunRobust
+// with the default configuration: each event costs one interrupt plus
+// one task activation, then the task runs to completion. Choices resolve
+// through a seeded DecisionStream.
 func RunQSS(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, seed uint64) (*Metrics, error) {
-	ds := NewDecisionStream(prog.Net, seed)
-	return RunQSSWithHooks(prog, events, cost, Hooks{Resolver: ds.Resolver()})
-}
-
-// emptyMetrics is the explicit fast path for zero-event workloads: no
-// interpreter is built and every aggregate is zero by construction
-// (Events: 0, LatencyAvg: 0 — not a 0/0 division that happens to work).
-func emptyMetrics(prog *codegen.Program) *Metrics {
-	return &Metrics{
-		Events:  0,
-		Fired:   make([]int, prog.Net.NumTransitions()),
-		PerTask: make(map[string]int64),
+	rm, err := RunRobust(prog, events, cost, RobustConfig{},
+		Hooks{Resolver: NewDecisionStream(prog.Net, seed).Resolver()})
+	if err != nil {
+		return nil, err
 	}
-}
-
-// RunQSSWithHooks is RunQSS with caller-supplied hooks.
-func RunQSSWithHooks(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, hooks Hooks) (*Metrics, error) {
-	if len(events) == 0 {
-		return emptyMetrics(prog), nil
-	}
-	in := codegen.NewInterp(prog, hooks.Resolver)
-	k := rtos.NewKernel(cost)
-	in.OnFire = fireHook(k, hooks)
-	var lat latencyAgg
-	for _, ev := range events {
-		ti := prog.TaskBySource(ev.Source)
-		if ti < 0 {
-			return nil, fmt.Errorf("sim: no task for source %s", prog.Net.TransitionName(ev.Source))
-		}
-		if hooks.BeforeEvent != nil {
-			hooks.BeforeEvent(ev)
-		}
-		startCycles := k.Cycles
-		k.Interrupt()
-		k.Activate(prog.Tasks[ti].Task.Name)
-		beforeFired, beforeOps := totalFired(in), in.Stats.Ops
-		if err := in.RunSource(ev.Source); err != nil {
-			return nil, err
-		}
-		k.ChargeFirings(totalFired(in) - beforeFired)
-		k.ChargeOps(int64(in.Stats.Ops - beforeOps))
-		lat.add(k.Cycles - startCycles)
-	}
-	m := metricsFrom(k, in, len(events))
-	lat.into(m)
-	return m, nil
-}
-
-// RunModular drives the functional-partitioning baseline: the event
-// activates the owning module's task, then a dynamic scheduler keeps
-// dispatching module tasks whose queues contain work until the system is
-// quiescent. Every dispatch pays activation overhead; examining an idle
-// task pays a poll. Choices resolve through a seeded DecisionStream.
-func RunModular(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, seed uint64) (*Metrics, error) {
-	ds := NewDecisionStream(prog.Net, seed)
-	return RunModularWithHooks(prog, events, cost, Hooks{Resolver: ds.Resolver()})
-}
-
-// RunModularWithHooks is RunModular with caller-supplied hooks.
-func RunModularWithHooks(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, hooks Hooks) (*Metrics, error) {
-	if len(events) == 0 {
-		return emptyMetrics(prog), nil
-	}
-	in := codegen.NewInterp(prog, hooks.Resolver)
-	k := rtos.NewKernel(cost)
-	in.OnFire = fireHook(k, hooks)
-	var lat latencyAgg
-	for _, ev := range events {
-		ti := prog.TaskBySource(ev.Source)
-		if ti < 0 {
-			return nil, fmt.Errorf("sim: no task for source %s", prog.Net.TransitionName(ev.Source))
-		}
-		if hooks.BeforeEvent != nil {
-			hooks.BeforeEvent(ev)
-		}
-		startCycles := k.Cycles
-		k.Interrupt()
-		k.Activate(prog.Tasks[ti].Task.Name)
-		beforeFired, beforeOps := totalFired(in), in.Stats.Ops
-		if err := in.RunSource(ev.Source); err != nil {
-			return nil, err
-		}
-		k.ChargeFirings(totalFired(in) - beforeFired)
-		k.ChargeOps(int64(in.Stats.Ops - beforeOps))
-
-		// Dynamic scheduling: cascade through the module tasks until no
-		// task makes progress.
-		for {
-			progress := false
-			for mi := range prog.Tasks {
-				beforeFired, beforeOps := totalFired(in), in.Stats.Ops
-				fired, err := in.RunTask(mi)
-				if err != nil {
-					return nil, err
-				}
-				if fired {
-					k.Activate(prog.Tasks[mi].Task.Name)
-					progress = true
-				} else {
-					k.Poll(prog.Tasks[mi].Task.Name)
-				}
-				k.ChargeFirings(totalFired(in) - beforeFired)
-				k.ChargeOps(int64(in.Stats.Ops - beforeOps))
-			}
-			if !progress {
-				break
-			}
-		}
-		lat.add(k.Cycles - startCycles)
-	}
-	m := metricsFrom(k, in, len(events))
-	lat.into(m)
-	return m, nil
+	return &rm.Metrics, nil
 }
 
 func totalFired(in *codegen.Interp) int64 {
@@ -282,17 +175,4 @@ func totalFired(in *codegen.Interp) int64 {
 		sum += int64(c)
 	}
 	return sum
-}
-
-func metricsFrom(k *rtos.Kernel, in *codegen.Interp, events int) *Metrics {
-	fired := append([]int(nil), in.Stats.Fired...)
-	return &Metrics{
-		Cycles:      k.Cycles,
-		Activations: k.Activations,
-		Polls:       k.Polls,
-		Events:      events,
-		Fired:       fired,
-		MaxCounter:  in.Stats.MaxCounter,
-		PerTask:     k.PerTask,
-	}
 }

@@ -27,6 +27,36 @@ func qssProgram(t *testing.T, n *petri.Net) *codegen.Program {
 	return prog
 }
 
+// figure4Modular is Figure 4's functional baseline: one task per module.
+func figure4Modular(t *testing.T, n *petri.Net) *codegen.Program {
+	t.Helper()
+	tr := func(name string) petri.Transition {
+		x, _ := n.TransitionByName(name)
+		return x
+	}
+	prog, err := codegen.GenerateModular(n, []codegen.Module{
+		{Name: "in", Transitions: []petri.Transition{tr("t1")}},
+		{Name: "branch", Transitions: []petri.Transition{tr("t2"), tr("t3")}},
+		{Name: "out", Transitions: []petri.Transition{tr("t4"), tr("t5")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// runModular drives a program through the dynamic-scheduler cascade with
+// a seeded decision stream.
+func runModular(t *testing.T, prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, seed uint64) *RobustMetrics {
+	t.Helper()
+	rm, err := RunRobust(prog, events, cost, RobustConfig{Modular: true},
+		Hooks{Resolver: NewDecisionStream(prog.Net, seed).Resolver()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rm
+}
+
 func TestRunQSSFigure4(t *testing.T) {
 	n := figures.Figure4()
 	prog := qssProgram(t, n)
@@ -125,24 +155,9 @@ func TestDecisionStreamBias(t *testing.T) {
 func TestRunModularFigure4(t *testing.T) {
 	n := figures.Figure4()
 	t1, _ := n.TransitionByName("t1")
-	t2, _ := n.TransitionByName("t2")
-	t3, _ := n.TransitionByName("t3")
-	t4, _ := n.TransitionByName("t4")
-	t5, _ := n.TransitionByName("t5")
-	prog, err := codegen.GenerateModular(n, []codegen.Module{
-		{Name: "in", Transitions: []petri.Transition{t1}},
-		{Name: "branch", Transitions: []petri.Transition{t2, t3}},
-		{Name: "out", Transitions: []petri.Transition{t4, t5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := rtos.Periodic(t1, 10, 0, 20)
 	cost := rtos.DefaultCostModel()
-	mm, err := RunModular(prog, events, cost, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm := runModular(t, figure4Modular(t, n), events, cost, 1)
 	qp := qssProgram(t, n)
 	qm, err := RunQSS(qp, events, cost, 1)
 	if err != nil {
@@ -175,7 +190,7 @@ func TestHooksBeforeEvent(t *testing.T) {
 	count := 0
 	fired := 0
 	ds := NewDecisionStream(n, 3)
-	_, err := RunQSSWithHooks(prog, rtos.Periodic(t1, 1, 0, 5), rtos.DefaultCostModel(), Hooks{
+	_, err := RunRobust(prog, rtos.Periodic(t1, 1, 0, 5), rtos.DefaultCostModel(), RobustConfig{}, Hooks{
 		Resolver:    ds.Resolver(),
 		OnFire:      func(petri.Transition) { fired++ },
 		BeforeEvent: func(rtos.Event) { count++ },
@@ -217,24 +232,9 @@ func TestModularLatencyExceedsQSS(t *testing.T) {
 	// includes scheduler cascades: its worst case must exceed QSS's.
 	n := figures.Figure4()
 	t1, _ := n.TransitionByName("t1")
-	t2, _ := n.TransitionByName("t2")
-	t3, _ := n.TransitionByName("t3")
-	t4, _ := n.TransitionByName("t4")
-	t5, _ := n.TransitionByName("t5")
-	prog, err := codegen.GenerateModular(n, []codegen.Module{
-		{Name: "in", Transitions: []petri.Transition{t1}},
-		{Name: "branch", Transitions: []petri.Transition{t2, t3}},
-		{Name: "out", Transitions: []petri.Transition{t4, t5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := rtos.Periodic(t1, 10, 0, 25)
 	cost := rtos.DefaultCostModel()
-	mm, err := RunModular(prog, events, cost, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm := runModular(t, figure4Modular(t, n), events, cost, 5)
 	qm, err := RunQSS(qssProgram(t, n), events, cost, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestModularLatencyExceedsQSS(t *testing.T) {
 }
 
 // TestDurationAnnotationsChargePerFiring checks the timed-net duration
-// annotations end to end: every runner charges a transition's duration
+// annotations end to end: the simulator charges a transition's duration
 // once per firing through the interpreter's OnFire hook, on top of the
 // uniform Fire cost, and any user OnFire hook still runs.
 func TestDurationAnnotationsChargePerFiring(t *testing.T) {
@@ -258,10 +258,10 @@ func TestDurationAnnotationsChargePerFiring(t *testing.T) {
 	annotated.Durations = map[petri.Transition]int64{t1: 500}
 	const wantDelta = 500 * 15 // t1 fires once per event
 
-	runQSS := func(cost rtos.CostModel) (int64, int) {
+	run := func(cost rtos.CostModel) (int64, int) {
 		ds := NewDecisionStream(n, 7)
 		fired := 0
-		m, err := RunQSSWithHooks(prog, events, cost, Hooks{
+		m, err := RunRobust(prog, events, cost, RobustConfig{}, Hooks{
 			Resolver: ds.Resolver(),
 			OnFire:   func(petri.Transition) { fired++ },
 		})
@@ -270,38 +270,12 @@ func TestDurationAnnotationsChargePerFiring(t *testing.T) {
 		}
 		return m.Cycles, fired
 	}
-	plain, firedPlain := runQSS(base)
-	rich, firedRich := runQSS(annotated)
+	plain, firedPlain := run(base)
+	rich, firedRich := run(annotated)
 	if firedPlain != firedRich || firedPlain == 0 {
 		t.Fatalf("user OnFire hook lost under annotations: %d vs %d", firedPlain, firedRich)
 	}
 	if rich-plain != wantDelta {
-		t.Fatalf("QSS duration charge = %d, want %d", rich-plain, wantDelta)
-	}
-
-	timedCycles := func(cost rtos.CostModel) int64 {
-		ds := NewDecisionStream(n, 7)
-		tm, err := RunTimed(prog, events, cost, TimedConfig{CyclesPerTick: 10},
-			Hooks{Resolver: ds.Resolver()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tm.Cycles
-	}
-	if d := timedCycles(annotated) - timedCycles(base); d != wantDelta {
-		t.Fatalf("timed duration charge = %d, want %d", d, wantDelta)
-	}
-
-	robustCycles := func(cost rtos.CostModel) int64 {
-		ds := NewDecisionStream(n, 7)
-		rm, err := RunRobust(prog, events, cost, RobustConfig{},
-			Hooks{Resolver: ds.Resolver()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rm.Cycles
-	}
-	if d := robustCycles(annotated) - robustCycles(base); d != wantDelta {
-		t.Fatalf("robust duration charge = %d, want %d", d, wantDelta)
+		t.Fatalf("duration charge = %d, want %d", rich-plain, wantDelta)
 	}
 }
