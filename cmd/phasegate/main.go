@@ -6,13 +6,16 @@
 //
 // Usage:
 //
-//	qssd -gen 20 -gen-seed 1 -workers 1 -mk 9,10 -margin -o run.json
-//	phasegate -report run.json -baseline BENCH_phases.json -write   # refresh
-//	phasegate -report run.json -baseline BENCH_phases.json          # gate
+//	qssd -gen 20 -gen-seed 1 -workers 1 -mk 9,10 -margin -o run1.json   # and run2, run3
+//	phasegate -report run1.json -report run2.json -report run3.json -baseline BENCH_phases.json -write   # refresh
+//	phasegate -report run1.json -report run2.json -report run3.json -baseline BENCH_phases.json          # gate
 //
 // Phase totals are wall-clock spans summed over the engine's worker
 // goroutines, so the corpus runs with one worker: on a multi-core host,
-// contention between workers inflates every sum.
+// contention between workers inflates every sum. -report may be given
+// more than once: each phase's time is then the minimum over the runs,
+// the one least disturbed by other load on the host. The corpus is
+// deterministic, so runs whose phase counts differ are an error.
 //
 // The gate compares both total milliseconds and invocation counts per
 // phase. Counts are deterministic for a fixed corpus, so the count gate
@@ -25,8 +28,9 @@
 // honours the floor — sub-millisecond totals are dominated by timer
 // noise — and the default time factor of 2 leaves room for host-speed
 // differences while still catching the order-of-magnitude slips the
-// trace exists to expose. Plain JSON comparison, no external
-// dependencies.
+// trace exists to expose. A phase the run records but the baseline
+// lacks (linalg/bigint, say) fails the gate too. Plain JSON comparison,
+// no external dependencies.
 package main
 
 import (
@@ -34,7 +38,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strings"
 
 	"fcpn/internal/trace"
 )
@@ -71,10 +77,17 @@ type phaseEntry struct {
 	Detail  bool    `json:"detail,omitempty"`
 }
 
+// reportPaths collects every -report flag.
+type reportPaths []string
+
+func (r *reportPaths) String() string     { return strings.Join(*r, ",") }
+func (r *reportPaths) Set(v string) error { *r = append(*r, v); return nil }
+
 // run is the testable core of the command.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("phasegate", flag.ContinueOnError)
-	reportPath := fs.String("report", "", "qssd JSON report for the current run (required)")
+	var reports reportPaths
+	fs.Var(&reports, "report", "qssd JSON report of one run of the corpus; repeat to gate the best of several runs (required)")
 	basePath := fs.String("baseline", "BENCH_phases.json", "committed phase baseline")
 	write := fs.Bool("write", false, "write/refresh the baseline from -report instead of gating")
 	factor := fs.Float64("max-regress", 2.0, "fail when a phase exceeds baseline total by this factor")
@@ -83,18 +96,13 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *reportPath == "" {
+	if len(reports) == 0 {
 		return fmt.Errorf("-report is required")
 	}
-
-	var rep qssdReport
-	if err := readJSON(*reportPath, &rep); err != nil {
+	current, err := bestOf(reports)
+	if err != nil {
 		return err
 	}
-	if rep.Stats.Trace == nil || len(rep.Stats.Trace.Phases) == 0 {
-		return fmt.Errorf("%s: report has no stats.trace block (old qssd?)", *reportPath)
-	}
-	current := distill(&rep)
 
 	if *write {
 		f, err := os.Create(*basePath)
@@ -107,8 +115,8 @@ func run(args []string, stdout io.Writer) error {
 		if err := enc.Encode(current); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "wrote %s: %d phases (gomaxprocs %d)\n",
-			*basePath, len(current.Phases), current.GoMaxProcs)
+		fmt.Fprintf(stdout, "wrote %s: %d phases, best of %d run(s) (gomaxprocs %d)\n",
+			*basePath, len(current.Phases), len(reports), current.GoMaxProcs)
 		return nil
 	}
 
@@ -120,6 +128,7 @@ func run(args []string, stdout io.Writer) error {
 	for _, p := range current.Phases {
 		cur[p.Name] = p
 	}
+	inBase := make(map[string]bool, len(base.Phases))
 
 	// The time gate only applies above the floor — sub-millisecond phases
 	// are timer noise. Counts are deterministic for a fixed corpus, so the
@@ -130,6 +139,7 @@ func run(args []string, stdout io.Writer) error {
 	var failures []string
 	checked := 0
 	for _, b := range base.Phases {
+		inBase[b.Name] = true
 		gateTime := b.TotalMS >= *floorMS
 		gateCount := *countFactor > 0
 		if !gateTime && !gateCount {
@@ -161,6 +171,14 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-28s %10.2f ms ×%-6d  baseline %10.2f ms ×%-6d  %s\n",
 			b.Name, c.TotalMS, c.Count, b.TotalMS, b.Count, status)
 	}
+	// A phase the baseline lacks is work the baseline never saw, such as
+	// Farkas runs falling back to big.Int; no factor can bound it.
+	for _, c := range current.Phases {
+		if !inBase[c.Name] {
+			failures = append(failures,
+				fmt.Sprintf("phase %s: in this run (%.2f ms ×%d) but absent from baseline", c.Name, c.TotalMS, c.Count))
+		}
+	}
 	if checked == 0 {
 		return fmt.Errorf("baseline %s has no phases above the %.1f ms floor and the count gate is disabled", *basePath, *floorMS)
 	}
@@ -173,6 +191,40 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "phase gate passed: %d phase(s) within %gx time / %gx count of baseline\n",
 		checked, *factor, *countFactor)
 	return nil
+}
+
+// bestOf distils each report and keeps every phase's minimum total time
+// over the runs. The corpus is deterministic, so every run must record
+// the same phases with the same counts.
+func bestOf(paths []string) (baseline, error) {
+	var best baseline
+	for i, path := range paths {
+		var rep qssdReport
+		if err := readJSON(path, &rep); err != nil {
+			return baseline{}, err
+		}
+		if rep.Stats.Trace == nil || len(rep.Stats.Trace.Phases) == 0 {
+			return baseline{}, fmt.Errorf("%s: report has no stats.trace block (old qssd?)", path)
+		}
+		cur := distill(&rep)
+		if i == 0 {
+			best = cur
+			continue
+		}
+		if len(cur.Phases) != len(best.Phases) {
+			return baseline{}, fmt.Errorf("%s records %d phases but %s records %d: phase counts differ between runs of one corpus",
+				path, len(cur.Phases), paths[0], len(best.Phases))
+		}
+		for j, p := range cur.Phases {
+			b := &best.Phases[j]
+			if p.Name != b.Name || p.Count != b.Count {
+				return baseline{}, fmt.Errorf("%s records %s ×%d but %s records %s ×%d: phase counts differ between runs of one corpus",
+					path, p.Name, p.Count, paths[0], b.Name, b.Count)
+			}
+			b.TotalMS = math.Min(b.TotalMS, p.TotalMS)
+		}
+	}
+	return best, nil
 }
 
 func distill(rep *qssdReport) baseline {

@@ -5,13 +5,19 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
 // fakeReport writes a minimal qssd document: only the fields the gate
-// reads.
-func fakeReport(t *testing.T, dir, name string, solveMS, checkMS float64, checkCount int) string {
+// reads. Each extra name adds one more detail phase.
+func fakeReport(t *testing.T, dir, name string, solveMS, checkMS float64, checkCount int, extra ...string) string {
 	t.Helper()
+	var more string
+	for _, e := range extra {
+		more += `,
+        {"phase": "` + e + `", "count": 1, "total_ms": 0.1, "detail": true}`
+	}
 	doc := `{
   "gomaxprocs": 1,
   "stats": {
@@ -19,7 +25,7 @@ func fakeReport(t *testing.T, dir, name string, solveMS, checkMS float64, checkC
       "phases": [
         {"phase": "core/solve", "count": 20, "total_ms": ` + strconv.FormatFloat(solveMS, 'f', -1, 64) + `},
         {"phase": "core/check", "count": ` + strconv.Itoa(checkCount) + `, "total_ms": ` + strconv.FormatFloat(checkMS, 'f', -1, 64) + `, "detail": true},
-        {"phase": "petri/classify", "count": 20, "total_ms": 0.3}
+        {"phase": "petri/classify", "count": 20, "total_ms": 0.3}` + more + `
       ]
     }
   }
@@ -52,6 +58,32 @@ func TestPhaseGatePassAndFail(t *testing.T) {
 	buf.Reset()
 	if err := run([]string{"-report", slow, "-baseline", baseline}, &buf); err == nil {
 		t.Fatalf("3x regression must fail the gate:\n%s", buf.String())
+	}
+
+	// Best of several runs: the same slow run next to a fast one passes,
+	// since each phase is gated on its fastest run.
+	buf.Reset()
+	if err := run([]string{"-report", base, "-report", slow, "-baseline", baseline}, &buf); err != nil {
+		t.Fatalf("best of a slow and a fast run must pass: %v\n%s", err, buf.String())
+	}
+	// Runs of one corpus whose counts differ are an error, even when each
+	// run alone would pass.
+	fewer := fakeReport(t, dir, "fewer.json", 100, 80, 100)
+	buf.Reset()
+	if err := run([]string{"-report", base, "-report", fewer, "-baseline", baseline}, &buf); err == nil ||
+		!strings.Contains(err.Error(), "counts differ") {
+		t.Fatalf("reports with differing counts must be an error, got %v\n%s", err, buf.String())
+	}
+
+	// A phase the baseline lacks (a big.Int fallback the baseline never
+	// saw) fails the gate, whatever its time and count.
+	extra := fakeReport(t, dir, "extra.json", 100, 80, 110, "linalg/bigint")
+	buf.Reset()
+	if err := run([]string{"-report", extra, "-baseline", baseline}, &buf); err == nil {
+		t.Fatalf("a phase absent from the baseline must fail the gate:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "linalg/bigint: in this run") {
+		t.Fatalf("gate output does not name the new phase:\n%s", buf.String())
 	}
 
 	// Count regression at unchanged time: core/check jumping 110 → 580

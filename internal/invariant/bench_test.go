@@ -30,8 +30,8 @@ func BenchmarkRankTheorem(b *testing.B) {
 
 // BenchmarkFarkasTiers measures tier residency of the exact-arithmetic
 // ladder on an adversarial multirate corpus: arc weights up to 50000 make
-// semiflow entries multiply along chains, so the corpus genuinely spreads
-// across all three rungs. The reported int64-ops/op, int128-ops/op and
+// semiflow entries multiply along chains, so some systems outgrow the
+// int64 tier and fall back to big.Int. The reported int64-ops/op and
 // bigint-fallbacks/op are the per-iteration counts of the ladder's
 // linalg/* trace phases — the same figures qssd reports per net — so a
 // pruning or limit regression shows up as residency drift, not just time.
@@ -63,7 +63,6 @@ func BenchmarkFarkasTiers(b *testing.B) {
 	rep := tr.Report()
 	for phase, metric := range map[string]string{
 		"linalg/int64":  "int64-ops/op",
-		"linalg/int128": "int128-ops/op",
 		"linalg/bigint": "bigint-fallbacks/op",
 	} {
 		var count int64

@@ -44,7 +44,7 @@ func RankTheoremFC(n *petri.Net, opt Options) (*RankTheoremReport, error) {
 	r := &RankTheoremReport{
 		Consistent:   Consistent(n, tis),
 		Conservative: Conservative(n, pis),
-		Rank:         linalg.RankTraced(m, opt.Trace),
+		Rank:         linalg.Rank(m),
 		Clusters:     len(n.ConflictClusters()),
 	}
 	r.WellFormed = r.Consistent && r.Conservative && r.Rank == r.Clusters-1

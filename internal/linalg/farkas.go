@@ -26,21 +26,21 @@ import (
 // maxRows caps the intermediate row count; when exceeded the function
 // returns nil and false. Pass 0 for the default cap (100000).
 //
-// Arithmetic runs on a two-tier machine-integer ladder (farkas_int.go):
-// an overflow-checked int64 tier, then an int64-rows/128-bit-combination
-// tier, then this exact big.Int implementation as the safety net. Phase
-// traces showed the big.Int path spending roughly half its cycles in
-// allocation and GC; practical nets never leave the machine-integer
-// range, so the ladder's lower tiers are the common case. Every tier
-// runs the identical elimination/pruning sequence, so the output —
-// values and order — is the same whichever executes.
+// Arithmetic runs on overflow-checked int64 rows first (farkas_int.go)
+// and falls back to this exact big.Int implementation only when an
+// input or intermediate leaves the int64 tier's safe range. Phase traces
+// showed the big.Int path spending roughly half its cycles in allocation
+// and GC; practical nets never leave the int64 range, so the int64 tier
+// is the common case. Both paths run the identical elimination/pruning
+// sequence, so the output — values and order — is the same whichever
+// completes.
 func MinimalSemiflows(a *Mat, maxRows int) ([]Vec, bool) {
 	return MinimalSemiflowsTraced(a, maxRows, nil)
 }
 
 // MinimalSemiflowsTraced is MinimalSemiflows with tier-residency tracing:
-// each ladder tier that runs records one "linalg/int64", "linalg/int128"
-// or "linalg/bigint" detail span, so qssd reports (and the phasegate
+// the int64 attempt records one "linalg/int64" detail span and a big.Int
+// fallback one "linalg/bigint" span, so qssd reports (and the phasegate
 // baseline) show how much of the exact-arithmetic hot path stays on
 // machine integers. A nil tracer disables collection.
 func MinimalSemiflowsTraced(a *Mat, maxRows int, tr *trace.Tracer) ([]Vec, bool) {
@@ -49,12 +49,6 @@ func MinimalSemiflowsTraced(a *Mat, maxRows int, tr *trace.Tracer) ([]Vec, bool)
 	}
 	sp := tr.StartDetail("linalg/int64")
 	out, capped, ok := minimalSemiflowsInt(a, maxRows)
-	sp.End()
-	if ok {
-		return out, !capped
-	}
-	sp = tr.StartDetail("linalg/int128")
-	out, capped, ok = minimalSemiflowsInt128(a, maxRows)
 	sp.End()
 	if ok {
 		return out, !capped

@@ -2,65 +2,34 @@ package linalg
 
 import "math/big"
 
-// Machine-integer tiers of the Farkas ladder (see MinimalSemiflows).
-// Both tiers run the identical elimination and support-pruning sequence
-// as minimalSemiflowsBig on rows of plain int64 entries; they differ only
-// in how wide the annihilation arithmetic is and how large an entry may
-// grow before the tier gives up:
-//
-//   - the int64 tier bounds entries by intLimit = 2³⁰, so a combination
-//     cp·x + cn·y stays below 2⁶¹ and native arithmetic cannot wrap;
-//   - the int128 tier bounds entries by int128Limit = 2⁶², computing
-//     combinations in 128-bit two-word arithmetic (math/bits.Mul64 /
-//     Add64, int128.go) and refitting each GCD-normalised entry back
-//     into an int64.
-//
-// A tier that sees an input or intermediate beyond its bound aborts and
-// the caller escalates: int64 → int128 → big.Int. Because every tier
-// performs the same combinations in the same order, prunes the same rows
-// and normalises by the same GCDs, whichever tier completes returns
-// exactly the rows — same values, same order — the big.Int path would.
-const (
-	intLimit    = int64(1) << 30
-	int128Limit = int64(1) << 62
-)
+// The int64 tier of MinimalSemiflows: the identical elimination and
+// support-pruning sequence as minimalSemiflowsBig on rows of plain int64
+// entries. Entries are bounded by intLimit = 2³⁰, so a combination
+// cp·x + cn·y stays below 2⁶¹ and native arithmetic cannot wrap. An
+// input or intermediate beyond the bound aborts the tier and the caller
+// reruns the system in big.Int. Because both paths perform the same
+// combinations in the same order, prune the same rows and normalise by
+// the same GCDs, a completed int64 run returns exactly the rows — same
+// values, same order — the big.Int path would.
+const intLimit = int64(1) << 30
 
-// intRow is one working row of a machine-integer tier: the remaining
-// equation values (left), the non-negative unit-vector combination
-// producing them (right), and a bitset over right's support replacing
-// the O(width) support scans of the pruning step.
+// intRow is one working row of the int64 tier: the remaining equation
+// values (left), the non-negative unit-vector combination producing them
+// (right), and a bitset over right's support replacing the O(width)
+// support scans of the pruning step.
 type intRow struct {
 	left  []int64
 	right []int64
 	mask  []uint64
 }
 
-// combineFunc builds the annihilating combination cp·rp + cn·rn,
-// GCD-normalises it, and reports ok=false when any entry leaves the
-// tier's safe range.
-type combineFunc func(cp, cn int64, rp, rn *intRow) (left, right []int64, ok bool)
-
-// minimalSemiflowsInt is the int64 tier: native arithmetic, entries
-// bounded by intLimit.
-func minimalSemiflowsInt(a *Mat, maxRows int) (out []Vec, capped, ok bool) {
-	return minimalSemiflowsMachine(a, maxRows, intLimit, combine64)
-}
-
-// minimalSemiflowsInt128 is the middle tier: entries bounded by
-// int128Limit, combinations computed in 128-bit arithmetic.
-func minimalSemiflowsInt128(a *Mat, maxRows int) (out []Vec, capped, ok bool) {
-	return minimalSemiflowsMachine(a, maxRows, int128Limit, combine128)
-}
-
-// minimalSemiflowsMachine is the tier-generic Farkas driver: the
-// identical elimination and support-pruning sequence as
-// minimalSemiflowsBig, on machine-integer rows with the tier's
-// combination step.
+// minimalSemiflowsInt runs the Farkas elimination on int64 rows.
 //
 // Returns (result, capped, ok). ok=false means an input or intermediate
-// left the tier's safe range and the caller must escalate; capped=true
-// (with ok=true) is the authoritative "maxRows exceeded" verdict.
-func minimalSemiflowsMachine(a *Mat, maxRows int, limit int64, combine combineFunc) (out []Vec, capped, ok bool) {
+// left the tier's safe range and the caller must fall back to big.Int;
+// capped=true (with ok=true) is the authoritative "maxRows exceeded"
+// verdict.
+func minimalSemiflowsInt(a *Mat, maxRows int) (out []Vec, capped, ok bool) {
 	numEq := a.Rows
 	numVar := a.Cols
 	words := (numVar + 63) / 64
@@ -84,7 +53,7 @@ func minimalSemiflowsMachine(a *Mat, maxRows int, limit int64, combine combineFu
 				return nil, false, false
 			}
 			left[e] = x.Int64()
-			if left[e] > limit || left[e] < -limit {
+			if left[e] > intLimit || left[e] < -intLimit {
 				return nil, false, false
 			}
 		}
@@ -153,7 +122,7 @@ func minimalSemiflowsMachine(a *Mat, maxRows int, limit int64, combine combineFu
 				if cn < 0 {
 					cn = -cn
 				}
-				left, right, okc := combine(cp, cn, rp, rn)
+				left, right, okc := combine64(cp, cn, rp, rn)
 				if !okc {
 					return nil, false, false
 				}
@@ -196,10 +165,10 @@ func minimalSemiflowsMachine(a *Mat, maxRows int, limit int64, combine combineFu
 	return out, false, true
 }
 
-// combine64 is the int64 tier's annihilation step. Coefficients and
-// entries are ≤ intLimit, so a combined entry is at most 2·intLimit²
-// < 2⁶² and the arithmetic cannot wrap; any entry beyond intLimit after
-// GCD normalisation aborts the tier.
+// combine64 builds the annihilating combination cp·rp + cn·rn and
+// GCD-normalises it. Coefficients and entries are ≤ intLimit, so a
+// combined entry is at most 2·intLimit² < 2⁶² and the arithmetic cannot
+// wrap; any entry beyond intLimit after normalisation aborts the tier.
 func combine64(cp, cn int64, rp, rn *intRow) ([]int64, []int64, bool) {
 	left := make([]int64, len(rp.left))
 	for i := range left {
@@ -233,64 +202,6 @@ func combine64(cp, cn int64, rp, rn *intRow) ([]int64, []int64, bool) {
 		if x > intLimit || x < -intLimit {
 			return nil, nil, false
 		}
-	}
-	return left, right, true
-}
-
-// combine128 is the int128 tier's annihilation step: coefficients and
-// entries are ≤ int128Limit = 2⁶², so each product is below 2¹²⁴ and the
-// two-term sum below 2¹²⁵ — exact in signed 128-bit arithmetic. The row
-// GCD runs as binary GCD on 128-bit magnitudes; after normalisation each
-// entry must refit into [−int128Limit, int128Limit] or the tier aborts.
-func combine128(cp, cn int64, rp, rn *intRow) ([]int64, []int64, bool) {
-	numEq, numVar := len(rp.left), len(rp.right)
-	wide := make([]i128, numEq+numVar)
-	var g u128
-	for i := 0; i < numEq; i++ {
-		v := mul64(cp, rp.left[i]).add(mul64(cn, rn.left[i]))
-		wide[i] = v
-		g = gcd128(g, v.abs())
-	}
-	for i := 0; i < numVar; i++ {
-		v := mul64(cp, rp.right[i]).add(mul64(cn, rn.right[i]))
-		wide[numEq+i] = v
-		g = gcd128(g, v.abs())
-	}
-	divide := !g.isZero() && !g.isOne()
-	if divide && g.hi != 0 {
-		// The row's common divisor itself exceeds 64 bits; every entry is
-		// astronomically large, so hand the whole system to big.Int.
-		return nil, nil, false
-	}
-	narrow := func(v i128) (int64, bool) {
-		q := v.abs()
-		if divide {
-			q = q.div64(g.lo)
-		}
-		if q.hi != 0 || q.lo > uint64(int128Limit) {
-			return 0, false
-		}
-		x := int64(q.lo)
-		if v.sign() < 0 {
-			x = -x
-		}
-		return x, true
-	}
-	left := make([]int64, numEq)
-	for i := 0; i < numEq; i++ {
-		x, ok := narrow(wide[i])
-		if !ok {
-			return nil, nil, false
-		}
-		left[i] = x
-	}
-	right := make([]int64, numVar)
-	for i := 0; i < numVar; i++ {
-		x, ok := narrow(wide[numEq+i])
-		if !ok {
-			return nil, nil, false
-		}
-		right[i] = x
 	}
 	return left, right, true
 }

@@ -138,6 +138,34 @@ func TestIntermediateOverflowFallsBack(t *testing.T) {
 	}
 }
 
+// TestLadderEscalation walks one system up the ladder: a multirate chain
+// whose semiflow entries are m, m², …, m⁵ escapes the int64 tier and
+// must land in big.Int with the exact result, entries past int64 itself
+// included.
+func TestLadderEscalation(t *testing.T) {
+	const m = int64(40000) // m² ≈ 1.6e9 > 2³⁰; m⁵ ≈ 1.0e23 > 2⁶³
+	const stages = 5
+	a := NewMat(stages, stages+1)
+	for i := 0; i < stages; i++ {
+		a.Data[i][i].SetInt64(m)
+		a.Data[i][i+1].SetInt64(-1)
+	}
+	if _, _, ok := minimalSemiflowsInt(a, 100000); ok {
+		t.Fatal("int64 tier claimed a 2³⁰-overflowing intermediate")
+	}
+	flows, ok := MinimalSemiflows(a, 100000)
+	if !ok || len(flows) != 1 {
+		t.Fatalf("ladder on %d stages: %v ok=%v", stages, flows, ok)
+	}
+	want := big.NewInt(1)
+	for i := 0; i <= stages; i++ {
+		if flows[0][i].Cmp(want) != 0 {
+			t.Fatalf("ladder semiflow[%d] = %v, want %v", i, flows[0][i], want)
+		}
+		want = new(big.Int).Mul(want, big.NewInt(m))
+	}
+}
+
 func BenchmarkMinimalSemiflowsInt(b *testing.B) {
 	a := pipelineIncidence(24)
 	b.ReportAllocs()
@@ -169,117 +197,4 @@ func pipelineIncidence(n int) *Mat {
 		a.Data[p][p+1].SetInt64(-1)
 	}
 	return a
-}
-
-// TestInt128TierMatchesBigPath is the same contract one rung up the
-// ladder: systems whose coefficients or intermediates escape the int64
-// tier but stay within 2⁶² must come out of the 128-bit tier exactly as
-// the big.Int implementation produces them.
-func TestInt128TierMatchesBigPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	completed, beyondInt64 := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		rows := 1 + rng.Intn(5)
-		cols := 1 + rng.Intn(6)
-		a := NewMat(rows, cols)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				// Mix of small values and values past intLimit.
-				v := int64(rng.Intn(7) - 3)
-				if rng.Intn(3) == 0 {
-					v *= intLimit
-				}
-				a.Data[i][j].SetInt64(v)
-			}
-		}
-		wide, capped, ok := minimalSemiflowsInt128(a, 100000)
-		if !ok {
-			// A legitimate escalation: an intermediate outgrew 2⁶²
-			// (products of two ~2³⁰ coefficients can). Counted below.
-			continue
-		}
-		completed++
-		if capped {
-			t.Fatalf("trial %d: unexpectedly capped", trial)
-		}
-		slow, okBig := minimalSemiflowsBig(a, 100000)
-		if !okBig {
-			t.Fatalf("trial %d: big path capped", trial)
-		}
-		if !vecsEqual(wide, slow) {
-			t.Fatalf("trial %d: int128 tier diverges\nA:\n%s\nint128: %v\nbig:    %v",
-				trial, a, wide, slow)
-		}
-		if _, _, ok64 := minimalSemiflowsInt(a, 100000); !ok64 {
-			beyondInt64++
-		}
-	}
-	if completed < 100 {
-		t.Fatalf("only %d/200 trials stayed within the int128 tier; coefficients too hot", completed)
-	}
-	if beyondInt64 == 0 {
-		t.Fatal("no trial exercised the int128 tier beyond the int64 tier's range")
-	}
-}
-
-// TestLadderEscalation walks one system up every rung: a multirate chain
-// whose semiflow entries are m, m², m³… escapes the int64 tier at m²,
-// the int128 tier at m⁵, and must land in big.Int with the exact result.
-func TestLadderEscalation(t *testing.T) {
-	const m = int64(40000) // m² ≈ 1.6e9 > 2³⁰; m⁵ ≈ 1.0e23 > 2⁶²
-	chain := func(stages int) *Mat {
-		a := NewMat(stages, stages+1)
-		for i := 0; i < stages; i++ {
-			a.Data[i][i].SetInt64(m)
-			a.Data[i][i+1].SetInt64(-1)
-		}
-		return a
-	}
-
-	// 2 stages: int64 refuses, int128 delivers.
-	a := chain(2)
-	if _, _, ok := minimalSemiflowsInt(a, 100000); ok {
-		t.Fatal("int64 tier claimed a 2³⁰-overflowing intermediate")
-	}
-	got, _, ok := minimalSemiflowsInt128(a, 100000)
-	if !ok || len(got) != 1 {
-		t.Fatalf("int128 tier on 2 stages: %v ok=%v", got, ok)
-	}
-	for i, want := range []int64{1, m, m * m} {
-		if got[0][i].Int64() != want {
-			t.Fatalf("int128 semiflow = %v, want [1 m m²]", got[0])
-		}
-	}
-
-	// 5 stages: int128 refuses too; the ladder must still deliver.
-	a = chain(5)
-	if _, _, ok := minimalSemiflowsInt128(a, 100000); ok {
-		t.Fatal("int128 tier claimed a 2⁶²-overflowing intermediate")
-	}
-	flows, ok := MinimalSemiflows(a, 100000)
-	if !ok || len(flows) != 1 {
-		t.Fatalf("ladder on 5 stages: %v ok=%v", flows, ok)
-	}
-	want := big.NewInt(1)
-	for i := 0; i <= 5; i++ {
-		if flows[0][i].Cmp(want) != 0 {
-			t.Fatalf("ladder semiflow[%d] = %v, want %v", i, flows[0][i], want)
-		}
-		want = new(big.Int).Mul(want, big.NewInt(m))
-	}
-}
-
-func BenchmarkMinimalSemiflowsInt128(b *testing.B) {
-	a := pipelineIncidence(24)
-	// Push the weights past intLimit so the 24-stage chain genuinely
-	// exercises 128-bit combination arithmetic.
-	for p := 0; p < a.Rows; p++ {
-		a.Data[p][p].Mul(a.Data[p][p], big.NewInt(3))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := minimalSemiflowsInt128(a, 100000); !ok {
-			b.Fatal("int128 tier refused")
-		}
-	}
 }

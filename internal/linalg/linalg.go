@@ -4,12 +4,12 @@
 // solutions of A·x = 0 (semiflows), and Gaussian elimination over the
 // rationals for rank computations.
 //
-// Arithmetic is exact at every size: the Farkas enumeration and the rank
-// computation run on a two-tier machine-integer ladder (overflow-checked
-// int64, then 128-bit two-word arithmetic via math/bits) and escalate to
-// math/big only when an intermediate genuinely outgrows 2⁶², so invariant
+// Arithmetic is exact at every size. The Farkas enumeration runs on
+// overflow-checked int64 rows and falls back to math/big only when an
+// intermediate outgrows the int64 tier's safe range, so invariant
 // computation never overflows no matter how unbalanced the arc weights
 // are — and never allocates big.Ints for the nets that don't need them.
+// The rank computation runs in math/big throughout.
 package linalg
 
 import (

@@ -78,8 +78,8 @@ func (g *Graph) RepetitionVector() ([]int, error) { return g.RepetitionVectorTra
 
 // RepetitionVectorTraced is RepetitionVector with the balance-equation
 // solve's exact-arithmetic tier residency recorded on tr (the
-// "linalg/int64|int128|bigint" detail phases); a nil tracer disables
-// collection.
+// "linalg/int64" detail phase, plus "linalg/bigint" when the int64 tier
+// overflows); a nil tracer disables collection.
 func (g *Graph) RepetitionVectorTraced(tr *trace.Tracer) ([]int, error) {
 	n := len(g.Actors)
 	if n == 0 {

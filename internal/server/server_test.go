@@ -236,16 +236,18 @@ func TestServiceAdmissionControl(t *testing.T) {
 	block := make(chan struct{})
 	release := make(chan struct{})
 	var blocked bool
+	var hooked atomic.Bool
 	_, ts := newTestServer(t, Config{Engine: engine.Config{
 		Workers:      1,
 		SubmitWindow: 1,
 		FaultHook: func(ctx context.Context, hash string, attempt int) error {
 			// Block exactly the first job so the window stays full while
-			// the test probes; later jobs run free.
-			select {
-			case block <- struct{}{}:
+			// the test probes; later jobs run free. The send waits for the
+			// test's receive: on a loaded host the job can reach the engine
+			// before the test goroutine reaches its select.
+			if hooked.CompareAndSwap(false, true) {
+				block <- struct{}{}
 				<-release
-			default:
 			}
 			return nil
 		},
