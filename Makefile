@@ -134,6 +134,7 @@ fuzz:
 	go test -fuzz='FuzzParse$$' -fuzztime=30s ./internal/petri/
 	go test -fuzz='FuzzParsePN$$' -fuzztime=30s ./internal/petri/
 	go test -fuzz='FuzzScheduleReplay$$' -fuzztime=30s ./internal/sim/
+	go test -fuzz='FuzzMarginEarlyStop$$' -fuzztime=30s ./internal/sim/
 	go test -fuzz='FuzzFarkasLadder$$' -fuzztime=30s ./internal/linalg/
 	go test -fuzz='FuzzRestrictTInvariants$$' -fuzztime=30s ./internal/invariant/
 	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/

@@ -53,9 +53,11 @@ func main() {
 }
 
 // qssdReport is the slice of the qssd JSON document the gate needs: the
-// host's parallelism and the engine-lifetime trace.
+// host's parallelism, the toolchain and the engine-lifetime trace.
 type qssdReport struct {
-	GoMaxProcs int `json:"gomaxprocs"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
 	Stats      struct {
 		Trace *trace.Report `json:"trace"`
 	} `json:"stats"`
@@ -63,10 +65,12 @@ type qssdReport struct {
 
 // baseline is the committed BENCH_phases.json document.
 type baseline struct {
-	// GoMaxProcs records the host the baseline was taken on, for reading
-	// the numbers; the gate itself is host-relative only through the
-	// regression factor.
+	// GoMaxProcs, NumCPU and GoVersion record the host and toolchain the
+	// baseline was taken with, for reading the numbers; the gate itself
+	// is host-relative only through the regression factor.
 	GoMaxProcs int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"num_cpu"`
+	GoVersion  string       `json:"go_version"`
 	Phases     []phaseEntry `json:"phases"`
 }
 
@@ -115,8 +119,8 @@ func run(args []string, stdout io.Writer) error {
 		if err := enc.Encode(current); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "wrote %s: %d phases, best of %d run(s) (gomaxprocs %d)\n",
-			*basePath, len(current.Phases), len(reports), current.GoMaxProcs)
+		fmt.Fprintf(stdout, "wrote %s: %d phases, best of %d run(s) (%s)\n",
+			*basePath, len(current.Phases), len(reports), current.host())
 		return nil
 	}
 
@@ -124,6 +128,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := readJSON(*basePath, &base); err != nil {
 		return err
 	}
+	fmt.Fprintf(stdout, "baseline: %s; this run: %s\n", base.host(), current.host())
 	cur := make(map[string]phaseEntry, len(current.Phases))
 	for _, p := range current.Phases {
 		cur[p.Name] = p
@@ -227,8 +232,13 @@ func bestOf(paths []string) (baseline, error) {
 	return best, nil
 }
 
+// host describes where the numbers were taken.
+func (b baseline) host() string {
+	return fmt.Sprintf("gomaxprocs %d, num_cpu %d, %s", b.GoMaxProcs, b.NumCPU, b.GoVersion)
+}
+
 func distill(rep *qssdReport) baseline {
-	b := baseline{GoMaxProcs: rep.GoMaxProcs}
+	b := baseline{GoMaxProcs: rep.GoMaxProcs, NumCPU: rep.NumCPU, GoVersion: rep.GoVersion}
 	for _, p := range rep.Stats.Trace.Phases {
 		b.Phases = append(b.Phases, phaseEntry{
 			Name:    p.Name,

@@ -20,6 +20,8 @@ func fakeReport(t *testing.T, dir, name string, solveMS, checkMS float64, checkC
 	}
 	doc := `{
   "gomaxprocs": 1,
+  "num_cpu": 2,
+  "go_version": "go1.test",
   "stats": {
     "trace": {
       "phases": [
@@ -45,6 +47,16 @@ func TestPhaseGatePassAndFail(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-report", base, "-baseline", baseline, "-write"}, &buf); err != nil {
 		t.Fatalf("write baseline: %v", err)
+	}
+	// The baseline records the host and toolchain it was taken with.
+	written, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"gomaxprocs": 1`, `"num_cpu": 2`, `"go_version": "go1.test"`} {
+		if !strings.Contains(string(written), want) {
+			t.Fatalf("baseline lacks %s:\n%s", want, written)
+		}
 	}
 
 	// Same numbers: must pass.

@@ -145,6 +145,7 @@ func runClient(cfg clientConfig, sources []string, nets []*petri.Net, stdout io.
 		Jobs:          len(nets) * cfg.Repeat,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
+		GoVersion:     runtime.Version(),
 		StatusCounts:  map[string]int{},
 		ColdElapsedMS: msOf(cold),
 		ElapsedMS:     msOf(cold + warm),

@@ -32,9 +32,10 @@ type batchReport struct {
 	Jobs    int `json:"jobs"`
 	// GoMaxProcs and NumCPU describe the host's real parallelism: with
 	// GOMAXPROCS=1 every speedup is bounded by 1.0 regardless of worker
-	// count.
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
+	// count. GoVersion names the toolchain the binary was built with.
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
 	// ParallelismWarning is set when the host gives the process a single
 	// scheduling slot (GOMAXPROCS=1): every parallel-speedup figure below
 	// is then bounded by 1.0 and says nothing about the engine.

@@ -309,6 +309,7 @@ func runBatch(args []string, stdout io.Writer) error {
 		Jobs:          len(todo) * *repeat,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
+		GoVersion:     runtime.Version(),
 		StatusCounts:  map[string]int{},
 		ColdElapsedMS: msOf(cold),
 		ElapsedMS:     msOf(cold + warm),

@@ -19,6 +19,9 @@ type ChoiceResolver func(p petri.Place, alternatives []petri.Transition) int
 type ExecStats struct {
 	// Fired[t] counts firings of transition t.
 	Fired []int
+	// Firings is the sum of Fired, kept as a running total so per-dispatch
+	// accounting reads it in O(1).
+	Firings int
 	// Ops counts interpreter steps (fires + counter updates + guard
 	// evaluations): a machine-independent execution-cost proxy.
 	Ops int
@@ -111,19 +114,11 @@ func (in *Interp) RunTask(taskIdx int) (bool, error) {
 	if taskIdx < 0 || taskIdx >= len(in.Prog.Tasks) {
 		return false, fmt.Errorf("codegen: task index %d out of range", taskIdx)
 	}
-	before := in.totalFired()
+	before := in.Stats.Firings
 	if err := in.exec(in.Prog.Tasks[taskIdx].Residual); err != nil {
 		return false, err
 	}
-	return in.totalFired() > before, nil
-}
-
-func (in *Interp) totalFired() int {
-	sum := 0
-	for _, c := range in.Stats.Fired {
-		sum += c
-	}
-	return sum
+	return in.Stats.Firings > before, nil
 }
 
 func (in *Interp) exec(nodes []Node) error {
@@ -134,6 +129,7 @@ func (in *Interp) exec(nodes []Node) error {
 		switch x := node.(type) {
 		case FireNode:
 			in.Stats.Fired[x.T]++
+			in.Stats.Firings++
 			in.Stats.Ops++
 			in.record(TraceEntry{Op: "fire", Transition: x.T})
 			if in.OnFire != nil {

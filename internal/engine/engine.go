@@ -105,7 +105,7 @@ type Engine struct {
 	tracer   *trace.Tracer // lifetime aggregate of every job's phases
 	start    time.Time
 
-	jobs      chan func()
+	jobs      chan job
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
@@ -181,7 +181,7 @@ func New(cfg Config) *Engine {
 		workers: workers,
 		tracer:  trace.New(),
 		start:   time.Now(),
-		jobs:    make(chan func()),
+		jobs:    make(chan job),
 	}
 	e.cache = newCache(cfg.CacheCapacity, &e.counters, e.tracer)
 	for i := 0; i < workers; i++ {
@@ -191,15 +191,23 @@ func New(cfg Config) *Engine {
 	return e
 }
 
+// job is one unit of pool work. The worker calls done after run and
+// after its own gauges are updated, so a caller woken by done never reads
+// Stats that still count the finished job as busy.
+type job struct {
+	run, done func()
+}
+
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	for fn := range e.jobs {
+	for j := range e.jobs {
 		e.counters.QueueDepth.Add(-1)
 		e.counters.BusyWorkers.Add(1)
 		t0 := time.Now()
-		fn()
+		j.run()
 		e.counters.BusyNanos.Add(time.Since(t0).Nanoseconds())
 		e.counters.BusyWorkers.Add(-1)
+		j.done()
 	}
 }
 
@@ -299,22 +307,23 @@ func (e *Engine) QuarantinedHashes() []string {
 	return out
 }
 
-// submit schedules fn on the pool, or reports ErrEngineClosed.
-func (e *Engine) submit(fn func()) error {
+// submit schedules run on the pool, with done called once it has
+// finished, or reports ErrEngineClosed.
+func (e *Engine) submit(run, done func()) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrEngineClosed
 	}
 	e.counters.ObserveQueueDepth(e.counters.QueueDepth.Add(1))
-	e.jobs <- fn
+	e.jobs <- job{run: run, done: done}
 	return nil
 }
 
 // run executes fn on the pool and waits for it.
 func (e *Engine) run(fn func()) error {
 	done := make(chan struct{})
-	if err := e.submit(func() { fn(); close(done) }); err != nil {
+	if err := e.submit(fn, func() { close(done) }); err != nil {
 		return err
 	}
 	<-done
@@ -366,7 +375,6 @@ func (e *Engine) AnalyzeEach(nets []*petri.Net, onDone func(i int, r Result)) er
 		i, n := i, n
 		wg.Add(1)
 		if err := e.submit(func() {
-			defer wg.Done()
 			r := e.analyzeJob(n)
 			// Free the slot before the callback: journal writes and other
 			// caller work must not throttle the pool.
@@ -374,7 +382,7 @@ func (e *Engine) AnalyzeEach(nets []*petri.Net, onDone func(i int, r Result)) er
 			e.onDoneMu.Lock()
 			defer e.onDoneMu.Unlock()
 			onDone(i, r)
-		}); err != nil {
+		}, wg.Done); err != nil {
 			<-slots
 			wg.Done()
 			wg.Wait()

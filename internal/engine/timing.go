@@ -243,6 +243,8 @@ func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.S
 				return nil, err
 			}
 			tr.Add("timing/probes", int64(om.Result.Probes))
+			tr.Add("timing/probe_stops", int64(om.ProbeStops))
+			tr.Add("timing/probe_events", om.ProbeEvents)
 			return json.Marshal(om)
 		})
 		if err != nil {

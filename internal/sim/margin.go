@@ -121,6 +121,12 @@ type OverloadMargin struct {
 	Kind     string               `json:"kind"`
 	Deadline int64                `json:"deadline"`
 	Result   *timing.MarginResult `json:"result"`
+	// ProbeStops counts the probes that ended at their first violating
+	// window; ProbeEvents counts the events the probes served, the full
+	// replay of the reported Fail level included. They measure the
+	// search's work, not its outcome, so they stay out of the JSON form.
+	ProbeStops  int   `json:"-"`
+	ProbeEvents int64 `json:"-"`
 }
 
 // String renders a one-line summary.
@@ -152,80 +158,113 @@ func CalibrateDeadline(prog *codegen.Program, events []rtos.Event, cost rtos.Cos
 // the overload the implementation tolerates before its timing safety
 // breaks. Deterministic for a given (workload, seed, config); every
 // probe replays the same seeded injector at a different intensity.
+//
+// The bisection reads only each probe's Satisfied bit, which is final
+// once the monitor latches a violating window, so a failing probe stops
+// there. The reported Fail level is then replayed in full, outside the
+// probe count, so the result is the one full-length probes give.
 func SearchOverloadMargin(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg MarginConfig) (*OverloadMargin, error) {
+	ceiling, deadline, err := cfg.prepare(prog, events, cost)
+	if err != nil {
+		return nil, err
+	}
+	om := &OverloadMargin{Kind: cfg.Kind.String(), Deadline: deadline}
+	stopped := make(map[int]bool) // levels whose probe stopped early
+	probe := func(level int, stopAtViolation bool) (*timing.Verdict, error) {
+		stream, rcfg := cfg.probeInput(events, deadline, level)
+		rm, stop, err := runRobust(prog, stream, cost, rcfg, cfg.hooks(prog), stopAtViolation)
+		if rm != nil {
+			om.ProbeEvents += int64(rm.Events)
+		}
+		if stop {
+			om.ProbeStops++
+			stopped[level] = true
+		}
+		return probeVerdict(level, rm, err)
+	}
+
+	res, err := timing.SearchMargin(ceiling, func(level int) (*timing.Verdict, error) {
+		return probe(level, true)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res.Fail != nil && stopped[res.Level+1] {
+		if res.Fail, err = probe(res.Level+1, false); err != nil {
+			return nil, fmt.Errorf("sim: margin replay: %w", err)
+		}
+	}
+	om.Result = res
+	return om, nil
+}
+
+// prepare validates the search and resolves its ceiling and deadline.
+func (cfg MarginConfig) prepare(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel) (ceiling int, deadline int64, err error) {
 	if err := cfg.MK.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: margin search needs a valid (m,k) constraint: %w", err)
+		return 0, 0, fmt.Errorf("sim: margin search needs a valid (m,k) constraint: %w", err)
 	}
 	if cfg.Robust.Jitter != nil {
-		return nil, fmt.Errorf("sim: margin search owns RobustConfig.Jitter; configure OverloadOverrun instead")
+		return 0, 0, fmt.Errorf("sim: margin search owns RobustConfig.Jitter; configure OverloadOverrun instead")
 	}
-	ceiling := cfg.Ceiling
+	switch cfg.Kind {
+	case OverloadBurst, OverloadJitter, OverloadDrop, OverloadOverrun:
+	default:
+		return 0, 0, fmt.Errorf("sim: unknown overload kind %v", cfg.Kind)
+	}
+	ceiling = cfg.Ceiling
 	if ceiling <= 0 {
 		ceiling = cfg.Kind.defaultCeiling()
 	}
 	if cfg.Kind == OverloadDrop && ceiling > 100 {
 		ceiling = 100
 	}
-
-	deadline := cfg.Robust.Deadline
+	deadline = cfg.Robust.Deadline
 	if deadline == 0 {
-		var err error
 		deadline, err = CalibrateDeadline(prog, events, cost, cfg.Robust, cfg.hooks(prog), DefaultDeadlineFactor)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 	}
+	return ceiling, deadline, nil
+}
 
-	probe := func(level int) (*timing.Verdict, error) {
-		rcfg := cfg.Robust
-		rcfg.Deadline = deadline
-		rcfg.MK = cfg.MK
-		stream := events
-		switch cfg.Kind {
-		case OverloadBurst:
-			if level > 0 {
-				stream = fault.Scenario{
-					Name: "margin-burst", Seed: cfg.Seed,
-					Injectors: []fault.Injector{fault.Burst{Pct: 100, Extra: level, Source: fault.AnySource}},
-				}.Apply(events)
-			}
-		case OverloadJitter:
-			if level > 0 {
-				stream = fault.Scenario{
-					Name: "margin-jitter", Seed: cfg.Seed,
-					Injectors: []fault.Injector{fault.JitterTicks{Window: int64(level), Source: fault.AnySource}},
-				}.Apply(events)
-			}
-		case OverloadDrop:
-			if level > 0 {
-				stream = fault.Scenario{
-					Name: "margin-drop", Seed: cfg.Seed,
-					Injectors: []fault.Injector{fault.Drop{Pct: level, Source: fault.AnySource}},
-				}.Apply(events)
-			}
-		case OverloadOverrun:
-			rcfg.Jitter = &fault.CostJitter{Seed: cfg.Seed, MaxPct: level}
-		default:
-			return nil, fmt.Errorf("sim: unknown overload kind %v", cfg.Kind)
-		}
-		rm, err := RunRobust(prog, stream, cost, rcfg, cfg.hooks(prog))
-		if err != nil {
-			// A probe that exhausts its step budget is a system that cannot
-			// keep up with the injected overload: report it as a failed
-			// level, not a search abort.
-			if errors.Is(err, codegen.ErrBudgetExceeded) && rm != nil && rm.Timing != nil {
-				v := *rm.Timing
-				v.Satisfied = false
-				return &v, nil
-			}
-			return nil, fmt.Errorf("sim: margin probe level %d: %w", level, err)
-		}
-		return rm.Timing, nil
+// probeInput builds one probe's workload and run configuration: the
+// seeded injector of the search's kind at the given intensity.
+func (cfg MarginConfig) probeInput(events []rtos.Event, deadline int64, level int) ([]rtos.Event, RobustConfig) {
+	rcfg := cfg.Robust
+	rcfg.Deadline = deadline
+	rcfg.MK = cfg.MK
+	var inj fault.Injector
+	switch cfg.Kind {
+	case OverloadBurst:
+		inj = fault.Burst{Pct: 100, Extra: level, Source: fault.AnySource}
+	case OverloadJitter:
+		inj = fault.JitterTicks{Window: int64(level), Source: fault.AnySource}
+	case OverloadDrop:
+		inj = fault.Drop{Pct: level, Source: fault.AnySource}
+	case OverloadOverrun:
+		rcfg.Jitter = &fault.CostJitter{Seed: cfg.Seed, MaxPct: level}
+		return events, rcfg
 	}
+	if level == 0 {
+		return events, rcfg
+	}
+	return fault.Scenario{
+		Name: "margin-" + cfg.Kind.String(), Seed: cfg.Seed, Injectors: []fault.Injector{inj},
+	}.Apply(events), rcfg
+}
 
-	res, err := timing.SearchMargin(ceiling, probe)
+// probeVerdict turns one probe run into its verdict. A probe that
+// exhausts its step budget is a system that cannot keep up with the
+// injected overload: it reports a failed level, not a search abort.
+func probeVerdict(level int, rm *RobustMetrics, err error) (*timing.Verdict, error) {
 	if err != nil {
-		return nil, err
+		if errors.Is(err, codegen.ErrBudgetExceeded) && rm != nil && rm.Timing != nil {
+			v := *rm.Timing
+			v.Satisfied = false
+			return &v, nil
+		}
+		return nil, fmt.Errorf("sim: margin probe level %d: %w", level, err)
 	}
-	return &OverloadMargin{Kind: cfg.Kind.String(), Deadline: deadline, Result: res}, nil
+	return rm.Timing, nil
 }

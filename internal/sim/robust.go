@@ -135,6 +135,17 @@ const defaultStepBudget = 1 << 26
 // When the step budget runs out, the metrics collected so far are
 // returned together with an error wrapping core.ErrBudgetExceeded.
 func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks) (*RobustMetrics, error) {
+	rm, _, err := runRobust(prog, events, cost, cfg, hooks, false)
+	return rm, err
+}
+
+// runRobust is RunRobust's event loop. With stopAtViolation set, the run
+// ends as soon as the (m,k) monitor has latched its first violating
+// window while events are still left to serve, and stopped reports it:
+// the verdict's Satisfied bit is then final, but every metric covers
+// only the events served so far. The margin search's probes use it,
+// since bisection reads nothing else.
+func runRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks, stopAtViolation bool) (*RobustMetrics, bool, error) {
 	if cfg.CyclesPerTick <= 0 {
 		cfg.CyclesPerTick = 1
 	}
@@ -142,24 +153,29 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 		cfg.StepBudget = defaultStepBudget
 	}
 
-	ordered := append([]rtos.Event(nil), events...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Time < ordered[j].Time })
-
+	ordered := timeOrdered(events)
 	in := codegen.NewInterp(prog, hooks.Resolver)
 	in.MaxOps = cfg.StepBudget
 	k := rtos.NewKernel(cost)
 	in.OnFire = fireHook(k, hooks)
-	k.Queue = rtos.NewEventQueue(cfg.Queue)
+	// A bounded queue may lose arrivals. An unbounded one never does, so
+	// it would hold exactly ordered[head:next]: the kernel gets no queue
+	// and events are served straight from ordered. Under overload nearly
+	// the whole stream waits at once, and copying it was the run's
+	// largest set-up cost.
+	if cfg.Queue.Capacity > 0 {
+		k.Queue = rtos.NewEventQueue(cfg.Queue)
+	}
 	if cfg.Deadline > 0 {
-		// The watchdog keeps one constraint window of hit/miss history so
-		// violated windows stay inspectable after the run.
-		k.Watch = &rtos.Watchdog{Budget: cfg.Deadline, HistoryCap: cfg.MK.K}
+		k.Watch = &rtos.Watchdog{Budget: cfg.Deadline}
 	}
 	mon := timing.NewMonitor(cfg.MK)
 
 	var clock int64
 	var service, response cycleStats
 	next := 0 // index of the next arrival in ordered
+	head := 0 // index of the next event to serve, without a queue
+	stopped := false
 	var runErr error
 	for {
 		// Admit every arrival up to the current clock (the interrupt
@@ -168,17 +184,28 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 			k.Admit(ordered[next], ordered[next].Time*cfg.CyclesPerTick)
 			next++
 		}
-		if k.Queue.Len() == 0 {
+		var qe rtos.QueuedEvent
+		ok := false
+		if k.Queue != nil {
+			qe, ok = k.Queue.Pop()
+		} else if head < next {
+			qe, ok = rtos.QueuedEvent{Ev: ordered[head], Arrival: ordered[head].Time * cfg.CyclesPerTick}, true
+			head++
+		}
+		if !ok {
 			if next >= len(ordered) {
 				break
 			}
 			clock = ordered[next].Time * cfg.CyclesPerTick // CPU idles
 			continue
 		}
-		qe, _ := k.Queue.Pop()
+		if stopAtViolation && mon.Violated() {
+			stopped = true
+			break
+		}
 		ti := prog.TaskBySource(qe.Ev.Source)
 		if ti < 0 {
-			return nil, fmt.Errorf("sim: no task for source %s", prog.Net.TransitionName(qe.Ev.Source))
+			return nil, false, fmt.Errorf("sim: no task for source %s", prog.Net.TransitionName(qe.Ev.Source))
 		}
 		if hooks.BeforeEvent != nil {
 			hooks.BeforeEvent(qe.Ev)
@@ -206,25 +233,27 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 
 	rm := &RobustMetrics{
 		Metrics: Metrics{
-			Cycles:        k.Cycles,
-			Activations:   k.Activations,
-			Polls:         k.Polls,
-			Events:        int(service.n),
-			Fired:         append([]int(nil), in.Stats.Fired...),
-			MaxCounter:    in.Stats.MaxCounter,
-			PerTask:       k.PerTask,
-			LatencyMax:    service.max,
-			LatencyAvg:    service.avg(),
-			DroppedEvents: k.Queue.Lost(),
+			Cycles:      k.Cycles,
+			Activations: k.Activations,
+			Polls:       k.Polls,
+			Events:      int(service.n),
+			Fired:       append([]int(nil), in.Stats.Fired...),
+			MaxCounter:  in.Stats.MaxCounter,
+			PerTask:     k.PerTask,
+			LatencyMax:  service.max,
+			LatencyAvg:  service.avg(),
 		},
-		RejectedEvents: k.Queue.Rejected,
-		ResponseMax:    response.max,
-		ResponseAvg:    response.avg(),
-		CPUBusy:        service.sum,
-		Makespan:       clock,
-		PeakCounters:   append([]int(nil), in.Stats.MaxCounters...),
-		Steps:          in.Stats.Ops,
-		Timing:         mon.Verdict(),
+		ResponseMax:  response.max,
+		ResponseAvg:  response.avg(),
+		CPUBusy:      service.sum,
+		Makespan:     clock,
+		PeakCounters: append([]int(nil), in.Stats.MaxCounters...),
+		Steps:        in.Stats.Ops,
+		Timing:       mon.Verdict(),
+	}
+	if k.Queue != nil {
+		rm.DroppedEvents = k.Queue.Lost()
+		rm.RejectedEvents = k.Queue.Rejected
 	}
 	if k.Watch != nil {
 		rm.DeadlineMisses = k.Watch.Misses
@@ -237,11 +266,25 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 	if runErr != nil {
 		if errors.Is(runErr, core.ErrBudgetExceeded) {
 			rm.BudgetExhausted = true
-			return rm, fmt.Errorf("sim: robust run stopped: %w", runErr)
+			return rm, false, fmt.Errorf("sim: robust run stopped: %w", runErr)
 		}
-		return nil, runErr
+		return nil, false, runErr
 	}
-	return rm, nil
+	return rm, stopped, nil
+}
+
+// timeOrdered returns the events in stable time order. The workload and
+// every injector emit ordered streams, so the copy and the sort are only
+// paid for input that needs them.
+func timeOrdered(events []rtos.Event) []rtos.Event {
+	for i := 1; i < len(events); i++ {
+		if events[i].Time < events[i-1].Time {
+			ordered := append([]rtos.Event(nil), events...)
+			sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Time < ordered[b].Time })
+			return ordered
+		}
+	}
+	return events
 }
 
 // serveEvent dispatches one admitted event: it activates the source's
@@ -253,7 +296,7 @@ func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 // off by its step budget reports the charges of the events it finished.
 func serveEvent(prog *codegen.Program, in *codegen.Interp, k *rtos.Kernel, ti int, src petri.Transition, modular bool) error {
 	k.Activate(prog.Tasks[ti].Task.Name)
-	beforeFired, beforeOps := totalFired(in), in.Stats.Ops
+	beforeFired, beforeOps := in.Stats.Firings, in.Stats.Ops
 	if err := in.RunSource(src); err != nil {
 		return err
 	}
@@ -272,7 +315,7 @@ func serveEvent(prog *codegen.Program, in *codegen.Interp, k *rtos.Kernel, ti in
 			}
 		}
 	}
-	k.ChargeFirings(totalFired(in) - beforeFired)
+	k.ChargeFirings(int64(in.Stats.Firings - beforeFired))
 	k.ChargeOps(int64(in.Stats.Ops - beforeOps))
 	return nil
 }

@@ -168,11 +168,3 @@ func RunQSS(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, see
 	}
 	return &rm.Metrics, nil
 }
-
-func totalFired(in *codegen.Interp) int64 {
-	var sum int64
-	for _, c := range in.Stats.Fired {
-		sum += int64(c)
-	}
-	return sum
-}

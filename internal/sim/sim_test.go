@@ -10,17 +10,23 @@ import (
 	"fcpn/internal/rtos"
 )
 
-func qssProgram(t *testing.T, n *petri.Net) *codegen.Program {
-	t.Helper()
+// compileQSS solves the net and lowers its schedule and task partition
+// to task code.
+func compileQSS(n *petri.Net) (*codegen.Program, error) {
 	s, err := core.Solve(n, core.Options{})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	tp, err := core.PartitionTasks(n, core.Options{})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	prog, err := codegen.Generate(s, tp)
+	return codegen.Generate(s, tp)
+}
+
+func qssProgram(t *testing.T, n *petri.Net) *codegen.Program {
+	t.Helper()
+	prog, err := compileQSS(n)
 	if err != nil {
 		t.Fatal(err)
 	}

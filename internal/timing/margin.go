@@ -19,7 +19,8 @@ type MarginResult struct {
 	// constraint held at every probed intensity — the dimension never
 	// broke it within the searched range.
 	Ceiling int `json:"ceiling"`
-	// Probes counts probe invocations (≤ 2 + log2(Ceiling)).
+	// Probes counts probe invocations (≤ 2 + ⌈log2(Ceiling)⌉: level 0,
+	// the ceiling, then one per halving of the open interval).
 	Probes int `json:"probes"`
 	// Pass is the verdict at Level (nil when Level < 0); Fail is the
 	// verdict at the first failing level found, Level+1 after the

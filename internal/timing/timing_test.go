@@ -3,6 +3,7 @@ package timing
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -239,6 +240,27 @@ func TestSearchMarginProbeBudget(t *testing.T) {
 	}
 	if res.Probes != count {
 		t.Fatalf("Probes %d != invocations %d", res.Probes, count)
+	}
+
+	// The exact worst case over every frontier, at the default drop and
+	// overrun ceilings: 2 + ⌈log2(Ceiling)⌉ (log2 alone undercounts).
+	for _, tc := range []struct{ ceiling, worst int }{{100, 9}, {700, 12}} {
+		worst := 0
+		for frontier := -1; frontier <= tc.ceiling; frontier++ {
+			res, err := SearchMargin(tc.ceiling, stepProbe(frontier, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Level != frontier {
+				t.Fatalf("ceiling %d: margin %d, want %d", tc.ceiling, res.Level, frontier)
+			}
+			if res.Probes > worst {
+				worst = res.Probes
+			}
+		}
+		if bound := 2 + int(math.Ceil(math.Log2(float64(tc.ceiling)))); worst != tc.worst || worst != bound {
+			t.Fatalf("ceiling %d: worst case %d probes, want %d (bound %d)", tc.ceiling, worst, tc.worst, bound)
+		}
 	}
 }
 
