@@ -137,6 +137,7 @@ fuzz:
 	go test -fuzz='FuzzMarginEarlyStop$$' -fuzztime=30s ./internal/sim/
 	go test -fuzz='FuzzFarkasLadder$$' -fuzztime=30s ./internal/linalg/
 	go test -fuzz='FuzzRestrictTInvariants$$' -fuzztime=30s ./internal/invariant/
+	go test -fuzz='FuzzCheckReductionKeptSets$$' -fuzztime=30s ./internal/core/
 	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/
 
 examples:

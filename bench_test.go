@@ -20,6 +20,7 @@ import (
 	"fcpn/internal/invariant"
 	"fcpn/internal/modem"
 	"fcpn/internal/netgen"
+	"fcpn/internal/petri"
 	"fcpn/internal/rtos"
 	"fcpn/internal/safenet"
 	"fcpn/internal/sdf"
@@ -165,6 +166,39 @@ func BenchmarkReduceSweep(b *testing.B) {
 		for _, a := range allocs {
 			rd.Reduce(a)
 		}
+	}
+}
+
+// BenchmarkSolveReductions times the Definition 3.5 sweep the engine runs
+// on an enumerated reduction set — the parent's T-semiflows restricted to
+// each distinct reduction, then the cycle search — on the ATM server and
+// on a heavy generated pipeline (72 distinct reductions). Each iteration
+// sweeps freshly enumerated reductions, so nothing a reduction memoises
+// carries over; the enumeration itself is not timed.
+func BenchmarkSolveReductions(b *testing.B) {
+	heavy := netgen.DefaultConfig()
+	heavy.MaxSources, heavy.MaxDepth = 4, 5
+	for _, bc := range []struct {
+		name string
+		net  *petri.Net
+	}{
+		{"atm", atm.New().Net},
+		{"heavy-pipeline", netgen.RandomSchedulablePipeline(1, heavy)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				reds, err := core.EnumerateDistinctReductions(bc.net, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := core.SolveReductions(bc.net, reds, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -189,8 +189,10 @@ func WaitReady(ctx context.Context, hc *http.Client, base string, budget time.Du
 }
 
 // ProbeReady performs one readiness probe: true iff /readyz answers
-// 200. The error reports what went wrong instead (non-200 status or
-// transport failure).
+// 200 with its whole body. A torn body fails the probe, as a torn
+// analyze response counts against the breaker: the path to the backend
+// is garbling. The error reports what went wrong instead (non-200
+// status, torn body or transport failure).
 func ProbeReady(ctx context.Context, hc *http.Client, base string) (bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
 	if err != nil {
@@ -200,10 +202,13 @@ func ProbeReady(ctx context.Context, hc *http.Client, base string) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	io.Copy(io.Discard, resp.Body)
+	_, cerr := io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return false, fmt.Errorf("readyz: %s", resp.Status)
+	}
+	if cerr != nil {
+		return false, fmt.Errorf("readyz: torn body: %w", cerr)
 	}
 	return true, nil
 }

@@ -3,12 +3,15 @@ package coord
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fcpn/internal/fault"
 )
 
 func TestClassifyStatus(t *testing.T) {
@@ -162,5 +165,25 @@ func TestWaitReadyBudgetExpires(t *testing.T) {
 	}
 	if d := time.Since(t0); d > 3*time.Second {
 		t.Fatalf("budget not honoured: %v", d)
+	}
+}
+
+func TestProbeReadyRejectsTornBody(t *testing.T) {
+	// A 200 whose body is cut short means the path to the backend is
+	// garbling, as a torn analyze response does: the probe must fail, or
+	// it would close the breaker of a lane that tears every response.
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ready\n")
+	}))
+	defer backend.Close()
+	p := fault.NewProxy(backend.URL, 1)
+	p.SetBehavior(fault.ProxyBehavior{TornPct: 100})
+	front := httptest.NewServer(p)
+	defer front.Close()
+	if ok, err := ProbeReady(context.Background(), front.Client(), front.URL); ok || err == nil {
+		t.Fatalf("torn /readyz accepted: ok=%v err=%v", ok, err)
+	}
+	if ok, err := ProbeReady(context.Background(), backend.Client(), backend.URL); !ok {
+		t.Fatalf("whole /readyz rejected: %v", err)
 	}
 }

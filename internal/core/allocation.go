@@ -34,7 +34,8 @@ func (a *Allocation) Allocated(t petri.Transition) bool {
 	return true
 }
 
-// String renders the allocation as "p1→t2, p5→t9".
+// describe renders the allocation with n's node names, as "p1→t2, p5→t9"
+// (places of one cluster joined by "+"). It names a reduction's subnet.
 func (a *Allocation) describe(n *petri.Net) string {
 	parts := make([]string, len(a.Clusters))
 	for i, c := range a.Clusters {

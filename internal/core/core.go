@@ -227,7 +227,6 @@ func reduceEveryAllocation(n *petri.Net, opt Options) ([]*Reduction, error) {
 // result is identical to Solve on the same net when the set is the one
 // EnumerateDistinctReductions produces.
 func SolveReductions(n *petri.Net, reductions []*Reduction, opt Options) (*Schedule, error) {
-	aids := checkAids{}
 	if !opt.KeepDuplicateReductions && len(reductions) > 0 {
 		// The parent's minimal T-semiflows are computed once per sweep and
 		// restricted to each reduction (restriction beats a from-scratch
@@ -235,10 +234,20 @@ func SolveReductions(n *petri.Net, reductions []*Reduction, opt Options) (*Sched
 		// invariant.ErrTooComplex) only disables the sharing: every check
 		// then runs from scratch.
 		if parentTIs, err := invariant.TInvariants(n, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace}); err == nil {
-			aids = checkAids{parentTIs: parentTIs, haveParent: true}
+			return SolveReductionsWithSemiflows(n, reductions, parentTIs, opt)
 		}
 	}
-	return solveReductions(n, reductions, opt, aids)
+	return solveReductions(n, reductions, opt, checkAids{})
+}
+
+// SolveReductionsWithSemiflows is SolveReductions given the parent net's
+// minimal T-semiflows, which must be what invariant.TInvariants returns on
+// n: the sweep then runs no Farkas elimination at all. internal/engine
+// passes the semiflows its report already computed. Under
+// KeepDuplicateReductions the semiflows are ignored and every check runs
+// from scratch, as in SolveReductions.
+func SolveReductionsWithSemiflows(n *petri.Net, reductions []*Reduction, parentTIs []invariant.TInvariant, opt Options) (*Schedule, error) {
+	return solveReductions(n, reductions, opt, checkAids{parentTIs: parentTIs, haveParent: !opt.KeepDuplicateReductions})
 }
 
 func solveReductions(n *petri.Net, reductions []*Reduction, opt Options, aids checkAids) (*Schedule, error) {

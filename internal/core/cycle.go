@@ -25,17 +25,30 @@ var ErrCycleDeadlock = errors.New("core: deadlock while realising T-invariant")
 //
 // maxLen bounds the sequence length defensively.
 func FindCompleteCycle(n *petri.Net, counts []int, maxLen int) ([]petri.Transition, error) {
-	return findCompleteCycle(nil, n, counts, maxLen)
+	every := petri.NewNodeSet(n.NumPlaces())
+	for p := 0; p < n.NumPlaces(); p++ {
+		every.Add(p)
+	}
+	return findCompleteCycle(nil, n, n.Transitions(), every, counts, maxLen)
 }
 
-// findCompleteCycle is FindCompleteCycle with a cancellation context
-// (nil never cancels), checked once per greedy sweep so a deadline can
-// interrupt a realisation of up to maxLen (default 2^20) firings.
-func findCompleteCycle(ctx context.Context, n *petri.Net, counts []int, maxLen int) ([]petri.Transition, error) {
-	if len(counts) != n.NumTransitions() {
-		return nil, fmt.Errorf("core: counts length %d != %d transitions", len(counts), n.NumTransitions())
+// findCompleteCycle is the greedy loop of FindCompleteCycle on n
+// restricted to the kept transitions ts (ascending) and the kept places
+// keptP: the induced subnet of a T-reduction, without building it.
+// counts and the remaining vector of a deadlock diagnosis are indexed by
+// position in ts, diagnosed markings list the kept places only, and the
+// sequence is returned in n's transitions. Every place adjacent to a kept
+// transition must be kept, as it is in every T-reduction
+// (restriction-exactness, docs/ALGORITHM.md §6), so firing on n moves
+// tokens exactly as firing on the subnet would. FindCompleteCycle keeps
+// every node. ctx (nil never cancels) is checked once per greedy sweep so
+// a deadline can interrupt a realisation of up to maxLen (default 2^20)
+// firings.
+func findCompleteCycle(ctx context.Context, n *petri.Net, ts []petri.Transition, keptP petri.NodeSet, counts []int, maxLen int) ([]petri.Transition, error) {
+	if len(counts) != len(ts) {
+		return nil, fmt.Errorf("core: counts length %d != %d transitions", len(counts), len(ts))
 	}
-	if !n.IsConflictFree() {
+	if !conflictFree(n, ts) {
 		return nil, errors.New("core: FindCompleteCycle requires a conflict-free net")
 	}
 	total := 0
@@ -56,25 +69,55 @@ func findCompleteCycle(ctx context.Context, n *petri.Net, counts []int, maxLen i
 			return nil, fmt.Errorf("cycle search interrupted after %d of %d firings: %w", len(seq), total, err)
 		}
 		fired := false
-		for t := petri.Transition(0); int(t) < n.NumTransitions(); t++ {
-			if remaining[t] == 0 || !n.Enabled(m, t) {
+		for i, t := range ts {
+			if remaining[i] == 0 || !n.Enabled(m, t) {
 				continue
 			}
 			n.MustFire(m, t)
-			remaining[t]--
+			remaining[i]--
 			seq = append(seq, t)
 			fired = true
 		}
 		if !fired {
 			return nil, fmt.Errorf("%w: %d of %d firings done, stuck at %s with remaining %v",
-				ErrCycleDeadlock, len(seq), total, m, remaining)
+				ErrCycleDeadlock, len(seq), total, restrictMarking(m, keptP), remaining)
 		}
 	}
-	if !m.Equal(n.InitialMarking()) {
-		return nil, fmt.Errorf("core: firing vector is not a T-invariant: final marking %s != initial %s",
-			m, n.InitialMarking())
+	init := n.InitialMarking()
+	for p := range m {
+		if keptP.Has(p) && m[p] != init[p] {
+			return nil, fmt.Errorf("core: firing vector is not a T-invariant: final marking %s != initial %s",
+				restrictMarking(m, keptP), restrictMarking(init, keptP))
+		}
 	}
 	return seq, nil
+}
+
+// conflictFree reports whether no two of the transitions ts share an input
+// place.
+func conflictFree(n *petri.Net, ts []petri.Transition) bool {
+	consumed := petri.NewNodeSet(n.NumPlaces())
+	for _, t := range ts {
+		for _, a := range n.Pre(t) {
+			if consumed.Has(int(a.Place)) {
+				return false
+			}
+			consumed.Add(int(a.Place))
+		}
+	}
+	return true
+}
+
+// restrictMarking lists m's token counts on the kept places, in index
+// order: the marking of the induced subnet.
+func restrictMarking(m petri.Marking, keptP petri.NodeSet) petri.Marking {
+	out := make(petri.Marking, 0, len(m))
+	for p, k := range m {
+		if keptP.Has(p) {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // VerifyCompleteCycle replays seq on the net from the initial marking and

@@ -203,3 +203,52 @@ func TestRandomChoicePipelinesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// deadCycleNet has a consistent T-reduction that deadlocks: choosing b
+// feeds the token-free cycle r1 → u → r2 → v → r1, which nothing ever
+// marks. That reduction removes qa, the first place of the net, so its
+// deadlock diagnosis prints a marking and a remaining vector over the
+// reduction's nodes that differ from the parent net's.
+func deadCycleNet() *petri.Net {
+	b := petri.NewBuilder("deadcycle")
+	qa := b.Place("qa")
+	pc := b.Place("pc")
+	qb := b.Place("qb")
+	r1 := b.Place("r1")
+	r2 := b.Place("r2")
+	src := b.Transition("src")
+	tb := b.Transition("b")
+	ta := b.Transition("a")
+	sink := b.Transition("ta")
+	u := b.Transition("u")
+	v := b.Transition("v")
+	b.ArcTP(src, pc)
+	b.Arc(pc, tb)
+	b.Arc(pc, ta)
+	b.ArcTP(ta, qa)
+	b.Arc(qa, sink)
+	b.ArcTP(tb, qb)
+	b.Arc(qb, u)
+	b.Arc(r1, u)
+	b.ArcTP(u, r2)
+	b.Arc(r2, v)
+	b.ArcTP(v, r1)
+	return b.Build()
+}
+
+func TestDeadlockDiagnosisGolden(t *testing.T) {
+	// Recorded from the subnet-based check: the marking lists the kept
+	// places (pc, qb, r1, r2) and remaining counts src, b, u, v.
+	const want = "T-reduction \"deadcycle/pc→b\" deadlocks: core: deadlock while realising T-invariant: " +
+		"2 of 4 firings done, stuck at (0,1,0,0) with remaining [0 0 1 1]"
+	for _, opt := range []Options{{}, {KeepDuplicateReductions: true}} {
+		_, err := Solve(deadCycleNet(), opt)
+		var nse *NotSchedulableError
+		if !errors.As(err, &nse) || !errors.Is(err, ErrCycleDeadlock) {
+			t.Fatalf("%+v: err = %v, want a deadlock diagnosis", opt, err)
+		}
+		if got := nse.Report.FailReason; got != want {
+			t.Fatalf("%+v: FailReason\n got %q\nwant %q", opt, got, want)
+		}
+	}
+}

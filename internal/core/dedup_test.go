@@ -57,6 +57,7 @@ func equivalenceCorpus(t *testing.T) map[string]*petri.Net {
 			nets[fmt.Sprintf("rand%d", seed)] = n
 		}
 	}
+	nets["deadcycle"] = deadCycleNet()
 	return nets
 }
 

@@ -161,7 +161,7 @@ func Explore(n *petri.Net, opt Options) ([]TradeoffPoint, error) {
 		if err := opt.cancelled(); err != nil {
 			return nil, fmt.Errorf("core: explore %s: %w", strat, err)
 		}
-		sched := &Schedule{Net: n, AllocationCount: base.AllocationCount}
+		sched := &Schedule{Net: n, AllocationCount: base.AllocationCount, AllocationCountSaturated: base.AllocationCountSaturated}
 		for _, c := range base.Cycles {
 			sub := c.Reduction.Subnet()
 			subCounts := make([]int, sub.Net.NumTransitions())

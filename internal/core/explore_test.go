@@ -2,6 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"fcpn/internal/figures"
@@ -251,5 +254,52 @@ func TestImportScheduleRejectsBadInput(t *testing.T) {
 	bad.Cycles[0].Choices = flipped
 	if _, err := ImportSchedule(n, &bad); err == nil {
 		t.Fatal("contradictory choices accepted")
+	}
+}
+
+// stopGoChain builds a chain of k binary choices: each choice place either
+// stops (a sink) or goes on to the next choice. It has 2^k allocations but
+// only k+1 distinct T-reductions, one per stopping point plus running
+// through.
+func stopGoChain(k int) *petri.Net {
+	b := petri.NewBuilder("stopgo")
+	p := b.Place("p0")
+	b.ArcTP(b.Transition("src"), p)
+	for i := 0; i < k; i++ {
+		b.Arc(p, b.Transition(fmt.Sprintf("stop%d", i)))
+		next := b.Place(fmt.Sprintf("p%d", i+1))
+		gt := b.Transition(fmt.Sprintf("go%d", i))
+		b.Arc(p, gt)
+		b.ArcTP(gt, next)
+		p = next
+	}
+	b.Arc(p, b.Transition("end"))
+	return b.Build()
+}
+
+func TestExploreKeepsSaturationFlag(t *testing.T) {
+	// 2^64 allocations saturate the count; every tradeoff schedule must
+	// mark the ceiling as such, as the solved schedule does.
+	n := stopGoChain(64)
+	pts, err := Explore(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range pts {
+		s := pt.Schedule
+		if len(s.Cycles) != 65 {
+			t.Fatalf("%s: %d cycles, want 65 distinct reductions", pt.Strategy, len(s.Cycles))
+		}
+		if !s.AllocationCountSaturated || s.AllocationCount != math.MaxInt {
+			t.Fatalf("%s: allocation count %d, saturated=%v; want math.MaxInt, true",
+				pt.Strategy, s.AllocationCount, s.AllocationCountSaturated)
+		}
+		data, err := json.Marshal(s.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"allocation_count_saturated":true`) {
+			t.Fatalf("%s: export lacks the saturation marker", pt.Strategy)
+		}
 	}
 }

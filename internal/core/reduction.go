@@ -12,11 +12,11 @@ import (
 // given T-allocation.
 //
 // The reduction is stored compactly as kept-node bitsets over the parent
-// net plus the removal log in (opcode, node) form. The induced subnet Net —
-// name lookups, string keys, arc-by-arc Builder calls — is materialised
-// lazily by Subnet(): the distinct-reduction search reduces many
-// allocations per distinct reduction, and the duplicates it discards never
-// need a materialised Net at all.
+// net plus the removal log in (opcode, node) form. The Definition 3.5
+// check runs on the parent net over these bitsets; the induced subnet Net
+// — name lookups, string keys, arc lists — is materialised lazily by
+// Subnet(), for callers that print a reduction or run the from-scratch
+// reference check.
 type Reduction struct {
 	// Allocation is the choice resolution this reduction corresponds to.
 	Allocation *Allocation
@@ -25,6 +25,14 @@ type Reduction struct {
 	keptT, keptP petri.NodeSet
 	numT, numP   int
 	steps        []reduceStep
+
+	// lazy marks a reduction built without running the reduction
+	// algorithm (LazyReduction, Relabel). What its constructor left unset
+	// — the kept sets, the removal log — is read from ref, which is
+	// Reduce(net, Allocation) built on first use.
+	lazy    bool
+	refOnce sync.Once
+	ref     *Reduction
 
 	subOnce sync.Once
 	sub     *petri.Subnet
@@ -49,13 +57,79 @@ const (
 	opAllSourceInputs
 )
 
+// LazyReduction is Reduce(n, alloc) deferred: the reduction algorithm runs
+// when an accessor first needs the kept sets or the removal log. The
+// engine attaches one to every cycle it rebuilds from a cached schedule,
+// and nothing on its path reads them.
+func LazyReduction(n *petri.Net, alloc *Allocation) *Reduction {
+	return &Reduction{Allocation: alloc, net: n, lazy: true}
+}
+
+// Relabel returns the T-reduction of net under alloc, where net is r's net
+// with every transition t renumbered transPos[t] and every place p
+// renumbered placePos[p] (a petri.CanonicalNet with its CanonicalForm's
+// TransPos and PlacePos) and alloc is r's allocation carried over the same
+// way. The reduction rules are monotone, so their fixpoint does not
+// depend on the order Reduce visits nodes in: the kept sets carry over
+// unchanged (TestRelabelMatchesReduce) and are relabelled in O(nodes)
+// without running Reduce. Steps, which lists removals in the order Reduce
+// visits them on net, runs Reduce on first use.
+func (r *Reduction) Relabel(net *petri.Net, alloc *Allocation, transPos, placePos []int) *Reduction {
+	src := r.kept()
+	out := &Reduction{
+		Allocation: alloc,
+		net:        net,
+		keptT:      petri.NewNodeSet(net.NumTransitions()),
+		keptP:      petri.NewNodeSet(net.NumPlaces()),
+		numT:       src.numT,
+		numP:       src.numP,
+		lazy:       true,
+	}
+	for t, pos := range transPos {
+		if src.keptT.Has(t) {
+			out.keptT.Add(pos)
+		}
+	}
+	for p, pos := range placePos {
+		if src.keptP.Has(p) {
+			out.keptP.Add(pos)
+		}
+	}
+	return out
+}
+
+// reduced returns what Reduce(r's net, r.Allocation) returns: r itself,
+// unless r is lazy.
+func (r *Reduction) reduced() *Reduction {
+	if !r.lazy {
+		return r
+	}
+	r.refOnce.Do(func() { r.ref = Reduce(r.net, r.Allocation) })
+	return r.ref
+}
+
+// kept returns the reduction holding r's kept sets: r itself unless r is
+// a LazyReduction. The kept-set fields are written only by constructors,
+// so testing them needs no synchronisation.
+func (r *Reduction) kept() *Reduction {
+	if r.keptT != nil {
+		return r
+	}
+	return r.reduced()
+}
+
+// name is the reduction's subnet name, "net/p1→t2, p5→t9", as diagnoses
+// print it.
+func (r *Reduction) name() string {
+	return r.net.Name() + "/" + r.Allocation.describe(r.net)
+}
+
 // Subnet materialises the induced conflict-free subnet with parent index
 // maps, computing it on first use and memoising it for the reduction's
 // lifetime (safe for concurrent use).
 func (r *Reduction) Subnet() *petri.Subnet {
 	r.subOnce.Do(func() {
-		r.sub = r.net.InducedSubnet(r.net.Name()+"/"+r.Allocation.describe(r.net),
-			r.KeptTransitions(), r.KeptPlaces())
+		r.sub = r.net.InducedSubnet(r.name(), r.KeptTransitions(), r.KeptPlaces())
 	})
 	return r.sub
 }
@@ -63,8 +137,9 @@ func (r *Reduction) Subnet() *petri.Subnet {
 // Steps renders the removal trace performed by the reduction algorithm, in
 // order (used to reproduce Figure 6).
 func (r *Reduction) Steps() []string {
-	out := make([]string, len(r.steps))
-	for i, s := range r.steps {
+	steps := r.reduced().steps
+	out := make([]string, len(steps))
+	for i, s := range steps {
 		switch s.op {
 		case opRemovePlace:
 			out[i] = "remove " + r.net.PlaceName(petri.Place(s.node))
@@ -80,27 +155,32 @@ func (r *Reduction) Steps() []string {
 }
 
 // KeepsTransition reports whether parent transition t survives.
-func (r *Reduction) KeepsTransition(t petri.Transition) bool { return r.keptT.Has(int(t)) }
+func (r *Reduction) KeepsTransition(t petri.Transition) bool { return r.kept().keptT.Has(int(t)) }
 
 // KeepsPlace reports whether parent place p survives.
-func (r *Reduction) KeepsPlace(p petri.Place) bool { return r.keptP.Has(int(p)) }
+func (r *Reduction) KeepsPlace(p petri.Place) bool { return r.kept().keptP.Has(int(p)) }
 
 // KeptTransitions lists the surviving transitions in parent index order.
+// Position i of the list is transition i of the reduction (and of
+// Subnet()).
 func (r *Reduction) KeptTransitions() []petri.Transition {
-	out := make([]petri.Transition, 0, r.numT)
+	k := r.kept()
+	out := make([]petri.Transition, 0, k.numT)
 	for t := 0; t < r.net.NumTransitions(); t++ {
-		if r.keptT.Has(t) {
+		if k.keptT.Has(t) {
 			out = append(out, petri.Transition(t))
 		}
 	}
 	return out
 }
 
-// KeptPlaces lists the surviving places in parent index order.
+// KeptPlaces lists the surviving places in parent index order. Position i
+// of the list is place i of the reduction (and of Subnet()).
 func (r *Reduction) KeptPlaces() []petri.Place {
-	out := make([]petri.Place, 0, r.numP)
+	k := r.kept()
+	out := make([]petri.Place, 0, k.numP)
 	for p := 0; p < r.net.NumPlaces(); p++ {
-		if r.keptP.Has(p) {
+		if k.keptP.Has(p) {
 			out = append(out, petri.Place(p))
 		}
 	}
@@ -113,9 +193,10 @@ func (r *Reduction) KeptPlaces() []petri.Place {
 // reductions with the same key are duplicates for scheduling purposes.
 func (r *Reduction) TransitionSetKey() string {
 	r.keyOnce.Do(func() {
-		key := make([]byte, 0, r.numT*3)
+		k := r.kept()
+		key := make([]byte, 0, k.numT*3)
 		for t := 0; t < r.net.NumTransitions(); t++ {
-			if r.keptT.Has(t) {
+			if k.keptT.Has(t) {
 				key = strconv.AppendInt(key, int64(t), 10)
 				key = append(key, ',')
 			}
@@ -127,7 +208,7 @@ func (r *Reduction) TransitionSetKey() string {
 
 // KeptTransitionNames lists the surviving transitions by name, for tests.
 func (r *Reduction) KeptTransitionNames(n *petri.Net) []string {
-	out := make([]string, 0, r.numT)
+	out := make([]string, 0, r.kept().numT)
 	for _, t := range r.KeptTransitions() {
 		out = append(out, n.TransitionName(t))
 	}
@@ -136,7 +217,7 @@ func (r *Reduction) KeptTransitionNames(n *petri.Net) []string {
 
 // KeptPlaceNames lists the surviving places by name, for tests.
 func (r *Reduction) KeptPlaceNames(n *petri.Net) []string {
-	out := make([]string, 0, r.numP)
+	out := make([]string, 0, r.kept().numP)
 	for _, p := range r.KeptPlaces() {
 		out = append(out, n.PlaceName(p))
 	}
@@ -168,8 +249,8 @@ func Reduce(n *petri.Net, alloc *Allocation) *Reduction {
 
 // Reducer applies the reduction algorithm repeatedly on one net, reusing
 // the per-net scratch buffers across calls — the exported face of the
-// worklist kernel for sweeps outside this package (internal/engine rebuilds
-// one reduction per cached cycle). Not safe for concurrent use.
+// worklist kernel for sweeps outside this package. Not safe for
+// concurrent use.
 type Reducer struct {
 	rd *reducer
 }

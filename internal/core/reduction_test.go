@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -189,6 +190,58 @@ func TestReductionLazyAccessorsMatchSubnet(t *testing.T) {
 					t.Fatalf("%s: KeepsPlace(%v)=%v, subnet says %v", name, p, red.KeepsPlace(p), ok)
 				}
 			}
+		}
+	}
+}
+
+func TestLazyReductionMatchesReduce(t *testing.T) {
+	// A LazyReduction runs the reduction algorithm only when an accessor
+	// needs it, and then every accessor returns what Reduce returns.
+	for name, n := range equivalenceCorpus(t) {
+		allocs, err := EnumerateAllocations(n, 4096)
+		if err != nil {
+			continue
+		}
+		for _, a := range allocs {
+			got, want := LazyReduction(n, a), Reduce(n, a)
+			if got.Subnet().Net.Name() != want.Subnet().Net.Name() {
+				t.Fatalf("%s: subnet name %q, want %q", name, got.Subnet().Net.Name(), want.Subnet().Net.Name())
+			}
+			if !slices.Equal(got.KeptTransitions(), want.KeptTransitions()) ||
+				!slices.Equal(got.KeptPlaces(), want.KeptPlaces()) ||
+				got.TransitionSetKey() != want.TransitionSetKey() ||
+				!slices.Equal(got.Steps(), want.Steps()) {
+				t.Fatalf("%s: lazy reduction keeps %v, Reduce keeps %v", name, got.KeptTransitionNames(n), want.KeptTransitionNames(n))
+			}
+			for tr := petri.Transition(0); int(tr) < n.NumTransitions(); tr++ {
+				if got.KeepsTransition(tr) != want.KeepsTransition(tr) {
+					t.Fatalf("%s: KeepsTransition(%v) differs", name, tr)
+				}
+			}
+			for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
+				if got.KeepsPlace(p) != want.KeepsPlace(p) {
+					t.Fatalf("%s: KeepsPlace(%v) differs", name, p)
+				}
+			}
+		}
+	}
+	// Exporting a schedule and sizing its buffers read only the
+	// allocation, so they leave lazy reductions unreduced.
+	n := figures.Figure5()
+	s, err := Solve(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range s.Cycles {
+		s.Cycles[i].Reduction = LazyReduction(n, c.Reduction.Allocation)
+	}
+	s.Export()
+	if _, err := s.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range s.Cycles {
+		if c.Reduction.ref != nil {
+			t.Fatal("exporting a schedule ran the reduction algorithm")
 		}
 	}
 }

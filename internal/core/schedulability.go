@@ -58,52 +58,49 @@ func CheckReduction(n *petri.Net, red *Reduction, opt Options) *ReductionReport 
 // check. The zero value means "from scratch" — exactly CheckReduction.
 type checkAids struct {
 	// parentTIs are the parent net's minimal T-semiflows; when haveParent
-	// is set the check first derives the subnet's invariants by exact
-	// restriction (invariant.RestrictTInvariants), falling back to the
-	// from-scratch Farkas run when the reduction's shape makes restriction
-	// inexact.
+	// is set the check restricts them to the reduction
+	// (invariant.RestrictToKept) instead of running Farkas on its subnet.
+	// The restriction is exact for every T-reduction of a net that passes
+	// Validate (docs/ALGORITHM.md §6).
 	parentTIs  []invariant.TInvariant
 	haveParent bool
 }
 
-// subnetInvariants resolves a reduction's minimal T-semiflows: restricted
-// from the parent when the reduction is restriction-exact, from scratch
-// otherwise. Both produce identical output (the byte-identity invariant of
-// the sweep); the core/semiflow/* counters record which path ran so the
-// restriction fallback rate stays visible in traces.
-func subnetInvariants(n *petri.Net, red *Reduction, opt Options, aids checkAids) ([]invariant.TInvariant, error) {
+// reductionInvariants resolves a reduction's minimal T-semiflows, in
+// reduction indices (position in kept): restricted from the parent's when
+// the sweep has them, otherwise from a Farkas run on the reduction's
+// subnet — the paper's unoptimised reference. Both produce identical
+// output (TestSweepPathsByteIdentical).
+func reductionInvariants(red *Reduction, kept []petri.Transition, opt Options, aids checkAids) ([]invariant.TInvariant, error) {
 	if aids.haveParent {
-		if tis, ok := invariant.RestrictTInvariants(n, red.Subnet(), aids.parentTIs); ok {
-			opt.Trace.Add("core/semiflow/restricted", 1)
-			return tis, nil
-		}
-		opt.Trace.Add("core/semiflow/full", 1)
+		opt.Trace.Add("core/semiflow/restricted", 1)
+		return invariant.RestrictToKept(aids.parentTIs, kept), nil
 	}
 	// Subnet T-semiflows are computed directly, bypassing opt.Semiflows:
 	// keying the content-addressed cache costs a canonical-form computation
 	// per fresh reduction subnet, and phase traces showed that costing more
-	// than the (int64 fast path) Farkas runs it saves. Whole-net Solve
-	// results are memoised one level up by internal/engine, so warm
-	// analyses never reach this code anyway.
+	// than the (int64 fast path) Farkas runs it saves.
 	return invariant.TInvariants(red.Subnet().Net, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace})
 }
 
+// checkReduction is the Definition 3.5 check of one reduction, run on the
+// parent net over the reduction's kept sets. Reduction index i is parent
+// transition kept[i], the order of the reduction's induced subnet, so the
+// report's index spaces and diagnoses are those of a check on the subnet.
 func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *ReductionReport {
 	report := &ReductionReport{Reduction: red}
 
 	// Deadline checkpoint: once the job is cancelled the remaining checks
-	// of the sweep degrade to stubs — before the subnet is even
-	// materialised; SolveReductions surfaces the cancellation instead of
-	// any stub verdict.
+	// of the sweep degrade to stubs; SolveReductions surfaces the
+	// cancellation instead of any stub verdict.
 	if err := opt.cancelled(); err != nil {
 		report.FailReason = err.Error()
 		report.Cause = err
 		return report
 	}
-	rsub := red.Subnet()
-	sub := rsub.Net
+	kept := red.KeptTransitions()
 
-	tis, err := subnetInvariants(n, red, opt, aids)
+	tis, err := reductionInvariants(red, kept, opt, aids)
 	if err != nil {
 		report.FailReason = fmt.Sprintf("invariant computation failed: %v", err)
 		report.Cause = err
@@ -111,31 +108,29 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	}
 	report.Invariants = tis
 
-	// (1) Consistency of the reduction.
-	for _, t := range invariant.UncoveredTransitions(sub, tis) {
-		report.Uncovered = append(report.Uncovered, rsub.ToParentTransition(t))
-	}
-	report.Consistent = len(report.Uncovered) == 0 && sub.NumTransitions() > 0
-
-	// (2) Every surviving source transition of N in some invariant.
-	report.SourcesCovered = true
-	for _, src := range n.SourceTransitions() {
-		st, kept := rsub.FromParentTransition(src)
-		if !kept {
-			// The reduction algorithm never removes sources; a missing
-			// source would be a structural anomaly worth reporting.
-			report.SourcesCovered = false
-			report.MissingSources = append(report.MissingSources, src)
-			continue
-		}
-		found := false
-		for _, ti := range tis {
-			if ti.Contains(st) {
-				found = true
-				break
+	// (1) Consistency of the reduction: every kept transition in some
+	// invariant.
+	covered := petri.NewNodeSet(n.NumTransitions())
+	for _, ti := range tis {
+		for i, c := range ti.Counts {
+			if c > 0 {
+				covered.Add(int(kept[i]))
 			}
 		}
-		if !found {
+	}
+	for _, t := range kept {
+		if !covered.Has(int(t)) {
+			report.Uncovered = append(report.Uncovered, t)
+		}
+	}
+	report.Consistent = len(report.Uncovered) == 0 && len(kept) > 0
+
+	// (2) Every surviving source transition of N in some invariant. The
+	// reduction algorithm never removes sources; a missing source would be
+	// a structural anomaly worth reporting.
+	report.SourcesCovered = true
+	for _, src := range n.SourceTransitions() {
+		if !red.KeepsTransition(src) || !covered.Has(int(src)) {
 			report.SourcesCovered = false
 			report.MissingSources = append(report.MissingSources, src)
 		}
@@ -143,12 +138,12 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 
 	if !report.Consistent {
 		report.FailReason = fmt.Sprintf("T-reduction %q is not consistent: transitions %s are in no T-invariant",
-			sub.Name(), transitionNames(n, report.Uncovered))
+			red.name(), transitionNames(n, report.Uncovered))
 		return report
 	}
 	if !report.SourcesCovered {
 		report.FailReason = fmt.Sprintf("T-reduction %q covers no T-invariant for source transitions %s",
-			sub.Name(), transitionNames(n, report.MissingSources))
+			red.name(), transitionNames(n, report.MissingSources))
 		return report
 	}
 
@@ -160,13 +155,13 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	// count vector to the cycle search — findCompleteCycle only certifies
 	// the counts it is given, so a partial vector could otherwise yield a
 	// "schedulable" verdict from a cycle missing transitions.
-	counts, uncoveredByGreedy := coveringCombination(tis, sub.NumTransitions())
+	counts, uncoveredByGreedy := coveringCombination(tis, len(kept))
 	if len(uncoveredByGreedy) > 0 {
-		for _, t := range uncoveredByGreedy {
-			report.Uncovered = append(report.Uncovered, rsub.ToParentTransition(t))
+		for _, i := range uncoveredByGreedy {
+			report.Uncovered = append(report.Uncovered, kept[i])
 		}
 		report.FailReason = fmt.Sprintf("T-reduction %q has no covering T-invariant combination: transitions %s stay uncovered",
-			sub.Name(), transitionNames(n, report.Uncovered))
+			red.name(), transitionNames(n, report.Uncovered))
 		report.Cause = ErrIncompleteCover
 		return report
 	}
@@ -175,14 +170,14 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	// (3) Deadlock-free simulation realising the covering counts and
 	// returning to the initial marking.
 	sp := opt.Trace.StartDetail("core/cycle")
-	seq, simErr := findCompleteCycle(opt.Ctx, sub, report.CoveringCounts, opt.maxCycleLength())
+	seq, simErr := findCompleteCycle(opt.Ctx, n, kept, red.kept().keptP, report.CoveringCounts, opt.maxCycleLength())
 	sp.End()
 	if simErr != nil {
-		report.FailReason = fmt.Sprintf("T-reduction %q deadlocks: %v", sub.Name(), simErr)
+		report.FailReason = fmt.Sprintf("T-reduction %q deadlocks: %v", red.name(), simErr)
 		report.Cause = simErr
 		return report
 	}
-	report.Cycle = rsub.MapSequenceToParent(seq)
+	report.Cycle = seq
 	report.Schedulable = true
 	return report
 }

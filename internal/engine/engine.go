@@ -491,7 +491,8 @@ type cachedCycle struct {
 //
 // fresh, when non-nil, carries the twin and the distinct-reduction set
 // reductions() already enumerated on it this job: the miss path sweeps
-// that set directly instead of re-enumerating. Nil — the warm path, or a
+// that set directly instead of re-enumerating, restricting the net's
+// T-semiflows when the report computed them. Nil — the warm path, or a
 // caller without the set — rebuilds the twin and solves from scratch.
 func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, fresh *twinReds, tr *trace.Tracer) (*core.Schedule, error) {
 	v, err := e.cache.getOrCompute(schedKey(cf.Hash), func() (any, error) {
@@ -501,10 +502,14 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 		}
 		var s *core.Schedule
 		var err error
-		if tw.reds != nil && !e.cfg.Core.KeepDuplicateReductions {
-			s, err = core.SolveReductions(tw.net, tw.reds, e.coreOpts(ctx, tr))
-		} else {
+		switch {
+		case tw.reds == nil || e.cfg.Core.KeepDuplicateReductions:
 			s, err = core.Solve(tw.net, e.coreOpts(ctx, tr))
+		case tw.tis != nil:
+			tis := invariant.RelabelTInvariants(tw.tis, cf.TransPos)
+			s, err = core.SolveReductionsWithSemiflows(tw.net, tw.reds, tis, e.coreOpts(ctx, tr))
+		default:
+			s, err = core.SolveReductions(tw.net, tw.reds, e.coreOpts(ctx, tr))
 		}
 		if err != nil {
 			return nil, err
@@ -525,12 +530,16 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 	return rebuildSchedule(n, cf, cs)
 }
 
-// twinReds carries a freshly enumerated distinct-reduction set together
-// with the canonical twin net it was enumerated on, for hand-off from
-// reductions() to schedule() within one cold job.
+// twinReds carries a freshly enumerated distinct-reduction set, mapped
+// onto the canonical twin net, for hand-off from reductions() to
+// schedule() within one cold job.
 type twinReds struct {
 	net  *petri.Net
 	reds []*core.Reduction
+	// tis are the job's net's minimal T-semiflows from the report's
+	// invariant/tsemiflows stage, in the net's own transition order; nil
+	// when that stage failed.
+	tis []invariant.TInvariant
 }
 
 // identityForm is the canonical form of a canonical twin: the twin is
@@ -581,10 +590,11 @@ func toCachedSchedule(cf *petri.CanonicalForm, s *core.Schedule) *cachedSchedule
 }
 
 // rebuildSchedule maps a canonical-space payload into n's index space.
-// The per-cycle Reduce below recomputes what the solver already derived
-// on the twin, but in *local* space; Reduce is deterministic in the
-// allocation, so every member of the isomorphism class rebuilds the same
-// schedule from the same payload.
+// Each cycle carries its allocation as a core.LazyReduction: nothing on
+// the engine's path reads a rebuilt cycle's kept sets, so the reduction
+// algorithm runs only if a caller asks for them. Reduce is deterministic
+// in the allocation, so every member of the isomorphism class rebuilds
+// the same schedule from the same payload.
 func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, cs *cachedSchedule) (*core.Schedule, error) {
 	clusters := n.FreeChoiceSets()
 	clusterOf := map[petri.Place]int{}
@@ -595,7 +605,6 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, cs *cachedSchedule) 
 	}
 	count, saturated := core.CountAllocationsSat(n)
 	sched := &core.Schedule{Net: n, AllocationCount: count, AllocationCountSaturated: saturated}
-	rd := core.NewReducer(n)
 	for _, cc := range cs.cycles {
 		seq := make([]petri.Transition, len(cc.seq))
 		for j, pos := range cc.seq {
@@ -614,26 +623,25 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, cs *cachedSchedule) 
 			}
 			chosen[ci] = t
 		}
-		red := rd.Reduce(&core.Allocation{Clusters: clusters, Chosen: chosen})
 		sched.Cycles = append(sched.Cycles, core.Cycle{
 			Sequence:  seq,
 			Counts:    n.FiringCount(seq),
-			Reduction: red,
+			Reduction: core.LazyReduction(n, &core.Allocation{Clusters: clusters, Chosen: chosen}),
 		})
 	}
 	return sched, nil
 }
 
-// mapReductionsToTwin re-derives each distinct reduction on the
+// mapReductionsToTwin carries each distinct reduction over to the
 // canonical twin: the allocation translates through the canonical
-// permutation and Reduce — deterministic in (net, allocation) — rebuilds
-// the subnet in twin space. Sorting by twin transition-set key then makes
-// the solver's input depend only on the isomorphism class.
+// permutation and the kept sets are relabelled (Reduction.Relabel), with
+// no second run of the reduction algorithm. Sorting by twin
+// transition-set key then makes the solver's input depend only on the
+// isomorphism class.
 //
 // Enumerating directly on the twin would also work, but the lazy
 // branching search's cost is sensitive to cluster index order (up to ~4x
-// more Reduce calls on some nets under the canonical order); mapping
-// costs exactly one Reduce per distinct reduction.
+// more Reduce calls on some nets under the canonical order).
 func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.Reduction) []*core.Reduction {
 	clusters := twin.FreeChoiceSets()
 	clusterOf := map[petri.Place]int{}
@@ -643,7 +651,6 @@ func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.
 		}
 	}
 	out := make([]*core.Reduction, len(reds))
-	rd := core.NewReducer(twin)
 	for i, r := range reds {
 		chosen := make([]petri.Transition, len(clusters))
 		for k, c := range clusters {
@@ -654,7 +661,7 @@ func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.
 			ci := clusterOf[petri.Place(cf.PlacePos[cluster.Places[0]])]
 			chosen[ci] = petri.Transition(cf.TransPos[la.Chosen[k]])
 		}
-		out[i] = rd.Reduce(&core.Allocation{Clusters: clusters, Chosen: chosen})
+		out[i] = r.Relabel(twin, &core.Allocation{Clusters: clusters, Chosen: chosen}, cf.TransPos, cf.PlacePos)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		return out[a].TransitionSetKey() < out[b].TransitionSetKey()
@@ -956,6 +963,9 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 
 	sp = tr.Start("core/reduce")
 	rows, fresh, err := e.reductions(ctx, n, cf)
+	if fresh != nil {
+		fresh.tis = tis
+	}
 	if err != nil {
 		if cerr := ctxCause(ctx); cerr != nil {
 			sp.End()

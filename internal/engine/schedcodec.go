@@ -3,7 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // schedCacheVersion tags the wire format of the schedule layer's cache
@@ -32,50 +32,44 @@ func schedKey(hash string) string {
 func encodeSchedule(cs *cachedSchedule) []byte {
 	buf := []byte{schedCacheVersion}
 	buf = binary.AppendUvarint(buf, uint64(len(cs.cycles)))
+	var kept []int
 	for _, cc := range cs.cycles {
-		kept := keptSet(cc)
-		keptIdx := make(map[int]int, len(kept))
+		kept = keptSet(kept[:0], cc)
 		buf = binary.AppendUvarint(buf, uint64(len(kept)))
 		prev := 0
-		for i, pos := range kept {
+		for _, pos := range kept {
 			buf = binary.AppendUvarint(buf, uint64(pos-prev))
 			prev = pos
-			keptIdx[pos] = i
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(cc.seq)))
 		for _, pos := range cc.seq {
-			buf = binary.AppendUvarint(buf, uint64(keptIdx[pos]))
+			i, _ := slices.BinarySearch(kept, pos)
+			buf = binary.AppendUvarint(buf, uint64(i))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(cc.choices)))
 		prev = 0
 		for _, pair := range cc.choices {
 			buf = binary.AppendUvarint(buf, uint64(pair[0]-prev))
 			prev = pair[0]
-			buf = binary.AppendUvarint(buf, uint64(keptIdx[pair[1]]))
+			i, _ := slices.BinarySearch(kept, pair[1])
+			buf = binary.AppendUvarint(buf, uint64(i))
 		}
 	}
 	return buf
 }
 
-// keptSet returns the sorted distinct canonical transition positions a
-// cycle references: its firing sequence plus every chosen transition.
-// The chosen transitions are normally a subset of the sequence (the
-// covering T-invariant fires every kept transition), but the union keeps
-// the codec correct for any payload.
-func keptSet(cc cachedCycle) []int {
-	seen := map[int]bool{}
-	for _, pos := range cc.seq {
-		seen[pos] = true
-	}
+// keptSet appends to dst the sorted distinct canonical transition
+// positions a cycle references: its firing sequence plus every chosen
+// transition. The chosen transitions are normally a subset of the
+// sequence (the covering T-invariant fires every kept transition), but
+// the union keeps the codec correct for any payload.
+func keptSet(dst []int, cc cachedCycle) []int {
+	dst = append(dst, cc.seq...)
 	for _, pair := range cc.choices {
-		seen[pair[1]] = true
+		dst = append(dst, pair[1])
 	}
-	kept := make([]int, 0, len(seen))
-	for pos := range seen {
-		kept = append(kept, pos)
-	}
-	sort.Ints(kept)
-	return kept
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // decodeSchedule parses an encodeSchedule payload, validating the

@@ -194,26 +194,6 @@ func Conservative(n *petri.Net, pis []PInvariant) bool {
 	return n.NumPlaces() > 0
 }
 
-// UncoveredTransitions lists the transitions not contained in any of the
-// given T-invariants: the witnesses of inconsistency.
-func UncoveredTransitions(n *petri.Net, tis []TInvariant) []petri.Transition {
-	covered := make([]bool, n.NumTransitions())
-	for _, ti := range tis {
-		for t, c := range ti.Counts {
-			if c > 0 {
-				covered[t] = true
-			}
-		}
-	}
-	var out []petri.Transition
-	for t, c := range covered {
-		if !c {
-			out = append(out, petri.Transition(t))
-		}
-	}
-	return out
-}
-
 // IsTInvariant verifies fᵀ·D = 0 directly for an arbitrary firing-count
 // vector (not necessarily minimal).
 func IsTInvariant(n *petri.Net, counts []int) bool {
@@ -231,6 +211,26 @@ func IsTInvariant(n *petri.Net, counts []int) bool {
 		}
 	}
 	return true
+}
+
+// RelabelTInvariants carries minimal T-semiflows over to an isomorphic
+// net whose transition pos[t] is transition t of the net they were
+// computed on, and sorts them into the order TInvariants guarantees. The
+// result is what TInvariants returns on that net: isomorphic nets have
+// corresponding minimal semiflows, so only the sort has to be redone.
+func RelabelTInvariants(tis []TInvariant, pos []int) []TInvariant {
+	out := make([]TInvariant, len(tis))
+	buf := make([]int, len(tis)*len(pos))
+	for i, ti := range tis {
+		counts := buf[:len(pos):len(pos)]
+		buf = buf[len(pos):]
+		for t, c := range ti.Counts {
+			counts[pos[t]] = c
+		}
+		out[i] = TInvariant{Counts: counts}
+	}
+	sortTInvariants(out)
+	return out
 }
 
 func sortTInvariants(tis []TInvariant) {

@@ -115,10 +115,6 @@ func TestInconsistentNet(t *testing.T) {
 	if Consistent(n, tis) {
 		t.Fatal("net must be inconsistent")
 	}
-	un := UncoveredTransitions(n, tis)
-	if len(un) != 1 || un[0] != tr {
-		t.Fatalf("UncoveredTransitions = %v", un)
-	}
 }
 
 func TestTInvariantHelpers(t *testing.T) {

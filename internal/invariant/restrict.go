@@ -4,6 +4,7 @@ import "fcpn/internal/petri"
 
 // RestrictTInvariants derives the minimal T-semiflows of an induced subnet
 // from the parent net's minimal T-semiflows, without running Farkas again.
+// It is the checked wrapper around RestrictToKept.
 //
 // It is exact precisely when every place adjacent to a kept transition is
 // kept. Under that condition extension-by-zero maps every subnet semiflow
@@ -20,9 +21,9 @@ import "fcpn/internal/petri"
 // transition still reads or writes — a place equation disappears, the
 // subnet's semiflow cone can strictly grow, and the restricted set may be
 // both incomplete and non-minimal. ok is then false and the caller must
-// fall back to the from-scratch computation. (The QSS Hack reduction hits
-// this through rule 2(c): removing a transition also removes its source
-// input places, which may still feed a surviving consumer.)
+// compute the subnet's semiflows from scratch. No T-reduction of a net
+// that passes Validate is such a subnet (the proof is in
+// docs/ALGORITHM.md §6); arbitrary induced subnets can be.
 func RestrictTInvariants(parent *petri.Net, sub *petri.Subnet, parentTIs []TInvariant) ([]TInvariant, bool) {
 	for _, t := range sub.ParentTransition {
 		for _, a := range parent.Pre(t) {
@@ -36,26 +37,56 @@ func RestrictTInvariants(parent *petri.Net, sub *petri.Subnet, parentTIs []TInva
 			}
 		}
 	}
-	out := make([]TInvariant, 0, len(parentTIs))
-	numT := sub.Net.NumTransitions()
-	for _, ti := range parentTIs {
-		counts := make([]int, numT)
-		kept := true
-		for t, c := range ti.Counts {
-			if c == 0 {
-				continue
-			}
-			st, ok := sub.FromParentTransition(petri.Transition(t))
-			if !ok {
-				kept = false
-				break
-			}
-			counts[st] = c
-		}
-		if kept {
-			out = append(out, TInvariant{Counts: counts})
+	return RestrictToKept(parentTIs, sub.ParentTransition), true
+}
+
+// RestrictToKept is the restriction kernel: it keeps the semiflows whose
+// support lies inside kept (parent transitions, ascending) and renumbers
+// each to kept's positions, so entry i of a result counts kept[i]. It does
+// not check exactness; RestrictTInvariants does, and the QSS sweep relies
+// on every T-reduction being restriction-exact.
+//
+// Order is preserved: restriction drops only entries that are zero in
+// every kept semiflow, so parent semiflows in TInvariants order restrict
+// to a list in TInvariants order. The results share one backing array.
+func RestrictToKept(parentTIs []TInvariant, kept []petri.Transition) []TInvariant {
+	inside := make([]bool, len(parentTIs))
+	n := 0
+	for i, ti := range parentTIs {
+		if inside[i] = supportWithin(ti.Counts, kept); inside[i] {
+			n++
 		}
 	}
-	sortTInvariants(out)
-	return out, true
+	out := make([]TInvariant, 0, n)
+	buf := make([]int, n*len(kept))
+	for i, ti := range parentTIs {
+		if !inside[i] {
+			continue
+		}
+		counts := buf[:len(kept):len(kept)]
+		buf = buf[len(kept):]
+		for j, t := range kept {
+			counts[j] = ti.Counts[t]
+		}
+		out = append(out, TInvariant{Counts: counts})
+	}
+	return out
+}
+
+// supportWithin reports whether every non-zero entry of counts is at an
+// index in kept (ascending).
+func supportWithin(counts []int, kept []petri.Transition) bool {
+	j := 0
+	for t, c := range counts {
+		if c == 0 {
+			continue
+		}
+		for j < len(kept) && int(kept[j]) < t {
+			j++
+		}
+		if j == len(kept) || int(kept[j]) != t {
+			return false
+		}
+	}
+	return true
 }
