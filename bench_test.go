@@ -148,27 +148,6 @@ func BenchmarkATMSchedule(b *testing.B) {
 	b.ReportMetric(float64(tasks), "tasks")
 }
 
-// BenchmarkReduceSweep isolates the reduction kernel on the atmserver
-// sweep: every allocation of the ATM net (the full 2048-point product)
-// through one shared Reducer, the way EnumerateDistinctReductions drives
-// it. -benchmem makes the worklist kernel's allocation profile visible.
-func BenchmarkReduceSweep(b *testing.B) {
-	m := atm.New()
-	allocs, err := core.EnumerateAllocations(m.Net, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(len(allocs)), "allocations")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd := core.NewReducer(m.Net)
-		for _, a := range allocs {
-			rd.Reduce(a)
-		}
-	}
-}
-
 // BenchmarkSolveReductions times the Definition 3.5 sweep the engine runs
 // on an enumerated reduction set — the parent's T-semiflows restricted to
 // each distinct reduction, then the cycle search — on the ATM server and

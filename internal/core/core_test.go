@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"fcpn/internal/figures"
+	"fcpn/internal/invariant"
 	"fcpn/internal/petri"
 )
 
@@ -275,6 +278,130 @@ func TestFigure7Reductions(t *testing.T) {
 		report := CheckReduction(n, red, Options{})
 		if report.Schedulable || report.Consistent {
 			t.Fatalf("reduction %s must be inconsistent: %+v", chosen, report)
+		}
+	}
+}
+
+// partialCoverNet is inconsistent under both allocations, yet each
+// reduction keeps the T-invariant s2 y, so its diagnosis names only some of
+// the kept transitions. Each reduction removes a transition (b or a)
+// indexed before s2 and y, so the covered transitions have different
+// reduction and parent indices: a witness list built in the wrong index
+// space names different transitions.
+func partialCoverNet() *petri.Net {
+	b := petri.NewBuilder("partial")
+	ta := b.Transition("a")
+	x := b.Transition("x")
+	s1 := b.Transition("s1")
+	tb := b.Transition("b")
+	j := b.Transition("j")
+	s2 := b.Transition("s2")
+	y := b.Transition("y")
+	qa := b.Place("qa")
+	qj := b.Place("qj")
+	pc := b.Place("pc")
+	qb := b.Place("qb")
+	r := b.Place("r")
+	b.ArcTP(s1, pc)
+	b.Arc(pc, ta)
+	b.Arc(pc, tb)
+	b.ArcTP(ta, qa)
+	b.Arc(qa, x)
+	b.ArcTP(ta, qj)
+	b.Arc(qj, j)
+	b.ArcTP(tb, qb)
+	b.Arc(qb, j)
+	b.ArcTP(s2, r)
+	b.Arc(r, y)
+	return b.Build()
+}
+
+// chainNet is the one-place chain p → t: t can never fire, so its only
+// reduction has no T-invariant and t is the inconsistency witness.
+func chainNet() *petri.Net {
+	b := petri.NewBuilder("inconsistent")
+	p := b.Place("p")
+	tr := b.Transition("t")
+	b.Arc(p, tr)
+	return b.Build()
+}
+
+// TestInconsistencyDiagnosisGolden pins each inconsistent reduction's
+// witnesses (Uncovered, in parent transitions), its invariants (in
+// reduction indices) and its full diagnosis, on the sweep's kept-set path
+// and on the from-scratch path, and pins what Solve reports.
+func TestInconsistencyDiagnosisGolden(t *testing.T) {
+	type golden struct {
+		invariants [][]int
+		uncovered  []string
+		reason     string
+	}
+	// Recorded from the subnet-based check.
+	for _, tc := range []struct {
+		n    *petri.Net
+		want map[string]golden // by chosen transitions
+		diag string            // the reduction Solve diagnoses
+	}{
+		{partialCoverNet(), map[string]golden{
+			"a": {[][]int{{0, 0, 0, 0, 1, 1}}, []string{"a", "x", "s1", "j"},
+				`T-reduction "partial/pc→a" is not consistent: transitions {a, x, s1, j} are in no T-invariant`},
+			"b": {[][]int{{0, 0, 0, 1, 1}}, []string{"s1", "b", "j"},
+				`T-reduction "partial/pc→b" is not consistent: transitions {s1, b, j} are in no T-invariant`},
+		}, "a"},
+		{chainNet(), map[string]golden{
+			"": {nil, []string{"t"},
+				`T-reduction "inconsistent/" is not consistent: transitions {t} are in no T-invariant`},
+		}, ""},
+	} {
+		n := tc.n
+		check := func(what string, r *ReductionReport, w golden) {
+			t.Helper()
+			var invs [][]int
+			for _, ti := range r.Invariants {
+				invs = append(invs, ti.Counts)
+			}
+			if r.Consistent || r.Schedulable {
+				t.Fatalf("%s: reduction must be inconsistent", what)
+			}
+			if !reflect.DeepEqual(invs, w.invariants) {
+				t.Fatalf("%s: Invariants = %v, want %v", what, invs, w.invariants)
+			}
+			if got := names(n, r.Uncovered); !reflect.DeepEqual(got, w.uncovered) {
+				t.Fatalf("%s: Uncovered = %v, want %v", what, got, w.uncovered)
+			}
+			if r.FailReason != w.reason {
+				t.Fatalf("%s: FailReason\n got %q\nwant %q", what, r.FailReason, w.reason)
+			}
+		}
+		parentTIs, err := invariant.TInvariants(n, invariant.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reds, err := EnumerateDistinctReductions(n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reds) != len(tc.want) {
+			t.Fatalf("%s: %d reductions, want %d", n.Name(), len(reds), len(tc.want))
+		}
+		for _, red := range reds {
+			chosen := strings.Join(names(n, red.Allocation.Chosen), " ")
+			w, ok := tc.want[chosen]
+			if !ok {
+				t.Fatalf("%s: unexpected allocation %q", n.Name(), chosen)
+			}
+			for _, aids := range []checkAids{{}, {parentTIs: parentTIs, haveParent: true}} {
+				what := fmt.Sprintf("%s/%s parent=%v", n.Name(), chosen, aids.haveParent)
+				check(what, checkReduction(n, red, Options{}, aids), w)
+			}
+		}
+		for _, opt := range []Options{{}, {KeepDuplicateReductions: true}} {
+			_, err := Solve(n, opt)
+			var nse *NotSchedulableError
+			if !errors.As(err, &nse) {
+				t.Fatalf("%s %+v: err = %v, want NotSchedulableError", n.Name(), opt, err)
+			}
+			check(fmt.Sprintf("%s Solve %+v", n.Name(), opt), nse.Report, tc.want[tc.diag])
 		}
 	}
 }

@@ -247,21 +247,6 @@ func Reduce(n *petri.Net, alloc *Allocation) *Reduction {
 	return newReducer(n).reduce(alloc)
 }
 
-// Reducer applies the reduction algorithm repeatedly on one net, reusing
-// the per-net scratch buffers across calls — the exported face of the
-// worklist kernel for sweeps outside this package. Not safe for
-// concurrent use.
-type Reducer struct {
-	rd *reducer
-}
-
-// NewReducer returns a Reducer for n.
-func NewReducer(n *petri.Net) *Reducer { return &Reducer{rd: newReducer(n)} }
-
-// Reduce is Reduce(n, alloc) on the Reducer's net, without the per-call
-// scratch allocation.
-func (r *Reducer) Reduce(alloc *Allocation) *Reduction { return r.rd.reduce(alloc) }
-
 // reducer holds the reusable per-net state of the reduction algorithm:
 // alive masks, incremental surviving-producer counts and the rule 2(d)
 // worklist. One reducer serves any number of sequential reduce calls on

@@ -247,7 +247,7 @@ func TestLazyReductionMatchesReduce(t *testing.T) {
 }
 
 func TestReduceAllocsPerRun(t *testing.T) {
-	// Regression pin for the worklist kernel: with a shared Reducer, one
+	// Regression pin for the worklist kernel: with a shared reducer, one
 	// reduce call allocates only the Reduction result (struct, two
 	// bitsets, the compact step copy) — no per-call scratch, no subnet, no
 	// step strings. The pin is deliberately loose (the result itself costs
@@ -258,10 +258,10 @@ func TestReduceAllocsPerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := NewReducer(n)
+	rd := newReducer(n)
 	avg := testing.AllocsPerRun(200, func() {
 		for _, a := range allocs {
-			rd.Reduce(a)
+			rd.reduce(a)
 		}
 	})
 	perCall := avg / float64(len(allocs))

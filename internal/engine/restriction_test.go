@@ -79,9 +79,8 @@ func TestEveryReductionRestrictionExact(t *testing.T) {
 		allocs, err := core.EnumerateAllocations(n, 4096)
 		switch {
 		case err == nil:
-			rd := core.NewReducer(n)
 			for _, a := range allocs {
-				reds = append(reds, rd.Reduce(a))
+				reds = append(reds, core.Reduce(n, a))
 			}
 		case errors.Is(err, core.ErrTooManyAllocations):
 			if reds, err = core.EnumerateDistinctReductions(n, 0); err != nil {
