@@ -139,6 +139,7 @@ fuzz:
 	go test -fuzz='FuzzRestrictTInvariants$$' -fuzztime=30s ./internal/invariant/
 	go test -fuzz='FuzzCheckReductionKeptSets$$' -fuzztime=30s ./internal/core/
 	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/
+	go test -fuzz='FuzzEnvelopeSplice$$' -fuzztime=30s ./internal/coord/
 
 examples:
 	go run ./examples/quickstart

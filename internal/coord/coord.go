@@ -15,6 +15,9 @@
 //
 // Mechanisms, in request order:
 //
+//   - a body memo (server.BodyMemo) maps request bytes to their
+//     canonical hash, so a resubmitted body is neither parsed nor hashed
+//     again;
 //   - per-backend health probing (/readyz) drives a three-state circuit
 //     breaker: closed → open after K consecutive failures → half-open
 //     probe → closed on success;
@@ -31,7 +34,11 @@
 //     journal.Merge on boot, re-submits journalled timeout/panic records
 //     (which carry the net source) to a healthy host, and serves stale
 //     journal reports with an explicit degraded marker when every owner
-//     of a prefix is down — never a blind 502 while an answer exists.
+//     of a prefix is down — never a blind 502 while an answer exists;
+//   - a backend's envelope is forwarded as the bytes it sent, with the
+//     routing fields appended; it is decoded only where a field is
+//     needed (the journal, and the first 200 of a hash, which fills the
+//     deflate-compressed stale cache).
 //
 // See docs/SERVICE.md ("The multi-host coordinator") for the topology
 // and the failure-mode table.
@@ -39,7 +46,9 @@ package coord
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -162,11 +171,12 @@ type Coordinator struct {
 	mux      *http.ServeMux
 	start    time.Time
 
-	jw *journal.Writer
+	jw   *journal.Writer
+	memo server.BodyMemo
 
 	mu      sync.RWMutex
-	cache   map[string]json.RawMessage // hash → stale-servable report bytes
-	entries int                        // journal entries folded at boot
+	cache   map[string][]byte // hash → deflated stale-servable report bytes
+	entries int               // journal entries folded at boot
 
 	draining  atomic.Bool
 	probeStop context.CancelFunc
@@ -175,7 +185,7 @@ type Coordinator struct {
 	// Counters (see CounterStats for meanings).
 	cAnalyze, cLookups, cRetries, cHedges, cHedgeWins atomic.Int64
 	cFailovers, cReissues, cDegraded, cUnavailable    atomic.Int64
-	cParseErrors                                      atomic.Int64
+	cParseErrors, cMemoHits, cParses                  atomic.Int64
 }
 
 // New builds the coordinator: journals folded and reissue queued,
@@ -203,7 +213,7 @@ func New(cfg Config) (*Coordinator, error) {
 		bo:    NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.Seed),
 		tr:    trace.New(),
 		start: time.Now(),
-		cache: map[string]json.RawMessage{},
+		cache: map[string][]byte{},
 	}
 	if c.hc == nil {
 		c.hc = &http.Client{Timeout: 2 * time.Minute}
@@ -303,7 +313,7 @@ func (c *Coordinator) foldJournals() ([]journal.Entry, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.cache[hash] = raw
+			c.cache[hash] = deflate(raw)
 		case string(engine.StatusTimeout), string(engine.StatusPanicked):
 			if ent.Net != "" {
 				pending = append(pending, ent)
@@ -426,14 +436,15 @@ type AnalyzeResponse struct {
 type exchange struct {
 	b          *backend
 	code       int
-	env        *server.AnalyzeResponse
+	body       []byte // the backend's envelope, a JSON object, as sent
 	retryAfter time.Duration
 	err        error // transport or torn-body error
 }
 
 // send performs one exchange with a backend and classifies it into the
-// breaker. A torn or non-JSON body is a transient fault: the backend
-// (or the path to it) is garbling, so the breaker hears about it.
+// breaker by its HTTP status. A torn body, or one that is not a valid
+// JSON object, is a transient fault: the backend (or the path to it) is
+// garbling, so the breaker hears about it.
 func (c *Coordinator) send(ctx context.Context, b *backend, method, path string, body []byte) exchange {
 	b.requests.Add(1)
 	var rd *bytes.Reader
@@ -460,8 +471,7 @@ func (c *Coordinator) send(ctx context.Context, b *backend, method, path string,
 		b.recordFailure(c.cfg.BreakerThreshold)
 		return exchange{b: b, err: fmt.Errorf("torn response from %s: %w", b.url, err)}
 	}
-	env := new(server.AnalyzeResponse)
-	if err := json.Unmarshal(raw, env); err != nil {
+	if !jsonObject(raw) {
 		// A non-JSON body on a 5xx is an intermediary speaking (e.g. the
 		// chaos proxy's 502); classify by status. On a 2xx it is garbling.
 		if ClassifyStatus(resp.StatusCode) == ClassTransient {
@@ -478,17 +488,85 @@ func (c *Coordinator) send(ctx context.Context, b *backend, method, path string,
 	default:
 		b.recordSuccess()
 	}
-	return exchange{b: b, code: resp.StatusCode, env: env, retryAfter: RetryAfter(resp)}
+	return exchange{b: b, code: resp.StatusCode, body: raw, retryAfter: RetryAfter(resp)}
 }
 
-// readBody reads a response body, converting short reads against the
-// declared Content-Length (the torn-body fault) into errors.
+// readBody reads a response body, into one buffer of the declared
+// length when the backend declares a plausible one. A short read
+// against the declared Content-Length (the torn-body fault) is an error.
 func readBody(resp *http.Response) ([]byte, error) {
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	if n := resp.ContentLength; n > 0 && n <= 64<<20 {
+		raw := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, raw); err != nil {
+			return nil, err
+		}
+		return raw, nil
 	}
-	return raw, nil
+	return io.ReadAll(resp.Body)
+}
+
+// jsonObject reports whether b is one valid JSON object.
+func jsonObject(b []byte) bool {
+	return json.Valid(b) && bytes.TrimLeft(b, " \t\r\n")[0] == '{'
+}
+
+// splice is the coordinator's reply to a forwarded exchange: the
+// backend's object with the routing fields appended before its closing
+// brace. For a backend body that is the handlers' encoding of a
+// server.AnalyzeResponse, the result is byte for byte the encoding of
+// AnalyzeResponse{AnalyzeResponse: that envelope, Backend: backend,
+// Failover: failover, Hedged: hedged, Attempts: attempts}.
+func splice(body []byte, backend string, failover, hedged bool, attempts int) []byte {
+	body = bytes.TrimRight(body, " \t\r\n")
+	obj := body[:len(body)-1] // without the closing brace
+	out := make([]byte, 0, len(body)+len(backend)+64)
+	out = append(out, obj...)
+	fields := bytes.TrimRight(obj, " \t\r\n")
+	sep := fields[len(fields)-1] != '{' // a field precedes ours
+	field := func(name string) {
+		if sep {
+			out = append(out, ',')
+		}
+		sep = true
+		out = append(out, '"')
+		out = append(out, name...)
+		out = append(out, '"', ':')
+	}
+	if backend != "" {
+		field("backend")
+		out = appendString(out, backend)
+	}
+	if failover {
+		field("failover")
+		out = append(out, "true"...)
+	}
+	if hedged {
+		field("hedged")
+		out = append(out, "true"...)
+	}
+	if attempts != 0 {
+		field("attempts")
+		out = strconv.AppendInt(out, int64(attempts), 10)
+	}
+	return append(out, '}', '\n')
+}
+
+// appendString appends s as a JSON string, exactly as the handlers'
+// encoder writes it: encoding/json with HTML escaping off.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			// Escapes, control bytes and non-ASCII: defer to the encoder.
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetEscapeHTML(false)
+			enc.Encode(s)
+			return append(dst, bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func firstLine(b []byte) string {
@@ -554,7 +632,7 @@ func (c *Coordinator) sendHedged(ctx context.Context, primary *backend, ownerIdx
 
 // analyzeUpstream drives one analyze request through routing, hedging,
 // bounded retries and failover. It returns the winning exchange plus
-// routing metadata; a nil exchange env with err set means the fleet is
+// routing metadata; a nil exchange body with err set means the fleet is
 // exhausted and the caller should degrade.
 func (c *Coordinator) analyzeUpstream(ctx context.Context, hash string, body []byte) (ex exchange, failover, hedged bool, attempts int) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RetryBudget)
@@ -610,16 +688,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// canonicalHash mirrors the server's recover-wrapped hashing.
-func canonicalHash(n *petri.Net) (hash string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("canonicalisation panicked: %v", r)
-		}
-	}()
-	return n.CanonicalHash(), nil
-}
-
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	c.cAnalyze.Add(1)
 	if c.draining.Load() {
@@ -640,7 +708,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := server.ReadBody(w, r, maxBody)
 	if err != nil {
 		c.cParseErrors.Add(1)
 		code := http.StatusBadRequest
@@ -654,56 +722,66 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Terminal-by-construction requests are refused here: no backend
-	// would answer differently, so none should pay for the parse.
-	n, err := petri.Parse(bytes.NewReader(body))
-	if err != nil {
-		c.cParseErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, AnalyzeResponse{
-			AnalyzeResponse: server.AnalyzeResponse{Status: "error", Error: "parse: " + err.Error()},
-		})
-		return
-	}
-	hash, err := canonicalHash(n)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{
-			AnalyzeResponse: server.AnalyzeResponse{Status: string(engine.StatusPanicked), Error: err.Error()},
-		})
-		return
+	// would answer differently, so none should pay for the parse. A body
+	// seen before skips the parse and the canonical form.
+	sum := sha256.Sum256(body)
+	key, hit := c.memo.Lookup(sum)
+	if hit {
+		c.cMemoHits.Add(1)
+	} else {
+		c.cParses.Add(1)
+		if key, _, err = c.memo.Resolve(sum, body); err != nil {
+			if errors.Is(err, server.ErrCanonicalPanic) {
+				writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{
+					AnalyzeResponse: server.AnalyzeResponse{Status: string(engine.StatusPanicked), Error: err.Error()},
+				})
+				return
+			}
+			c.cParseErrors.Add(1)
+			writeJSON(w, http.StatusBadRequest, AnalyzeResponse{
+				AnalyzeResponse: server.AnalyzeResponse{Status: "error", Error: "parse: " + err.Error()},
+			})
+			return
+		}
 	}
 
 	sp := c.tr.Start("coord/route")
-	ex, failover, hedged, attempts := c.analyzeUpstream(r.Context(), hash, body)
+	ex, failover, hedged, attempts := c.analyzeUpstream(r.Context(), key.Hash, body)
 	sp.End()
 
-	if ex.env == nil { // fleet exhausted: degrade or refuse
-		c.serveDegraded(w, hash, ex.err)
+	if ex.body == nil { // fleet exhausted: degrade or refuse
+		c.serveDegraded(w, key.Hash, ex.err)
 		return
 	}
-	resp := AnalyzeResponse{
-		AnalyzeResponse: *ex.env,
-		Backend:         ex.b.url,
-		Failover:        failover,
-		Hedged:          hedged,
-		Attempts:        attempts,
-	}
-	c.journalOutcome(hash, n.Name(), ex.env, string(body))
+	c.journalOutcome(key.Hash, key.Name, ex.code, ex.body, body)
 	if ex.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(int(ex.retryAfter/time.Second)))
 	}
-	writeJSON(w, ex.code, resp)
+	server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.url, failover, hedged, attempts))
+	if ex.code == http.StatusOK && !c.cached(key.Hash) {
+		// A writer that cannot flush sends the reply when the handler
+		// returns; either way the cache fill does not delay it long.
+		_ = http.NewResponseController(w).Flush()
+		c.remember(key.Hash, ex.body)
+	}
 }
 
-// journalOutcome records an analyze outcome in the coordinator journal
-// and the stale-serving cache. Reissueable outcomes keep the net
-// source, exactly like the backends' own journals.
-func (c *Coordinator) journalOutcome(hash, name string, env *server.AnalyzeResponse, src string) {
-	if env.Status == string(engine.StatusOK) && len(env.Report) > 0 {
-		raw := append(json.RawMessage(nil), env.Report...)
-		c.mu.Lock()
-		c.cache[hash] = raw
-		c.mu.Unlock()
-	}
+// journalOutcome records an analyze outcome in the coordinator journal,
+// decoding the backend's envelope only for the outcomes a journal keeps:
+// a report (200), a timeout (504) and a panic, one kind of 500.
+// Reissueable outcomes keep the net source, exactly like the backends'
+// own journals.
+func (c *Coordinator) journalOutcome(hash, name string, code int, body, src []byte) {
 	if c.jw == nil {
+		return
+	}
+	switch code {
+	case http.StatusOK, http.StatusGatewayTimeout, http.StatusInternalServerError:
+	default:
+		return // refusals (parse, quarantine, window) are not ours to journal
+	}
+	env := new(server.AnalyzeResponse)
+	if err := json.Unmarshal(body, env); err != nil {
 		return
 	}
 	ent := journal.Entry{
@@ -719,21 +797,75 @@ func (c *Coordinator) journalOutcome(hash, name string, env *server.AnalyzeRespo
 			ent.Report = rep
 		}
 	case string(engine.StatusTimeout), string(engine.StatusPanicked):
-		ent.Net = src
+		ent.Net = string(src)
 	default:
-		return // refusals (parse, quarantine, window) are not ours to journal
+		return
 	}
 	c.jw.Record(ent)
+}
+
+// staleLevel is the stale cache's deflate level: an entry is written
+// once per hash and read only to serve a degraded answer, so speed wins.
+const staleLevel = flate.BestSpeed
+
+var deflaters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, staleLevel) // fails only for an invalid level
+	return fw
+}}
+
+// deflate compresses a report for the stale cache, into a slice of
+// exactly the compressed size.
+func deflate(raw []byte) []byte {
+	var buf bytes.Buffer
+	fw := deflaters.Get().(*flate.Writer)
+	fw.Reset(&buf)
+	fw.Write(raw)
+	fw.Close()
+	fw.Reset(io.Discard)
+	deflaters.Put(fw)
+	return bytes.Clone(buf.Bytes())
+}
+
+// cached reports whether the stale cache holds a hash.
+func (c *Coordinator) cached(hash string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, ok := c.cache[hash]
+	return ok
+}
+
+// remember fills the stale cache from a hash's first 200: content
+// addressing makes every later answer identical.
+func (c *Coordinator) remember(hash string, body []byte) {
+	var env server.AnalyzeResponse
+	if json.Unmarshal(body, &env) != nil || env.Status != string(engine.StatusOK) || len(env.Report) == 0 {
+		return
+	}
+	z := deflate(env.Report)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.cache[hash]; !ok {
+		c.cache[hash] = z
+	}
+}
+
+// stale inflates a hash's cached report.
+func (c *Coordinator) stale(hash string) (json.RawMessage, bool) {
+	c.mu.RLock()
+	z, ok := c.cache[hash]
+	c.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(z)))
+	return raw, err == nil
 }
 
 // serveDegraded answers from the merged journal cache when no backend
 // can: a stale, explicitly marked report beats a blind 502. With no
 // cached answer the 502 is honest.
 func (c *Coordinator) serveDegraded(w http.ResponseWriter, hash string, cause error) {
-	c.mu.RLock()
-	raw, ok := c.cache[hash]
-	c.mu.RUnlock()
-	if ok {
+	if raw, ok := c.stale(hash); ok {
 		c.cDegraded.Add(1)
 		writeJSON(w, http.StatusOK, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{
@@ -757,6 +889,12 @@ func (c *Coordinator) serveDegraded(w http.ResponseWriter, hash string, cause er
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	c.cLookups.Add(1)
 	hash := r.PathValue("hash")
+	if !server.ValidHash(hash) {
+		// Never pasted into an upstream URL: only a canonical hash can
+		// name a report.
+		unknownReport(w, hash)
+		return
+	}
 	ownerIdx := c.owner(hash)
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RetryBudget)
 	defer cancel()
@@ -772,12 +910,12 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		ex := c.send(ctx, target, http.MethodGet, "/v1/report/"+hash, nil)
 		if !ex.transient() {
-			if ex.code == http.StatusNotFound {
+			if ex.code == http.StatusNotFound || ex.body == nil {
 				// The owner not knowing the hash is authoritative only if
 				// the journal cache agrees.
 				break
 			}
-			writeJSON(w, ex.code, AnalyzeResponse{AnalyzeResponse: *ex.env, Backend: ex.b.url, Failover: fo})
+			server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.url, fo, false, 0))
 			return
 		}
 		last = ex
@@ -786,10 +924,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	c.mu.RLock()
-	raw, ok := c.cache[hash]
-	c.mu.RUnlock()
-	if ok {
+	if raw, ok := c.stale(hash); ok {
 		c.cDegraded.Add(1)
 		writeJSON(w, http.StatusOK, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{
@@ -799,6 +934,10 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	unknownReport(w, hash)
+}
+
+func unknownReport(w http.ResponseWriter, hash string) {
 	writeJSON(w, http.StatusNotFound, AnalyzeResponse{
 		AnalyzeResponse: server.AnalyzeResponse{Hash: hash, Status: "error", Error: "unknown report hash"},
 	})
@@ -842,13 +981,16 @@ func (c *Coordinator) reissueOne(ctx context.Context, ent journal.Entry) {
 	if err != nil {
 		return // a garbled journal line is not worth a request
 	}
-	ex, _, _, _ := c.analyzeUpstream(ctx, ent.Hash, []byte(ent.Net))
-	if ex.env == nil {
+	src := []byte(ent.Net)
+	ex, _, _, _ := c.analyzeUpstream(ctx, ent.Hash, src)
+	if ex.body == nil {
 		return // fleet still down; the record stays pending in the journal
 	}
-	if ex.env.Status == string(engine.StatusOK) {
+	var env server.AnalyzeResponse
+	if json.Unmarshal(ex.body, &env) == nil && env.Status == string(engine.StatusOK) {
 		c.cReissues.Add(1)
-		c.journalOutcome(ent.Hash, n.Name(), ex.env, ent.Net)
+		c.journalOutcome(ent.Hash, n.Name(), ex.code, ex.body, src)
+		c.remember(ent.Hash, ex.body)
 	}
 }
 
@@ -872,6 +1014,10 @@ type CounterStats struct {
 	Analyze       int64 `json:"analyze"`
 	ReportLookups int64 `json:"report_lookups"`
 	ParseErrors   int64 `json:"parse_errors"`
+	// MemoHits counts analyze bodies the body memo recognised, skipping
+	// the parse and the canonical form; Parses counts bodies parsed.
+	MemoHits int64 `json:"memo_hits"`
+	Parses   int64 `json:"parses"`
 	// Retries counts backoff-and-go-again decisions; Failovers counts
 	// requests routed off their owner; Hedges counts second requests
 	// fired, HedgeWins how many answered first.
@@ -906,6 +1052,8 @@ func (c *Coordinator) StatsReport() StatsReport {
 			Analyze:        c.cAnalyze.Load(),
 			ReportLookups:  c.cLookups.Load(),
 			ParseErrors:    c.cParseErrors.Load(),
+			MemoHits:       c.cMemoHits.Load(),
+			Parses:         c.cParses.Load(),
 			Retries:        c.cRetries.Load(),
 			Failovers:      c.cFailovers.Load(),
 			Hedges:         c.cHedges.Load(),

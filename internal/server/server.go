@@ -16,14 +16,21 @@
 // and quarantined hashes are refused with 422 and the recorded reason.
 // Boot replays the journals to warm the report store and re-seed
 // quarantines; Close drains in-flight jobs and flushes the journals.
+//
+// A repeated request is served as bytes: a body memo (BodyMemo) maps the
+// request body to its canonical hash without parsing it again, and the
+// store holds each report's complete hit envelope, written verbatim.
 // See docs/SERVICE.md.
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -69,20 +76,23 @@ type shard struct {
 	journal *journal.Writer
 
 	mu      sync.RWMutex
-	reports map[string]json.RawMessage // canonical hash -> marshalled NetReport
+	reports map[string][]byte // canonical hash -> complete hit envelope
 }
 
-func (sh *shard) lookup(hash string) (json.RawMessage, bool) {
+// lookup returns the stored hit envelope of a hash.
+func (sh *shard) lookup(hash string) ([]byte, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	raw, ok := sh.reports[hash]
-	return raw, ok
+	env, ok := sh.reports[hash]
+	return env, ok
 }
 
-func (sh *shard) store(hash string, raw json.RawMessage) {
+// store keeps a marshalled report as its complete hit envelope.
+func (sh *shard) store(hash string, report []byte) {
+	env := hitEnvelope(hash, sh.id, report)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.reports[hash] = raw
+	sh.reports[hash] = env
 }
 
 func (sh *shard) size() int {
@@ -100,6 +110,7 @@ type Server struct {
 	start  time.Time
 	shards []*shard
 	mux    *http.ServeMux
+	memo   BodyMemo
 
 	draining atomic.Bool
 
@@ -112,6 +123,8 @@ type Server struct {
 	reqLookups     atomic.Int64
 	lookupMisses   atomic.Int64
 	reqParseErrors atomic.Int64
+	reqMemoHits    atomic.Int64
+	reqParses      atomic.Int64
 }
 
 // New builds the service: one engine per shard, journals opened and
@@ -128,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 			id:      i,
 			eng:     eng,
 			slots:   make(chan struct{}, eng.SubmitWindow()),
-			reports: map[string]json.RawMessage{},
+			reports: map[string][]byte{},
 		}
 		s.shards = append(s.shards, sh)
 	}
@@ -287,6 +300,11 @@ type RequestCounters struct {
 	ReportLookups      int64 `json:"report_lookups"`
 	ReportMisses       int64 `json:"report_misses"`
 	ParseErrors        int64 `json:"parse_errors"`
+	// MemoHits counts analyze bodies the body memo recognised, skipping
+	// the parse and the canonical form; Parses counts bodies run through
+	// the parser (memo misses, and memo hits the engine must analyse).
+	MemoHits int64 `json:"memo_hits"`
+	Parses   int64 `json:"parses"`
 }
 
 // ShardStats is one shard's slice of GET /v1/stats: the report-store
@@ -335,18 +353,6 @@ func (s *Server) retryAfterSec() int {
 	return 1
 }
 
-// canonicalHash computes the net's canonical hash, converting a
-// canonicalisation panic into an error so a hostile net cannot kill the
-// handler goroutine.
-func canonicalHash(n *petri.Net) (hash string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("canonicalisation panicked: %v", r)
-		}
-	}()
-	return n.CanonicalHash(), nil
-}
-
 func statusCode(st engine.JobStatus) int {
 	switch st {
 	case engine.StatusOK:
@@ -370,10 +376,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if maxBody <= 0 {
 		maxBody = 1 << 20
 	}
-	// A declared oversize body is refused before any parsing; the
-	// MaxBytesReader below stays as the backstop for chunked or lying
-	// senders (the parser would otherwise report a confusing syntax
-	// error on the truncated line before the limit error surfaces).
+	// A declared oversize body is refused before any parsing; ReadBody's
+	// MaxBytesReader stays as the backstop for chunked or lying senders
+	// (the parser would otherwise report a confusing syntax error on the
+	// truncated line before the limit error surfaces).
 	if r.ContentLength > maxBody {
 		s.reqParseErrors.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, AnalyzeResponse{
@@ -382,22 +388,32 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	n, err := petri.Parse(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := ReadBody(w, r, maxBody)
 	if err != nil {
-		s.reqParseErrors.Add(1)
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
+		// Parse what arrived and then the read error, as a parser reading
+		// the body itself would: a truncated last line can fail first.
+		_, err = petri.Parse(io.MultiReader(bytes.NewReader(body), errReader{err}))
+		s.refuseParse(w, err)
+		return
+	}
+	// A body seen before skips the parse and the canonical form.
+	sum := sha256.Sum256(body)
+	key, hit := s.memo.Lookup(sum)
+	var n *petri.Net
+	if hit {
+		s.reqMemoHits.Add(1)
+	} else {
+		s.reqParses.Add(1)
+		if key, n, err = s.memo.Resolve(sum, body); err != nil {
+			if errors.Is(err, ErrCanonicalPanic) {
+				writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{Status: string(engine.StatusPanicked), Error: err.Error()})
+				return
+			}
+			s.refuseParse(w, err)
+			return
 		}
-		writeJSON(w, code, AnalyzeResponse{Status: "error", Error: "parse: " + err.Error()})
-		return
 	}
-	hash, err := canonicalHash(n)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{Status: string(engine.StatusPanicked), Error: err.Error()})
-		return
-	}
+	hash := key.Hash
 	sh := s.shardFor(hash)
 
 	// Quarantine check before admission: a poisoned hash is refused
@@ -415,14 +431,19 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Content-addressed dedup: any structurally identical net already
 	// analysed (this boot or replayed from the journal) is served from
 	// the store without touching the engine.
-	if raw, ok := sh.lookup(hash); ok {
+	if env, ok := sh.lookup(hash); ok {
 		s.reqHits.Add(1)
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
-			Hash: hash, Cache: "hit", Shard: sh.id,
-			Status: string(engine.StatusOK),
-			Report: raw,
-		})
+		WriteEnvelope(w, http.StatusOK, env)
 		return
+	}
+	if n == nil {
+		// A remembered body with no stored report (its last run failed or
+		// timed out): the engine needs the net itself.
+		s.reqParses.Add(1)
+		if n, err = petri.Parse(bytes.NewReader(body)); err != nil {
+			s.refuseParse(w, err)
+			return
+		}
 	}
 
 	// Admission control: a full submit window refuses instead of
@@ -490,11 +511,27 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, statusCode(res.Status), resp)
 }
 
+// refuseParse answers a body that failed to parse: 413 when the read
+// hit the body limit, 400 otherwise.
+func (s *Server) refuseParse(w http.ResponseWriter, err error) {
+	s.reqParseErrors.Add(1)
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, AnalyzeResponse{Status: "error", Error: "parse: " + err.Error()})
+}
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.reqLookups.Add(1)
 	hash := r.PathValue("hash")
 	sh := s.shardFor(hash)
-	raw, ok := sh.lookup(hash)
+	var env []byte
+	ok := ValidHash(hash)
+	if ok {
+		env, ok = sh.lookup(hash)
+	}
 	if !ok {
 		s.lookupMisses.Add(1)
 		writeJSON(w, http.StatusNotFound, AnalyzeResponse{
@@ -503,11 +540,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, AnalyzeResponse{
-		Hash: hash, Cache: "hit", Shard: sh.id,
-		Status: string(engine.StatusOK),
-		Report: raw,
-	})
+	WriteEnvelope(w, http.StatusOK, env)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -530,6 +563,8 @@ func (s *Server) StatsReport() StatsReport {
 			ReportLookups:      s.reqLookups.Load(),
 			ReportMisses:       s.lookupMisses.Load(),
 			ParseErrors:        s.reqParseErrors.Load(),
+			MemoHits:           s.reqMemoHits.Load(),
+			Parses:             s.reqParses.Load(),
 		},
 	}
 	var busyWeighted float64
