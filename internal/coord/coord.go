@@ -133,6 +133,7 @@ func stateName(s int32) string {
 // backend is one routed host plus its breaker and counters.
 type backend struct {
 	url   string
+	field []byte       // `"backend":<url>`, the member splice appends
 	state atomic.Int32 // stClosed | stOpen | stHalfOpen
 	fails atomic.Int32 // consecutive transient failures
 
@@ -207,6 +208,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = time.Minute
 	}
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = 1 << 20
+	}
 	c := &Coordinator{
 		cfg:   cfg,
 		hc:    cfg.Client,
@@ -219,7 +223,8 @@ func New(cfg Config) (*Coordinator, error) {
 		c.hc = &http.Client{Timeout: 2 * time.Minute}
 	}
 	for _, u := range cfg.Backends {
-		c.backends = append(c.backends, &backend{url: strings.TrimRight(u, "/")})
+		u = strings.TrimRight(u, "/")
+		c.backends = append(c.backends, &backend{url: u, field: backendField(u)})
 	}
 
 	pending, err := c.foldJournals()
@@ -466,7 +471,7 @@ func (c *Coordinator) send(ctx context.Context, b *backend, method, path string,
 		return exchange{b: b, err: err}
 	}
 	defer resp.Body.Close()
-	raw, err := readBody(resp)
+	raw, err := server.ReadAll(resp.Body, resp.ContentLength, c.cfg.MaxBodyBytes)
 	if err != nil {
 		b.recordFailure(c.cfg.BreakerThreshold)
 		return exchange{b: b, err: fmt.Errorf("torn response from %s: %w", b.url, err)}
@@ -491,82 +496,62 @@ func (c *Coordinator) send(ctx context.Context, b *backend, method, path string,
 	return exchange{b: b, code: resp.StatusCode, body: raw, retryAfter: RetryAfter(resp)}
 }
 
-// readBody reads a response body, into one buffer of the declared
-// length when the backend declares a plausible one. A short read
-// against the declared Content-Length (the torn-body fault) is an error.
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n > 0 && n <= 64<<20 {
-		raw := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, raw); err != nil {
-			return nil, err
-		}
-		return raw, nil
-	}
-	return io.ReadAll(resp.Body)
-}
-
 // jsonObject reports whether b is one valid JSON object.
 func jsonObject(b []byte) bool {
 	return json.Valid(b) && bytes.TrimLeft(b, " \t\r\n")[0] == '{'
 }
 
 // splice is the coordinator's reply to a forwarded exchange: the
-// backend's object with the routing fields appended before its closing
-// brace. For a backend body that is the handlers' encoding of a
+// backend's object with the routing members appended before its closing
+// brace. backend is the backend's `"backend":<url>` member (backendField).
+// For a backend body that is the handlers' encoding of a
 // server.AnalyzeResponse, the result is byte for byte the encoding of
-// AnalyzeResponse{AnalyzeResponse: that envelope, Backend: backend,
+// AnalyzeResponse{AnalyzeResponse: that envelope, Backend: url,
 // Failover: failover, Hedged: hedged, Attempts: attempts}.
-func splice(body []byte, backend string, failover, hedged bool, attempts int) []byte {
+func splice(body, backend []byte, failover, hedged bool, attempts int) []byte {
 	body = bytes.TrimRight(body, " \t\r\n")
 	obj := body[:len(body)-1] // without the closing brace
 	out := make([]byte, 0, len(body)+len(backend)+64)
 	out = append(out, obj...)
 	fields := bytes.TrimRight(obj, " \t\r\n")
-	sep := fields[len(fields)-1] != '{' // a field precedes ours
-	field := func(name string) {
+	sep := fields[len(fields)-1] != '{' // a member precedes ours
+	comma := func() {
 		if sep {
 			out = append(out, ',')
 		}
 		sep = true
-		out = append(out, '"')
-		out = append(out, name...)
-		out = append(out, '"', ':')
 	}
-	if backend != "" {
-		field("backend")
-		out = appendString(out, backend)
+	if len(backend) > 0 {
+		comma()
+		out = append(out, backend...)
 	}
 	if failover {
-		field("failover")
-		out = append(out, "true"...)
+		comma()
+		out = append(out, `"failover":true`...)
 	}
 	if hedged {
-		field("hedged")
-		out = append(out, "true"...)
+		comma()
+		out = append(out, `"hedged":true`...)
 	}
 	if attempts != 0 {
-		field("attempts")
+		comma()
+		out = append(out, `"attempts":`...)
 		out = strconv.AppendInt(out, int64(attempts), 10)
 	}
 	return append(out, '}', '\n')
 }
 
-// appendString appends s as a JSON string, exactly as the handlers'
-// encoder writes it: encoding/json with HTML escaping off.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			// Escapes, control bytes and non-ASCII: defer to the encoder.
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			enc.SetEscapeHTML(false)
-			enc.Encode(s)
-			return append(dst, bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+// backendField is the `"backend":<url>` member of a coordinator reply,
+// as the handlers' encoder writes AnalyzeResponse.Backend; empty for an
+// empty url, which the reply omits. New builds it once per backend.
+func backendField(url string) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.Encode(struct {
+		Backend string `json:"backend,omitempty"`
+	}{url})
+	return bytes.Clone(buf.Bytes()[1 : buf.Len()-2]) // without {, }\n
 }
 
 func firstLine(b []byte) string {
@@ -697,9 +682,6 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	maxBody := c.cfg.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
 	if r.ContentLength > maxBody {
 		c.cParseErrors.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, AnalyzeResponse{
@@ -757,7 +739,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if ex.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(int(ex.retryAfter/time.Second)))
 	}
-	server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.url, failover, hedged, attempts))
+	server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.field, failover, hedged, attempts))
 	if ex.code == http.StatusOK && !c.cached(key.Hash) {
 		// A writer that cannot flush sends the reply when the handler
 		// returns; either way the cache fill does not delay it long.
@@ -915,7 +897,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 				// the journal cache agrees.
 				break
 			}
-			server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.url, fo, false, 0))
+			server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.field, fo, false, 0))
 			return
 		}
 		last = ex

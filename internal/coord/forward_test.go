@@ -267,7 +267,7 @@ func TestCoordNonObjectBodyIsGarbled(t *testing.T) {
 		stub.Close()
 	}
 	for _, body := range []string{"{}\n", " { } "} {
-		out := splice([]byte(body), "http://b", false, false, 1)
+		out := splice([]byte(body), backendField("http://b"), false, false, 1)
 		var env AnalyzeResponse
 		if err := json.Unmarshal(out, &env); err != nil || env.Backend != "http://b" || env.Attempts != 1 {
 			t.Errorf("splice(%q) = %q: %v", body, out, err)
@@ -276,8 +276,9 @@ func TestCoordNonObjectBodyIsGarbled(t *testing.T) {
 }
 
 // FuzzEnvelopeSplice: a backend envelope with the routing fields
-// spliced in equals the reference encoding of the coordinator's
-// envelope, for any field strings, numbers and compact report.
+// spliced in, the backend member built by backendField as New builds
+// it, equals the reference encoding of the coordinator's envelope, for
+// any field strings, numbers and compact report.
 func FuzzEnvelopeSplice(f *testing.F) {
 	f.Add("4f2a", "hit", 1, "ok", "", 0, []byte(`{"name":"fig5","schedulable":true}`), "http://127.0.0.1:8080", false, false, 1)
 	f.Add("", "", 0, "error", "shard 0 submit window (1) is full", 1, []byte(nil), "", true, true, 4)
@@ -297,7 +298,7 @@ func FuzzEnvelopeSplice(f *testing.F) {
 			Hash: hash, Cache: cache, Shard: shard, Status: status, Error: msg,
 			RetryAfterSec: retry, Report: rep,
 		}
-		got := splice(encodeRef(env), backend, failover, hedged, attempts)
+		got := splice(encodeRef(env), backendField(backend), failover, hedged, attempts)
 		want := encodeRef(AnalyzeResponse{
 			AnalyzeResponse: env, Backend: backend,
 			Failover: failover, Hedged: hedged, Attempts: attempts,

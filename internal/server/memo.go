@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -112,15 +113,23 @@ func ValidHash(s string) bool {
 	return true
 }
 
-// ReadBody reads a request body through http.MaxBytesReader into a
-// buffer sized by the declared length, when there is one. On a read
-// error it returns the bytes that arrived before it.
+// ReadBody reads a request body through http.MaxBytesReader, as
+// ReadAll does.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	return ReadAll(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+}
+
+// ReadAll reads r to its end and returns what arrived, with the read
+// error that ended it, if any. A declared length up to limit, the body
+// limit, presizes the buffer: a sender that declares it and then tears
+// the body costs no more than an honest body at the limit. A larger or
+// unknown length grows the buffer as the data arrives.
+func ReadAll(r io.Reader, declared, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= limit {
-		buf.Grow(int(n) + bytes.MinRead) // the read that sees EOF needs no growth
+	if declared > 0 && declared <= limit {
+		buf.Grow(int(declared) + bytes.MinRead) // the read that sees EOF needs no growth
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	_, err := buf.ReadFrom(r)
 	return buf.Bytes(), err
 }
 
@@ -138,6 +147,13 @@ func hitEnvelope(hash string, shard int, report []byte) []byte {
 	enc.SetEscapeHTML(false)
 	enc.Encode(AnalyzeResponse{Hash: hash, Cache: "hit", Shard: shard, Status: string(engine.StatusOK), Report: report})
 	return bytes.Clone(buf.Bytes())
+}
+
+// missReply is the reply to the analysis that stored env: the hit
+// envelope with "cache":"miss". The hash, hex digits, is the only member
+// before the marker, so the first match is the marker.
+func missReply(env []byte) []byte {
+	return bytes.Replace(env, []byte(`"cache":"hit"`), []byte(`"cache":"miss"`), 1)
 }
 
 // WriteEnvelope writes a prebuilt JSON response body with its length.

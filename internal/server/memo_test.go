@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"fcpn/internal/figures"
 	"fcpn/internal/petri"
@@ -91,6 +94,40 @@ func TestReadBodyUnderLimit(t *testing.T) {
 		}
 		if !tc.ok && (err == nil || int64(len(got)) != tc.limit) {
 			t.Errorf("%+v: read %d bytes, err %v; want %d bytes and an error", tc, len(got), err, tc.limit)
+		}
+	}
+}
+
+// TestReadAllPresizeBound: a declared length presizes the buffer only up
+// to the limit, and a torn body returns what arrived with the error.
+func TestReadAllPresizeBound(t *testing.T) {
+	for _, tc := range []struct {
+		declared int64
+		presized bool
+	}{{1 << 10, true}, {1 << 20, true}, {64 << 20, false}, {-1, false}} {
+		torn := io.MultiReader(strings.NewReader(`{"a"`), iotest.ErrReader(io.ErrUnexpectedEOF))
+		got, err := ReadAll(torn, tc.declared, 1<<20)
+		if err != io.ErrUnexpectedEOF || string(got) != `{"a"` {
+			t.Errorf("declared %d: read %q, %v; want the torn prefix and io.ErrUnexpectedEOF", tc.declared, got, err)
+		}
+		if tc.presized && int64(cap(got)) < tc.declared || !tc.presized && cap(got) >= 4<<10 {
+			t.Errorf("declared %d: buffer capacity %d", tc.declared, cap(got))
+		}
+	}
+}
+
+// TestMissReplyMatchesEncoder: the miss reply built from a stored hit
+// envelope equals the handlers' encoding of the miss response, also when
+// the report itself contains the hit marker.
+func TestMissReplyMatchesEncoder(t *testing.T) {
+	hash := figures.Figure5().CanonicalHash()
+	for shard, report := range []string{`{}`, `{"name":"fig5"}`, `{"note":"\"cache\":\"hit\"","cache":"hit"}`} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		enc.Encode(AnalyzeResponse{Hash: hash, Cache: "miss", Shard: shard, Status: "ok", Report: json.RawMessage(report)})
+		if got := missReply(hitEnvelope(hash, shard, []byte(report))); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("missReply = %q\nwant %q", got, want.Bytes())
 		}
 	}
 }

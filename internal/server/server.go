@@ -87,12 +87,14 @@ func (sh *shard) lookup(hash string) ([]byte, bool) {
 	return env, ok
 }
 
-// store keeps a marshalled report as its complete hit envelope.
-func (sh *shard) store(hash string, report []byte) {
+// store keeps a marshalled report as its complete hit envelope and
+// returns the envelope.
+func (sh *shard) store(hash string, report []byte) []byte {
 	env := hitEnvelope(hash, sh.id, report)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.reports[hash] = env
+	return env
 }
 
 func (sh *shard) size() int {
@@ -497,6 +499,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: err.Error()})
 		return
 	}
+	if res.Status == engine.StatusOK {
+		// One encoding serves the store and this reply.
+		WriteEnvelope(w, http.StatusOK, missReply(sh.store(hash, raw)))
+		return
+	}
 	resp := AnalyzeResponse{
 		Hash: hash, Cache: "miss", Shard: sh.id,
 		Status: string(res.Status),
@@ -504,9 +511,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
-	}
-	if res.Status == engine.StatusOK {
-		sh.store(hash, raw)
 	}
 	writeJSON(w, statusCode(res.Status), resp)
 }
