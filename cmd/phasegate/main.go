@@ -96,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 	write := fs.Bool("write", false, "write/refresh the baseline from -report instead of gating")
 	factor := fs.Float64("max-regress", 2.0, "fail when a phase exceeds baseline total by this factor")
 	countFactor := fs.Float64("max-count-regress", 1.25, "fail when a phase's count exceeds baseline by this factor (0 disables)")
-	floorMS := fs.Float64("floor-ms", 5.0, "ignore phases whose baseline total is below this many ms")
+	floorMS := fs.Float64("floor-ms", 1.0, "ignore phases whose baseline total is below this many ms")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

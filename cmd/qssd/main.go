@@ -224,9 +224,15 @@ func runBatch(args []string, stdout io.Writer) error {
 	// Split the corpus against the journal: nets journalled "ok" are
 	// rehydrated without re-analysis; journalled panics re-seed the
 	// engine's quarantine so the poisoned net is refused, not re-run.
+	// Without a journal no net is hashed here, so the canonical form is
+	// computed inside the engine's job, under its petri/canonical span.
 	final := make([]netResult, len(nets))
 	var todo []int
 	for i, n := range nets {
+		if len(prior) == 0 {
+			todo = append(todo, i)
+			continue
+		}
 		hash := n.CanonicalHash()
 		if ent, ok := prior[hash]; ok {
 			switch ent.Status {

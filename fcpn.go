@@ -227,9 +227,11 @@ var ErrEngineClosed = engine.ErrEngineClosed
 // of the worker count, and cache hits are byte-identical to cold runs.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
-// CanonicalHash returns the net's canonical structural hash — stable
-// under renaming and declaration reordering — which keys the engine's
-// content-addressed cache.
+// CanonicalHash returns the net's canonical structural hash, which keys
+// the engine's content-addressed cache. Renaming nodes never changes it.
+// Reordering declarations can: nodes that colour refinement leaves tied
+// are ordered by local index, so such a twin may miss the cache (it is
+// never answered wrongly; see docs/ENGINE.md).
 func CanonicalHash(n *Net) string { return n.CanonicalHash() }
 
 // Analyze runs the engine's full structural + behavioural analysis of one

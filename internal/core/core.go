@@ -56,11 +56,6 @@ type Options struct {
 	// order, so the outcome — schedule or diagnostic — is identical for
 	// every worker count.
 	Workers int
-	// Semiflows optionally memoises minimal-semiflow computations across
-	// Solve/PartitionTasks calls, keyed by canonical structural hash.
-	// Implementations must be safe for concurrent use (see
-	// internal/engine). Nil disables memoisation.
-	Semiflows invariant.Cache
 	// Trace optionally records detail spans for the pipeline's inner
 	// steps: "core/enumerate" (allocation/reduction enumeration),
 	// "core/check" (one per distinct reduction — the unit of Workers

@@ -3,34 +3,12 @@ package core
 import (
 	"encoding/json"
 	"runtime"
-	"sync"
 	"testing"
 
 	"fcpn/internal/figures"
 	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
 )
-
-// syncCache is a goroutine-safe semiflow cache for tests.
-type syncCache struct {
-	mu sync.Mutex
-	m  map[string][][]int
-}
-
-func newSyncCache() *syncCache { return &syncCache{m: map[string][][]int{}} }
-
-func (c *syncCache) GetSemiflows(key string) ([][]int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rows, ok := c.m[key]
-	return rows, ok
-}
-
-func (c *syncCache) PutSemiflows(key string, rows [][]int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = rows
-}
 
 // solveOutcome captures everything observable about a Solve call in a
 // comparable form: the exported schedule (or the diagnostic) plus the
@@ -57,8 +35,8 @@ func solveOutcome(t *testing.T, n *petri.Net, opt Options) string {
 }
 
 // TestSolveParallelDeterminism checks the acceptance criterion that the
-// schedulability sweep is byte-identical across worker counts and across
-// cold/cached runs, on every figure net and a netgen corpus.
+// schedulability sweep is byte-identical across worker counts, on every
+// figure net and a netgen corpus.
 func TestSolveParallelDeterminism(t *testing.T) {
 	var nets []*petri.Net
 	for _, n := range figures.All() {
@@ -71,14 +49,11 @@ func TestSolveParallelDeterminism(t *testing.T) {
 	for seed := uint64(0); seed < uint64(corpus); seed++ {
 		nets = append(nets, netgen.RandomSchedulablePipeline(seed, netgen.DefaultConfig()))
 	}
-	cache := newSyncCache()
 	for i, n := range nets {
 		serial := solveOutcome(t, n, Options{})
 		for _, opt := range []Options{
 			{Workers: runtime.NumCPU()},
-			{Workers: 4, Semiflows: cache}, // cold cache
-			{Workers: 4, Semiflows: cache}, // warm cache
-			{Workers: 1, Semiflows: cache}, // warm, serial
+			{Workers: 4},
 		} {
 			if got := solveOutcome(t, n, opt); got != serial {
 				t.Fatalf("net %q: outcome differs for %+v:\n%s\nvs\n%s", n.Name(), opt, got, serial)
@@ -91,31 +66,6 @@ func TestSolveParallelDeterminism(t *testing.T) {
 			dupPar := solveOutcome(t, n, Options{KeepDuplicateReductions: true, Workers: 4})
 			if dupSerial != dupPar {
 				t.Fatalf("net %q: ablation outcome differs across worker counts", n.Name())
-			}
-		}
-	}
-}
-
-// TestPartitionTasksCached checks the cached task partition matches the
-// uncached one.
-func TestPartitionTasksCached(t *testing.T) {
-	n := figures.Figure5()
-	cold, err := PartitionTasks(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := newSyncCache()
-	for i := 0; i < 2; i++ {
-		got, err := PartitionTasks(n, Options{Semiflows: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Tasks) != len(cold.Tasks) {
-			t.Fatalf("task count changed: %d vs %d", len(got.Tasks), len(cold.Tasks))
-		}
-		for j := range got.Tasks {
-			if got.Tasks[j].Name != cold.Tasks[j].Name {
-				t.Fatalf("task %d name changed: %s vs %s", j, got.Tasks[j].Name, cold.Tasks[j].Name)
 			}
 		}
 	}

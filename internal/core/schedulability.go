@@ -76,10 +76,6 @@ func reductionInvariants(red *Reduction, kept []petri.Transition, opt Options, a
 		opt.Trace.Add("core/semiflow/restricted", 1)
 		return invariant.RestrictToKept(aids.parentTIs, kept), nil
 	}
-	// Subnet T-semiflows are computed directly, bypassing opt.Semiflows:
-	// keying the content-addressed cache costs a canonical-form computation
-	// per fresh reduction subnet, and phase traces showed that costing more
-	// than the (int64 fast path) Farkas runs it saves.
 	return invariant.TInvariants(red.Subnet().Net, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace})
 }
 

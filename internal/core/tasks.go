@@ -42,14 +42,23 @@ type TaskPartition struct {
 // T-invariants. For a net without source transitions the whole net forms
 // one autonomous task.
 func PartitionTasks(n *petri.Net, opt Options) (*TaskPartition, error) {
-	tis, err := invariant.TInvariantsCached(n, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace}, opt.Semiflows)
+	tis, err := invariant.TInvariants(n, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace})
 	if err != nil {
-		return nil, fmt.Errorf("core: task partition: %w", err)
+		return nil, PartitionError(err)
 	}
-	return partitionWith(n, tis), nil
+	return PartitionWith(n, tis), nil
 }
 
-func partitionWith(n *petri.Net, tis []invariant.TInvariant) *TaskPartition {
+// PartitionError is the error of PartitionTasks on a net whose T-semiflow
+// enumeration failed with err.
+func PartitionError(err error) error {
+	return fmt.Errorf("core: task partition: %w", err)
+}
+
+// PartitionWith is PartitionTasks given the net's minimal T-invariants,
+// which must be what invariant.TInvariants returns on n (the set and its
+// order): internal/engine passes the ones its analysis already holds.
+func PartitionWith(n *petri.Net, tis []invariant.TInvariant) *TaskPartition {
 	sources := n.SourceTransitions()
 	tp := &TaskPartition{Net: n}
 	if len(sources) == 0 {

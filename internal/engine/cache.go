@@ -69,22 +69,6 @@ func (c *cache) count(key, outcome string) {
 	c.tracer.Add("cache/"+layer+"/"+outcome, 1)
 }
 
-// get returns the value stored under key and counts the hit or miss.
-func (c *cache) get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.counters.CacheMisses.Add(1)
-		c.count(key, "miss")
-		return nil, false
-	}
-	c.counters.CacheHits.Add(1)
-	c.count(key, "hit")
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
 // put stores val under key, evicting the least-recently-used entry past
 // capacity.
 func (c *cache) put(key string, val any) {
@@ -156,18 +140,3 @@ func (c *cache) getOrCompute(key string, compute func() (any, error)) (any, erro
 	}
 	return f.val, f.err
 }
-
-// semiflowCache adapts the engine cache to invariant.Cache so
-// core.Solve/PartitionTasks memoise their Farkas enumerations in the same
-// content-addressed store.
-type semiflowCache struct{ c *cache }
-
-func (s semiflowCache) GetSemiflows(key string) ([][]int, bool) {
-	v, ok := s.c.get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.([][]int), true
-}
-
-func (s semiflowCache) PutSemiflows(key string, rows [][]int) { s.c.put(key, rows) }

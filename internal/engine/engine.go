@@ -1,8 +1,8 @@
 // Package engine is the concurrent QSS analysis engine: a long-running,
 // goroutine-safe front end over internal/core that shards a stream of nets
 // across a bounded worker pool and memoises the expensive intermediates —
-// minimal T-semiflows, P-invariant bounds, canonical T-reductions and
-// complete schedules — in a content-addressed cache keyed by the canonical
+// minimal T- and P-semiflows, canonical T-reductions and complete
+// schedules — in a content-addressed cache keyed by the canonical
 // structural hash of each net (petri.CanonicalForm).
 //
 // Determinism contract: every cached payload is stored in canonical index
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -234,13 +235,11 @@ func (e *Engine) Stats() stats.Snapshot {
 	return s
 }
 
-// coreOpts is the per-job solver configuration: the engine's cache, the
-// job's tracer, the job's cancellation context and — unless the caller
-// pinned one — the engine's worker count for the inner schedulability
-// sweep.
+// coreOpts is the per-job solver configuration: the job's tracer, the
+// job's cancellation context and — unless the caller pinned one — the
+// engine's worker count for the inner schedulability sweep.
 func (e *Engine) coreOpts(ctx context.Context, tr *trace.Tracer) core.Options {
 	opt := e.cfg.Core
-	opt.Semiflows = semiflowCache{e.cache}
 	opt.Trace = tr
 	opt.Ctx = ctx
 	if opt.Workers == 0 {
@@ -445,11 +444,13 @@ func (e *Engine) synthesize(n *petri.Net) (syn *Synthesis, err error) {
 		return nil, err
 	}
 	sp = tr.Start("core/tasks")
-	tp, err := core.PartitionTasks(n, e.coreOpts(ctx, tr))
-	sp.End()
+	tis, _, err := e.tSemiflows(n, cf, tr)
 	if err != nil {
-		return nil, err
+		sp.End()
+		return nil, core.PartitionError(err)
 	}
+	tp := core.PartitionWith(n, tis)
+	sp.End()
 	sp = tr.Start("codegen/generate")
 	prog, err := codegen.Generate(sched, tp)
 	sp.End()
@@ -491,9 +492,9 @@ type cachedCycle struct {
 //
 // fresh, when non-nil, carries the twin and the distinct-reduction set
 // reductions() already enumerated on it this job: the miss path sweeps
-// that set directly instead of re-enumerating, restricting the net's
-// T-semiflows when the report computed them. Nil — the warm path, or a
-// caller without the set — rebuilds the twin and solves from scratch.
+// that set directly instead of re-enumerating, restricting the twin's
+// T-semiflows when the job holds them. Nil — the warm path, or a caller
+// without the set — rebuilds the twin and solves from scratch.
 func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, fresh *twinReds, tr *trace.Tracer) (*core.Schedule, error) {
 	v, err := e.cache.getOrCompute(schedKey(cf.Hash), func() (any, error) {
 		tw := fresh
@@ -506,15 +507,14 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 		case tw.reds == nil || e.cfg.Core.KeepDuplicateReductions:
 			s, err = core.Solve(tw.net, e.coreOpts(ctx, tr))
 		case tw.tis != nil:
-			tis := invariant.RelabelTInvariants(tw.tis, cf.TransPos)
-			s, err = core.SolveReductionsWithSemiflows(tw.net, tw.reds, tis, e.coreOpts(ctx, tr))
+			s, err = core.SolveReductionsWithSemiflows(tw.net, tw.reds, tw.tis, e.coreOpts(ctx, tr))
 		default:
 			s, err = core.SolveReductions(tw.net, tw.reds, e.coreOpts(ctx, tr))
 		}
 		if err != nil {
 			return nil, err
 		}
-		enc := encodeSchedule(toCachedSchedule(identityForm(tw.net), s))
+		enc := encodeSchedule(toCachedSchedule(s))
 		tr.Add("cache/sched/bytes", int64(len(enc)))
 		return enc, nil
 	})
@@ -536,51 +536,24 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 type twinReds struct {
 	net  *petri.Net
 	reds []*core.Reduction
-	// tis are the job's net's minimal T-semiflows from the report's
-	// invariant/tsemiflows stage, in the net's own transition order; nil
-	// when that stage failed.
+	// tis are the twin's minimal T-semiflows as the tsemi: layer stores
+	// them; nil when the job's lookup failed.
 	tis []invariant.TInvariant
 }
 
-// identityForm is the canonical form of a canonical twin: the twin is
-// built with places and transitions in canonical position order, so its
-// canonical relabelling is the identity by construction. Building it
-// directly spares the twin a second WL refinement pass, which profiling
-// showed roughly tripling the reductions layer.
-func identityForm(n *petri.Net) *petri.CanonicalForm {
-	cf := &petri.CanonicalForm{
-		PlaceAt:  make([]petri.Place, n.NumPlaces()),
-		TransAt:  make([]petri.Transition, n.NumTransitions()),
-		PlacePos: make([]int, n.NumPlaces()),
-		TransPos: make([]int, n.NumTransitions()),
-	}
-	for i := range cf.PlaceAt {
-		cf.PlaceAt[i] = petri.Place(i)
-		cf.PlacePos[i] = i
-	}
-	for i := range cf.TransAt {
-		cf.TransAt[i] = petri.Transition(i)
-		cf.TransPos[i] = i
-	}
-	return cf
-}
-
-func toCachedSchedule(cf *petri.CanonicalForm, s *core.Schedule) *cachedSchedule {
+// toCachedSchedule is the payload of a schedule solved on the canonical
+// twin, whose place and transition indices are canonical positions.
+func toCachedSchedule(s *core.Schedule) *cachedSchedule {
 	cs := &cachedSchedule{cycles: make([]cachedCycle, len(s.Cycles))}
 	for i, cyc := range s.Cycles {
 		cc := cachedCycle{seq: make([]int, len(cyc.Sequence))}
 		for j, t := range cyc.Sequence {
-			cc.seq[j] = cf.TransPos[t]
+			cc.seq[j] = int(t)
 		}
 		alloc := cyc.Reduction.Allocation
 		for k, cluster := range alloc.Clusters {
-			rep := cf.PlacePos[cluster.Places[0]]
-			for _, p := range cluster.Places[1:] {
-				if pos := cf.PlacePos[p]; pos < rep {
-					rep = pos
-				}
-			}
-			cc.choices = append(cc.choices, [2]int{rep, cf.TransPos[alloc.Chosen[k]]})
+			rep := slices.Min(cluster.Places)
+			cc.choices = append(cc.choices, [2]int{int(rep), int(alloc.Chosen[k])})
 		}
 		sort.Slice(cc.choices, func(a, b int) bool { return cc.choices[a][0] < cc.choices[b][0] })
 		cs.cycles[i] = cc
@@ -719,28 +692,45 @@ func (e *Engine) reductions(ctx context.Context, n *petri.Net, cf *petri.Canonic
 	return out, fresh, nil
 }
 
-// structuralBounds returns the P-invariant place bounds through the
-// bounds layer (canonical place order).
-func (e *Engine) structuralBounds(n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer) ([]int, error) {
-	v, err := e.cache.getOrCompute("bounds:"+cf.Hash, func() (any, error) {
-		pis, err := invariant.PInvariantsCached(n, invariant.Options{MaxRows: e.cfg.Core.MaxRows, Trace: tr}, semiflowCache{e.cache})
-		if err != nil {
+// tSemiflows returns the net's minimal T-semiflows through the tsemi:
+// layer, once in the net's own order — what invariant.TInvariants returns
+// on n, for the report and the task partition — and once as stored, in
+// canonical order: what TInvariants returns on the canonical twin (the
+// contract of invariant.RelabelTInvariants), so the twin's sweep takes
+// them as they are. A miss runs Farkas on n itself.
+func (e *Engine) tSemiflows(n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer) (local, canon []invariant.TInvariant, err error) {
+	v, err := e.cache.getOrCompute("tsemi:"+cf.Hash, func() (any, error) {
+		var err error
+		if local, err = invariant.TInvariants(n, invariant.Options{MaxRows: e.cfg.Core.MaxRows, Trace: tr}); err != nil {
 			return nil, err
 		}
-		local := invariant.StructuralBounds(n, pis)
-		canon := make([]int, len(local))
-		for p, b := range local {
-			canon[cf.PlacePos[p]] = b
+		return invariant.RelabelTInvariants(local, cf.TransPos), nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	canon = v.([]invariant.TInvariant)
+	if local == nil { // a hit: this call did not compute them
+		local = invariant.RelabelTInvariants(canon, cf.TransAt)
+	}
+	return local, canon, nil
+}
+
+// pSemiflows returns the net's minimal P-semiflows, in the net's own
+// order, through the psemi: layer, which stores them in canonical order.
+func (e *Engine) pSemiflows(n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer) (local []invariant.PInvariant, err error) {
+	v, err := e.cache.getOrCompute("psemi:"+cf.Hash, func() (any, error) {
+		var err error
+		if local, err = invariant.PInvariants(n, invariant.Options{MaxRows: e.cfg.Core.MaxRows, Trace: tr}); err != nil {
+			return nil, err
 		}
-		return canon, nil
+		return invariant.RelabelPInvariants(local, cf.PlacePos), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	canon := v.([]int)
-	local := make([]int, len(canon))
-	for pos, b := range canon {
-		local[cf.PlaceAt[pos]] = b
+	if local == nil { // a hit: this call did not compute them
+		local = invariant.RelabelPInvariants(v.([]invariant.PInvariant), cf.PlaceAt)
 	}
 	return local, nil
 }
@@ -917,30 +907,32 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		return rep, cerr
 	}
 
-	iopt := invariant.Options{MaxRows: e.cfg.Core.MaxRows, Trace: tr}
+	// Each semiflow set is looked up once and handed down: the T-semiflows
+	// to the twin's sweep and the task partition, the P-semiflows to the
+	// structural bounds. A failed enumeration fails those stages too.
 	sp = tr.Start("invariant/tsemiflows")
-	tis, err := invariant.TInvariantsCached(n, iopt, semiflowCache{e.cache})
-	if err != nil {
-		fail("t-semiflows", err)
+	tis, canonTIs, terr := e.tSemiflows(n, cf, tr)
+	if terr != nil {
+		fail("t-semiflows", terr)
 	} else {
 		rep.TSemiflows = len(tis)
 		rep.Consistent = invariant.Consistent(n, tis)
 	}
 	sp.End()
 	sp = tr.Start("invariant/psemiflows")
-	pis, err := invariant.PInvariantsCached(n, iopt, semiflowCache{e.cache})
-	if err != nil {
-		fail("p-semiflows", err)
+	pis, perr := e.pSemiflows(n, cf, tr)
+	if perr != nil {
+		fail("p-semiflows", perr)
 	} else {
 		rep.PSemiflows = len(pis)
 		rep.Conservative = invariant.Conservative(n, pis)
 	}
 	sp.End()
 	sp = tr.Start("invariant/bounds")
-	if bounds, err := e.structuralBounds(n, cf, tr); err != nil {
-		fail("structural-bounds", err)
+	if perr != nil {
+		fail("structural-bounds", perr)
 	} else {
-		for p, b := range bounds {
+		for p, b := range invariant.StructuralBounds(n, pis) {
 			if b != invariant.Unbounded {
 				if rep.StructuralBounds == nil {
 					rep.StructuralBounds = map[string]int{}
@@ -954,8 +946,8 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		return rep, cerr
 	}
 
-	if !rep.FreeChoice || n.Validate() != nil {
-		if err := n.Validate(); err != nil {
+	if err := n.Validate(); err != nil || !rep.FreeChoice {
+		if err != nil {
 			rep.ScheduleError = err.Error()
 		}
 		return rep, nil
@@ -964,7 +956,7 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 	sp = tr.Start("core/reduce")
 	rows, fresh, err := e.reductions(ctx, n, cf)
 	if fresh != nil {
-		fresh.tis = tis
+		fresh.tis = canonTIs
 	}
 	if err != nil {
 		if cerr := ctxCause(ctx); cerr != nil {
@@ -1018,15 +1010,11 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 	sp.End()
 
 	sp = tr.Start("core/tasks")
-	tp, err := core.PartitionTasks(n, e.coreOpts(ctx, tr))
-	if err != nil {
-		if cerr := ctxCause(ctx); cerr != nil {
-			sp.End()
-			return rep, cerr
-		}
-		fail("tasks", err)
-		tp = nil
+	var tp *core.TaskPartition
+	if terr != nil {
+		fail("tasks", core.PartitionError(terr))
 	} else {
+		tp = core.PartitionWith(n, tis)
 		for _, task := range tp.Tasks {
 			rep.Tasks = append(rep.Tasks, TaskReport{
 				Name:        task.Name,

@@ -36,8 +36,8 @@ type NetReport struct {
 	Conservative bool `json:"conservative"`
 
 	// StructuralBounds maps each structurally bounded place to its
-	// P-invariant token bound (cache layer: P-invariant bounds). Places
-	// with no structural bound are omitted.
+	// P-invariant token bound, derived from the minimal P-semiflows.
+	// Places with no structural bound are omitted.
 	StructuralBounds map[string]int `json:"structural_bounds,omitempty"`
 
 	// Reductions lists, per distinct T-reduction, the surviving

@@ -103,25 +103,27 @@ func TestEveryReductionRestrictionExact(t *testing.T) {
 	t.Logf("%d reductions of %d nets restriction-exact", checked, nets)
 }
 
-// shuffled rebuilds n with its places and transitions declared in a
-// random order: the same labelled net under other local indices.
+// shuffled rebuilds n under other names, with its places, transitions
+// and arcs declared in a random order: an isomorphic twin under other
+// local indices.
 func shuffled(n *petri.Net, rng *rand.Rand) *petri.Net {
-	b := petri.NewBuilder(n.Name())
+	b := petri.NewBuilder("twin_" + n.Name())
 	m := n.InitialMarking()
 	ps := make([]petri.Place, n.NumPlaces())
 	for _, p := range rng.Perm(n.NumPlaces()) {
-		ps[p] = b.MarkedPlace(n.PlaceName(petri.Place(p)), m[p])
+		ps[p] = b.MarkedPlace("q_"+n.PlaceName(petri.Place(p)), m[p])
 	}
 	ts := make([]petri.Transition, n.NumTransitions())
 	for _, t := range rng.Perm(n.NumTransitions()) {
-		ts[t] = b.Transition(n.TransitionName(petri.Transition(t)))
+		ts[t] = b.Transition("u_" + n.TransitionName(petri.Transition(t)))
 	}
-	for t, bt := range ts {
-		for _, a := range n.Pre(petri.Transition(t)) {
-			b.WeightedArc(ps[a.Place], bt, a.Weight)
-		}
-		for _, a := range n.Post(petri.Transition(t)) {
-			b.WeightedArcTP(bt, ps[a.Place], a.Weight)
+	arcs := n.Arcs()
+	for _, i := range rng.Perm(len(arcs)) {
+		a := arcs[i]
+		if a.FromKind == petri.PlaceNode {
+			b.WeightedArc(ps[a.From], ts[a.To], a.Weight)
+		} else {
+			b.WeightedArcTP(ts[a.From], ps[a.To], a.Weight)
 		}
 	}
 	return b.Build()
@@ -130,8 +132,8 @@ func shuffled(n *petri.Net, rng *rand.Rand) *petri.Net {
 // TestRelabelMatchesReduce holds mapReductionsToTwin, which relabels kept
 // sets instead of reducing the canonical twin again, to Reduce on the twin
 // under the translated allocation: every accessor must agree. The corpus
-// nets run as declared and with shuffled declarations, so the relabelling
-// is exercised under many local orders.
+// nets run as declared and as shuffled twins, so the relabelling is
+// exercised under many local orders.
 func TestRelabelMatchesReduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	compared := 0

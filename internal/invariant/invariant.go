@@ -98,41 +98,50 @@ type Options struct {
 // TInvariants returns all minimal-support T-semiflows of the net, sorted by
 // support then counts for determinism.
 func TInvariants(n *petri.Net, opt Options) ([]TInvariant, error) {
-	// Equations: one per place, variables are transitions.
-	d := n.IncidenceMatrix()
-	a := linalg.NewMat(n.NumPlaces(), n.NumTransitions())
-	for t := 0; t < n.NumTransitions(); t++ {
-		for p := 0; p < n.NumPlaces(); p++ {
-			a.Data[p][t].SetInt64(int64(d[t][p]))
-		}
+	vecs, err := minimalSemiflows(n, false, opt)
+	if err != nil {
+		return nil, err
 	}
-	sp := opt.Trace.StartDetail("invariant/farkas")
-	vecs, ok := linalg.MinimalSemiflowsTraced(a, opt.MaxRows, opt.Trace)
-	sp.End()
-	if !ok {
-		return nil, ErrTooComplex
+	out := make([]TInvariant, len(vecs))
+	for i, counts := range vecs {
+		out[i] = TInvariant{Counts: counts}
 	}
-	out := make([]TInvariant, 0, len(vecs))
-	for _, v := range vecs {
-		counts, fits := v.Ints()
-		if !fits {
-			return nil, fmt.Errorf("invariant: T-semiflow does not fit in int: %v", v)
-		}
-		out = append(out, TInvariant{Counts: counts})
-	}
-	sortTInvariants(out)
 	return out, nil
 }
 
 // PInvariants returns all minimal-support P-semiflows of the net, sorted
 // deterministically.
 func PInvariants(n *petri.Net, opt Options) ([]PInvariant, error) {
-	// Equations: one per transition, variables are places.
+	vecs, err := minimalSemiflows(n, true, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PInvariant, len(vecs))
+	for i, weights := range vecs {
+		out[i] = PInvariant{Weights: weights}
+	}
+	return out, nil
+}
+
+// minimalSemiflows runs the Farkas enumeration over the net's incidence
+// matrix and returns the minimal semiflows sorted with lessInts. The
+// T-semiflows have one equation per place and one variable per
+// transition; places selects the transpose, whose variables are places.
+func minimalSemiflows(n *petri.Net, places bool, opt Options) ([][]int, error) {
 	d := n.IncidenceMatrix()
-	a := linalg.NewMat(n.NumTransitions(), n.NumPlaces())
-	for t := 0; t < n.NumTransitions(); t++ {
-		for p := 0; p < n.NumPlaces(); p++ {
-			a.Data[t][p].SetInt64(int64(d[t][p]))
+	nT, nP := n.NumTransitions(), n.NumPlaces()
+	kind, rows, cols := "T", nP, nT
+	if places {
+		kind, rows, cols = "P", nT, nP
+	}
+	a := linalg.NewMat(rows, cols)
+	for t := 0; t < nT; t++ {
+		for p := 0; p < nP; p++ {
+			r, c := p, t
+			if places {
+				r, c = t, p
+			}
+			a.Data[r][c].SetInt64(int64(d[t][p]))
 		}
 	}
 	sp := opt.Trace.StartDetail("invariant/farkas")
@@ -141,15 +150,15 @@ func PInvariants(n *petri.Net, opt Options) ([]PInvariant, error) {
 	if !ok {
 		return nil, ErrTooComplex
 	}
-	out := make([]PInvariant, 0, len(vecs))
-	for _, v := range vecs {
-		weights, fits := v.Ints()
+	out := make([][]int, len(vecs))
+	for i, v := range vecs {
+		ints, fits := v.Ints()
 		if !fits {
-			return nil, fmt.Errorf("invariant: P-semiflow does not fit in int: %v", v)
+			return nil, fmt.Errorf("invariant: %s-semiflow does not fit in int: %v", kind, v)
 		}
-		out = append(out, PInvariant{Weights: weights})
+		out[i] = ints
 	}
-	sort.Slice(out, func(i, j int) bool { return lessInts(out[i].Weights, out[j].Weights) })
+	sort.Slice(out, func(i, j int) bool { return lessInts(out[i], out[j]) })
 	return out, nil
 }
 
@@ -218,23 +227,40 @@ func IsTInvariant(n *petri.Net, counts []int) bool {
 // computed on, and sorts them into the order TInvariants guarantees. The
 // result is what TInvariants returns on that net: isomorphic nets have
 // corresponding minimal semiflows, so only the sort has to be redone.
-func RelabelTInvariants(tis []TInvariant, pos []int) []TInvariant {
+// pos is a petri.CanonicalForm's TransPos (onto the canonical twin) or
+// TransAt (back from it).
+func RelabelTInvariants[I ~int](tis []TInvariant, pos []I) []TInvariant {
 	out := make([]TInvariant, len(tis))
 	buf := make([]int, len(tis)*len(pos))
 	for i, ti := range tis {
-		counts := buf[:len(pos):len(pos)]
-		buf = buf[len(pos):]
-		for t, c := range ti.Counts {
-			counts[pos[t]] = c
-		}
-		out[i] = TInvariant{Counts: counts}
+		out[i] = TInvariant{Counts: permute(&buf, ti.Counts, pos)}
 	}
-	sortTInvariants(out)
+	sort.Slice(out, func(i, j int) bool { return lessInts(out[i].Counts, out[j].Counts) })
 	return out
 }
 
-func sortTInvariants(tis []TInvariant) {
-	sort.Slice(tis, func(i, j int) bool { return lessInts(tis[i].Counts, tis[j].Counts) })
+// RelabelPInvariants is RelabelTInvariants for P-semiflows: place pos[p]
+// of the target net is place p of the net they were computed on, and the
+// result is what PInvariants returns on the target net.
+func RelabelPInvariants[I ~int](pis []PInvariant, pos []I) []PInvariant {
+	out := make([]PInvariant, len(pis))
+	buf := make([]int, len(pis)*len(pos))
+	for i, pi := range pis {
+		out[i] = PInvariant{Weights: permute(&buf, pi.Weights, pos)}
+	}
+	sort.Slice(out, func(i, j int) bool { return lessInts(out[i].Weights, out[j].Weights) })
+	return out
+}
+
+// permute moves entry k of v to index pos[k] of a vector cut from the
+// front of *buf.
+func permute[I ~int](buf *[]int, v []int, pos []I) []int {
+	out := (*buf)[:len(pos):len(pos)]
+	*buf = (*buf)[len(pos):]
+	for k, x := range v {
+		out[pos[k]] = x
+	}
+	return out
 }
 
 func lessInts(a, b []int) bool {

@@ -7,12 +7,13 @@ import (
 	"strconv"
 )
 
-// CanonicalForm is a naming- and declaration-order-independent canonical
-// relabelling of a net: nodes are assigned canonical positions by iterated
-// colour refinement (Weisfeiler–Lehman style) over the bipartite weighted
-// flow graph, with the initial marking folded into the place colours. Two
-// nets that differ only in node names or declaration order of symmetric
-// nodes receive the same Hash; equal hashes always denote isomorphic nets
+// CanonicalForm is a naming-independent canonical relabelling of a net:
+// nodes are assigned canonical positions by iterated colour refinement
+// (Weisfeiler–Lehman style) over the bipartite weighted flow graph, with
+// the initial marking folded into the place colours. Two nets that differ
+// only in node names receive the same Hash. Nets that differ in
+// declaration order may not: nodes still tied when refinement stabilises
+// are ordered by local index. Equal hashes always denote isomorphic nets
 // (the hash covers the complete relabelled structure, so a collision would
 // require equal canonical adjacency).
 //
