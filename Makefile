@@ -140,6 +140,7 @@ fuzz:
 	go test -fuzz='FuzzCheckReductionKeptSets$$' -fuzztime=30s ./internal/core/
 	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/
 	go test -fuzz='FuzzEnvelopeSplice$$' -fuzztime=30s ./internal/coord/
+	go test -fuzz='FuzzSchedCodec$$' -fuzztime=30s ./internal/engine/
 
 examples:
 	go run ./examples/quickstart

@@ -1,15 +1,16 @@
 // Package engine is the concurrent QSS analysis engine: a long-running,
 // goroutine-safe front end over internal/core that shards a stream of nets
 // across a bounded worker pool and memoises the expensive intermediates —
-// minimal T- and P-semiflows, canonical T-reductions and complete
-// schedules — in a content-addressed cache keyed by the canonical
-// structural hash of each net (petri.CanonicalForm).
+// minimal T- and P-semiflows and complete schedules — in a
+// content-addressed cache keyed by the canonical structural hash of each
+// net (petri.CanonicalForm).
 //
 // Determinism contract: every cached payload is stored in canonical index
 // space and every report field is derived from the canonical payload
 // mapped back into the requesting net's index space, for cold and warm
 // paths alike. A cache hit therefore returns byte-identical results to a
-// cold run, and results are independent of the worker count. See
+// cold run, and results are independent of the worker count and of
+// whether Analyze or Synthesize reached the schedule first. See
 // docs/ENGINE.md.
 package engine
 
@@ -433,8 +434,17 @@ func (e *Engine) synthesize(n *petri.Net) (syn *Synthesis, err error) {
 		e.counters.QuarantineSkips.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s)", ErrQuarantined, cf.Hash, reason.(string))
 	}
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	// The schedule is reached as analyzeTraced reaches it, T-semiflows
+	// first, so a net that has none fails here with its report's
+	// schedule_error.
+	sp = tr.Start("invariant/tsemiflows")
+	tis, canonTIs, terr := e.tSemiflows(n, cf, tr)
+	sp.End()
 	sp = tr.Start("core/solve")
-	sched, err := e.schedule(ctx, n, cf, nil, tr)
+	sched, err := e.schedule(ctx, n, cf, canonTIs, tr)
 	sp.End()
 	if err != nil {
 		if cerr := ctxCause(ctx); cerr != nil {
@@ -443,12 +453,10 @@ func (e *Engine) synthesize(n *petri.Net) (syn *Synthesis, err error) {
 		}
 		return nil, err
 	}
-	sp = tr.Start("core/tasks")
-	tis, _, err := e.tSemiflows(n, cf, tr)
-	if err != nil {
-		sp.End()
-		return nil, core.PartitionError(err)
+	if terr != nil {
+		return nil, core.PartitionError(terr)
 	}
+	sp = tr.Start("core/tasks")
 	tp := core.PartitionWith(n, tis)
 	sp.End()
 	sp = tr.Start("codegen/generate")
@@ -462,143 +470,153 @@ func (e *Engine) synthesize(n *petri.Net) (syn *Synthesis, err error) {
 
 // ---- cache layers ----------------------------------------------------
 
-// cachedSchedule is the canonical-space payload of the schedule layer:
-// cycles sorted lexicographically by canonical firing sequence, each with
-// its choice resolution as (canonical cluster-representative place,
-// canonical chosen transition) pairs.
-type cachedSchedule struct {
-	cycles []cachedCycle
-}
-
-type cachedCycle struct {
-	seq     []int
-	choices [][2]int
-}
-
-// schedule returns the net's valid schedule through the cache: on a miss
-// the solver runs (parallel sweep, memoised semiflows) and the result is
-// canonicalised; hit or miss, the returned Schedule is rebuilt from the
-// canonical payload, which is what makes warm results byte-identical to
-// cold ones. Solve failures are returned, never cached.
+// schedule returns n's valid schedule through the sched: layer, the
+// engine's one QSS layer: Analyze and Synthesize both read it here, so a
+// net's schedule, and its diagnosis when it has none, do not depend on
+// which call came first. canonTIs are the job's T-semiflows as the
+// tsemi: layer stores them, in twin order; nil when that lookup failed.
 //
-// The miss path never solves the caller's net directly: the solver
-// explores allocations and firings in index order and may return any of
-// several valid schedules, so two isomorphic nets solved as-declared
-// would cache different payloads depending on which arrived first — and
-// two *cold* runs of the same class would diverge. Instead it solves the
-// canonical twin (petri.CanonicalNet), which is byte-identical for every
-// member of the class, making the cached payload a function of the
-// canonical hash alone.
+// A miss enumerates the distinct T-reductions on n, relabels them onto
+// the canonical twin (petri.CanonicalNet) and sweeps them there. The
+// solver explores allocations and firings in index order and may return
+// any of several valid schedules; the twin is byte-identical for every
+// member of the isomorphism class and the relabelled set is sorted by
+// twin key, so the cached payload is a function of the canonical hash
+// alone. Under KeepDuplicateReductions the twin is solved by core.Solve,
+// the reference sweep, instead.
 //
-// fresh, when non-nil, carries the twin and the distinct-reduction set
-// reductions() already enumerated on it this job: the miss path sweeps
-// that set directly instead of re-enumerating, restricting the twin's
-// T-semiflows when the job holds them. Nil — the warm path, or a caller
-// without the set — rebuilds the twin and solves from scratch.
-func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, fresh *twinReds, tr *trace.Tracer) (*core.Schedule, error) {
+// Hit and miss alike rebuild the returned Schedule from the decoded
+// payload, which is what makes warm results byte-identical to cold ones.
+// Failures are never cached: they come back as a *solveError, which
+// carries the enumeration's outcome to every singleflight waiter.
+func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, canonTIs []invariant.TInvariant, tr *trace.Tracer) (*core.Schedule, error) {
 	v, err := e.cache.getOrCompute(schedKey(cf.Hash), func() (any, error) {
-		tw := fresh
-		if tw == nil {
-			tw = &twinReds{net: n.CanonicalNet()}
-		}
+		sp := tr.StartDetail("core/reduce")
+		reds, rerr := core.EnumerateDistinctReductionsCtx(ctx, n, e.cfg.Core.MaxAllocations)
+		sp.End()
+		opt := e.coreOpts(ctx, tr)
 		var s *core.Schedule
 		var err error
 		switch {
-		case tw.reds == nil || e.cfg.Core.KeepDuplicateReductions:
-			s, err = core.Solve(tw.net, e.coreOpts(ctx, tr))
-		case tw.tis != nil:
-			s, err = core.SolveReductionsWithSemiflows(tw.net, tw.reds, tw.tis, e.coreOpts(ctx, tr))
+		case opt.KeepDuplicateReductions:
+			s, err = core.Solve(n.CanonicalNet(), opt)
+		case rerr != nil:
+			err = rerr
+		case canonTIs != nil:
+			twin := n.CanonicalNet()
+			s, err = core.SolveReductionsWithSemiflows(twin, mapReductionsToTwin(cf, twin, reds), canonTIs, opt)
 		default:
-			s, err = core.SolveReductions(tw.net, tw.reds, e.coreOpts(ctx, tr))
+			twin := n.CanonicalNet()
+			s, err = core.SolveReductions(twin, mapReductionsToTwin(cf, twin, reds), opt)
 		}
 		if err != nil {
-			return nil, err
+			return nil, &solveError{err: err, reds: canonicalSets(cf, reds), redsErr: rerr}
 		}
-		enc := encodeSchedule(toCachedSchedule(s))
+		enc := encodeSchedule(cachedSequences(s))
 		tr.Add("cache/sched/bytes", int64(len(enc)))
 		return enc, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Hit and miss alike rebuild from the decoded wire payload, so a cold
-	// result can never differ from a warm one by construction.
-	cs, err := decodeSchedule(v.([]byte))
+	seqs, err := decodeSchedule(v.([]byte))
 	if err != nil {
 		return nil, err
 	}
-	return rebuildSchedule(n, cf, cs)
+	return rebuildSchedule(n, cf, seqs)
 }
 
-// twinReds carries a freshly enumerated distinct-reduction set, mapped
-// onto the canonical twin net, for hand-off from reductions() to
-// schedule() within one cold job.
-type twinReds struct {
-	net  *petri.Net
-	reds []*core.Reduction
-	// tis are the twin's minimal T-semiflows as the tsemi: layer stores
-	// them; nil when the job's lookup failed.
-	tis []invariant.TInvariant
+// solveError is a failed schedule computation. It unwraps to the failure
+// and carries the distinct-reduction enumeration's outcome for the
+// report: the kept-transition sets in canonical positions, or the
+// enumeration's own error.
+type solveError struct {
+	err     error
+	reds    [][]int
+	redsErr error
 }
 
-// toCachedSchedule is the payload of a schedule solved on the canonical
-// twin, whose place and transition indices are canonical positions.
-func toCachedSchedule(s *core.Schedule) *cachedSchedule {
-	cs := &cachedSchedule{cycles: make([]cachedCycle, len(s.Cycles))}
+func (e *solveError) Error() string { return e.err.Error() }
+func (e *solveError) Unwrap() error { return e.err }
+
+// canonicalSets lists each reduction's kept transitions as canonical
+// positions.
+func canonicalSets(cf *petri.CanonicalForm, reds []*core.Reduction) [][]int {
+	sets := make([][]int, len(reds))
+	for i, r := range reds {
+		for _, t := range r.KeptTransitions() {
+			sets[i] = append(sets[i], cf.TransPos[t])
+		}
+	}
+	return sets
+}
+
+// localSets maps the carried kept-transition sets into the index space of
+// the net whose canonical form is cf.
+func (e *solveError) localSets(cf *petri.CanonicalForm) [][]petri.Transition {
+	sets := make([][]petri.Transition, len(e.reds))
+	for i, set := range e.reds {
+		sets[i] = make([]petri.Transition, len(set))
+		for j, pos := range set {
+			sets[i][j] = cf.TransAt[pos]
+		}
+	}
+	return sets
+}
+
+// cachedSequences is the payload of a schedule solved on the canonical
+// twin, whose transition indices are canonical positions: each cycle's
+// firing sequence, cycles sorted lexicographically.
+func cachedSequences(s *core.Schedule) [][]int {
+	seqs := make([][]int, len(s.Cycles))
 	for i, cyc := range s.Cycles {
-		cc := cachedCycle{seq: make([]int, len(cyc.Sequence))}
+		seqs[i] = make([]int, len(cyc.Sequence))
 		for j, t := range cyc.Sequence {
-			cc.seq[j] = int(t)
+			seqs[i][j] = int(t)
 		}
-		alloc := cyc.Reduction.Allocation
-		for k, cluster := range alloc.Clusters {
-			rep := slices.Min(cluster.Places)
-			cc.choices = append(cc.choices, [2]int{int(rep), int(alloc.Chosen[k])})
-		}
-		sort.Slice(cc.choices, func(a, b int) bool { return cc.choices[a][0] < cc.choices[b][0] })
-		cs.cycles[i] = cc
 	}
-	sort.Slice(cs.cycles, func(a, b int) bool { return lessIntSlice(cs.cycles[a].seq, cs.cycles[b].seq) })
-	return cs
+	slices.SortFunc(seqs, slices.Compare)
+	return seqs
 }
 
-// rebuildSchedule maps a canonical-space payload into n's index space.
-// Each cycle carries its allocation as a core.LazyReduction: nothing on
-// the engine's path reads a rebuilt cycle's kept sets, so the reduction
-// algorithm runs only if a caller asks for them. Reduce is deterministic
-// in the allocation, so every member of the isomorphism class rebuilds
-// the same schedule from the same payload.
-func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, cs *cachedSchedule) (*core.Schedule, error) {
+// rebuildSchedule maps canonical firing sequences into n's index space and
+// reads each cycle's allocation off its sequence: a cycle fires exactly
+// the transitions its reduction keeps, so at a choice whose place the
+// reduction keeps exactly one alternative fires, and that is the choice;
+// at a choice the reduction removed none fires, and the choice is n's
+// first alternative, where the distinct-reduction search leaves it
+// (core's TestCycleSupportDeterminesReduction). Each cycle carries its
+// allocation as a core.LazyReduction: nothing on the engine's path reads
+// a rebuilt cycle's kept sets, so the reduction algorithm runs only if a
+// caller asks for them.
+func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, seqs [][]int) (*core.Schedule, error) {
 	clusters := n.FreeChoiceSets()
-	clusterOf := map[petri.Place]int{}
-	for i, c := range clusters {
-		for _, p := range c.Places {
-			clusterOf[p] = i
-		}
-	}
 	count, saturated := core.CountAllocationsSat(n)
 	sched := &core.Schedule{Net: n, AllocationCount: count, AllocationCountSaturated: saturated}
-	for _, cc := range cs.cycles {
-		seq := make([]petri.Transition, len(cc.seq))
-		for j, pos := range cc.seq {
+	for _, cseq := range seqs {
+		seq := make([]petri.Transition, len(cseq))
+		for j, pos := range cseq {
 			seq[j] = cf.TransAt[pos]
 		}
+		counts := n.FiringCount(seq)
 		chosen := make([]petri.Transition, len(clusters))
 		for i, c := range clusters {
 			chosen[i] = c.Transitions[0]
-		}
-		for _, pair := range cc.choices {
-			p, t := cf.PlaceAt[pair[0]], cf.TransAt[pair[1]]
-			ci, ok := clusterOf[p]
-			if !ok {
-				return nil, fmt.Errorf("engine: cached choice place %q is not a choice of net %q",
-					n.PlaceName(p), n.Name())
+			fired := 0
+			for _, t := range c.Transitions {
+				if counts[t] > 0 {
+					chosen[i] = t
+					fired++
+				}
 			}
-			chosen[ci] = t
+			if fired > 1 {
+				return nil, fmt.Errorf("engine: cached cycle fires %d alternatives of choice %q of net %q",
+					fired, n.PlaceName(c.Places[0]), n.Name())
+			}
 		}
 		sched.Cycles = append(sched.Cycles, core.Cycle{
 			Sequence:  seq,
-			Counts:    n.FiringCount(seq),
+			Counts:    counts,
 			Reduction: core.LazyReduction(n, &core.Allocation{Clusters: clusters, Chosen: chosen}),
 		})
 	}
@@ -613,8 +631,13 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, cs *cachedSchedule) 
 // isomorphism class.
 //
 // Enumerating directly on the twin would also work, but the lazy
-// branching search's cost is sensitive to cluster index order (up to ~4x
-// more Reduce calls on some nets under the canonical order).
+// branching search's cost is sensitive to cluster index order, and the
+// canonical order is the worse one. On perfbench's synth corpus (2,208
+// valid nets per seed) the twin needs 179,416 Reduce calls against
+// 89,108 on the declared nets for seed 1 (2.01x) and 178,045 against
+// 90,325 for seed 2 (1.97x), or 1.94x and 1.73x the enumeration time
+// (one serial run on a 2-CPU host). The twin is worse on 693 and 725
+// nets, better on 232 and 234; one net goes from 24 calls to 235 (9.8x).
 func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.Reduction) []*core.Reduction {
 	clusters := twin.FreeChoiceSets()
 	clusterOf := map[petri.Place]int{}
@@ -640,56 +663,6 @@ func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.
 		return out[a].TransitionSetKey() < out[b].TransitionSetKey()
 	})
 	return out
-}
-
-// reductions returns, per distinct T-reduction, the canonically sorted
-// kept-transition sets, mapped to the net's transitions. The second
-// return is the fresh reduction set in twin space when THIS call
-// computed it (a cache miss this goroutine won): analyze hands it to
-// schedule() so a cold job enumerates reductions exactly once. On hits —
-// and for singleflight waiters — it is nil.
-//
-// Enumeration runs on the caller's net (the search is cheapest in the
-// order the allocation tree was grown for), then the distinct set is
-// mapped onto the canonical twin for the solve, which needs twin-space
-// reductions in class-invariant order.
-func (e *Engine) reductions(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm) ([][]petri.Transition, *twinReds, error) {
-	max := e.cfg.Core.MaxAllocations
-	var fresh *twinReds
-	v, err := e.cache.getOrCompute("reds:"+cf.Hash, func() (any, error) {
-		reds, err := core.EnumerateDistinctReductionsCtx(ctx, n, max)
-		if err != nil {
-			return nil, err
-		}
-		twin := n.CanonicalNet()
-		fresh = &twinReds{net: twin, reds: mapReductionsToTwin(cf, twin, reds)}
-		rows := make([][]int, len(reds))
-		for i, r := range reds {
-			kept := r.KeptTransitions()
-			row := make([]int, len(kept))
-			for j, t := range kept {
-				row[j] = cf.TransPos[t]
-			}
-			sort.Ints(row)
-			rows[i] = row
-		}
-		sort.Slice(rows, func(a, b int) bool { return lessIntSlice(rows[a], rows[b]) })
-		return rows, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := v.([][]int)
-	out := make([][]petri.Transition, len(rows))
-	for i, row := range rows {
-		ts := make([]petri.Transition, len(row))
-		for j, pos := range row {
-			ts[j] = cf.TransAt[pos]
-		}
-		sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-		out[i] = ts
-	}
-	return out, fresh, nil
 }
 
 // tSemiflows returns the net's minimal T-semiflows through the tsemi:
@@ -953,38 +926,21 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		return rep, nil
 	}
 
-	sp = tr.Start("core/reduce")
-	rows, fresh, err := e.reductions(ctx, n, cf)
-	if fresh != nil {
-		fresh.tis = canonTIs
-	}
-	if err != nil {
-		if cerr := ctxCause(ctx); cerr != nil {
-			sp.End()
-			return rep, cerr
-		}
-		fail("reductions", err)
-	} else {
-		// Reduction survivor sets are name-sorted (and the list of sets
-		// name-ordered) so the report serialises identically for
-		// isomorphic nets regardless of declaration order.
-		for _, ts := range rows {
-			rep.Reductions = append(rep.Reductions, sortedNames(n, ts))
-		}
-		sort.Slice(rep.Reductions, func(a, b int) bool {
-			return lessStrings(rep.Reductions[a], rep.Reductions[b])
-		})
-	}
-	sp.End()
-
 	sp = tr.Start("core/solve")
-	sched, err := e.schedule(ctx, n, cf, fresh, tr)
+	sched, err := e.schedule(ctx, n, cf, canonTIs, tr)
 	sp.End()
 	if err != nil {
+		var serr *solveError
+		if errors.As(err, &serr) && serr.redsErr == nil {
+			rep.Reductions = reductionNames(n, serr.localSets(cf))
+		}
 		if cerr := ctxCause(ctx); cerr != nil {
-			// The deadline fired mid-sweep: surface the cancellation, not a
-			// bogus "not schedulable" verdict.
+			// The deadline fired mid-enumeration or mid-sweep: surface the
+			// cancellation, not a bogus "not schedulable" verdict.
 			return rep, cerr
+		}
+		if serr != nil && serr.redsErr != nil {
+			fail("reductions", serr.redsErr)
 		}
 		if !finalAttempt && errors.Is(err, core.ErrBudgetExceeded) {
 			// Transient budget trip: hand it to the retry policy instead of
@@ -994,6 +950,7 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		rep.ScheduleError = err.Error()
 		return rep, nil
 	}
+	rep.Reductions = reductionNames(n, cycleSupports(sched))
 	rep.Schedulable = true
 	rep.Allocations = sched.AllocationCount
 	rep.AllocationsSaturated = sched.AllocationCountSaturated
@@ -1041,11 +998,30 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 	return rep, nil
 }
 
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// cycleSupports lists, per cycle, the transitions it fires: the kept
+// transitions of its reduction.
+func cycleSupports(s *core.Schedule) [][]petri.Transition {
+	sets := make([][]petri.Transition, len(s.Cycles))
+	for i, c := range s.Cycles {
+		for t, k := range c.Counts {
+			if k > 0 {
+				sets[i] = append(sets[i], petri.Transition(t))
+			}
 		}
 	}
-	return len(a) < len(b)
+	return sets
+}
+
+// reductionNames renders kept-transition sets as the report lists them:
+// each set name-sorted, the list sorted and free of repeats (under
+// KeepDuplicateReductions several cycles share one), so the report
+// serialises identically for isomorphic nets regardless of declaration
+// order.
+func reductionNames(n *petri.Net, sets [][]petri.Transition) [][]string {
+	out := make([][]string, len(sets))
+	for i, ts := range sets {
+		out[i] = sortedNames(n, ts)
+	}
+	slices.SortFunc(out, slices.Compare)
+	return slices.CompactFunc(out, slices.Equal)
 }

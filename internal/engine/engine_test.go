@@ -4,11 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"maps"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
+	"fcpn/internal/atm"
+	"fcpn/internal/core"
 	"fcpn/internal/figures"
+	"fcpn/internal/modem"
 	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
 	"fcpn/internal/trace"
@@ -111,6 +116,109 @@ func TestEngineDeterminism(t *testing.T) {
 	if s := wide.Stats(); s.CacheHits == 0 {
 		t.Error("warm runs produced no cache hits")
 	}
+}
+
+// callOrderCorpus is the figures, the ATM server, the modem and netgen
+// seeds 0–499 of both generators, in a fixed order.
+func callOrderCorpus(t *testing.T) []*petri.Net {
+	t.Helper()
+	nets := corpus()[:len(figures.All())]
+	mm, err := modem.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, atm.New().Net, mm.Net)
+	for seed := uint64(0); seed < 500; seed++ {
+		nets = append(nets,
+			netgen.RandomSchedulablePipeline(seed, netgen.DefaultConfig()),
+			netgen.RandomNet(seed, netgen.DefaultConfig()))
+	}
+	return nets
+}
+
+// TestEngineCallOrderInvariant checks that a report does not depend on
+// what the engine was asked before: a second Analyze of a net, and an
+// Analyze after Synthesize in another engine, both equal the first
+// Analyze byte for byte, and Synthesize fails with the report's
+// schedule_error whenever the report has one. The corpus runs at
+// Core.MaxRows default and 4, so unschedulable nets, whose errors are
+// never cached, are exercised along with semiflow enumerations past
+// their cap.
+func TestEngineCallOrderInvariant(t *testing.T) {
+	nets := callOrderCorpus(t)
+	for _, maxRows := range []int{0, 4} {
+		cfg := Config{Workers: 1, Core: core.Options{MaxRows: maxRows}}
+		analyzeFirst, synthFirst := New(cfg), New(cfg)
+		for _, n := range nets {
+			cold := analyze(t, analyzeFirst, n)
+			want := reportJSON(t, cold)
+			if got := reportJSON(t, analyze(t, analyzeFirst, n)); got != want {
+				t.Fatalf("MaxRows %d, net %q: second Analyze differs from the first:\n%s\nvs\n%s", maxRows, n.Name(), got, want)
+			}
+			_, serr := synthFirst.Synthesize(n)
+			if got := reportJSON(t, analyze(t, synthFirst, n)); got != want {
+				t.Fatalf("MaxRows %d, net %q: Analyze after Synthesize differs from a cold Analyze:\n%s\nvs\n%s", maxRows, n.Name(), got, want)
+			}
+			if cold.ScheduleError != "" && (serr == nil || serr.Error() != cold.ScheduleError) {
+				t.Fatalf("MaxRows %d, net %q: Synthesize error %v, the report's schedule_error %q", maxRows, n.Name(), serr, cold.ScheduleError)
+			}
+		}
+		analyzeFirst.Close()
+		synthFirst.Close()
+	}
+}
+
+// TestEngineAllocationsMatchEnumeration checks the allocations the engine
+// reads off cached firing sequences. Every cycle of a schedule, built cold
+// or read from the cache by a shuffled twin, keeps exactly the transitions
+// it fires, and carries the allocation of the distinct reduction that
+// EnumerateDistinctReductions finds on the same net with the same kept
+// transitions: a choice the reduction removed stays at that net's first
+// alternative, whichever twin filled the cache.
+func TestEngineAllocationsMatchEnumeration(t *testing.T) {
+	nets := corpus()
+	for seed := uint64(0); seed < 50; seed++ {
+		nets = append(nets, netgen.RandomNet(seed, netgen.DefaultConfig()))
+	}
+	rng := rand.New(rand.NewSource(2))
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	cycles := 0
+	for _, orig := range nets {
+		for _, n := range []*petri.Net{orig, shuffled(orig, rng)} {
+			syn, err := e.Synthesize(n)
+			if err != nil {
+				continue
+			}
+			reds, err := core.EnumerateDistinctReductions(n, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", n.Name(), err)
+			}
+			byKey := map[string]*core.Reduction{}
+			for _, r := range reds {
+				byKey[r.TransitionSetKey()] = r
+			}
+			supports := cycleSupports(syn.Schedule)
+			for i, c := range syn.Schedule.Cycles {
+				fired := supports[i]
+				if kept := c.Reduction.KeptTransitions(); !slices.Equal(fired, kept) {
+					t.Fatalf("%s: cycle %d fires %v, its allocation keeps %v", n.Name(), i, n.SequenceNames(fired), n.SequenceNames(kept))
+				}
+				want, ok := byKey[c.Reduction.TransitionSetKey()]
+				if !ok {
+					t.Fatalf("%s: cycle %d keeps %v, no distinct reduction does", n.Name(), i, n.SequenceNames(fired))
+				}
+				if got := c.Reduction.Allocation.Chosen; !slices.Equal(got, want.Allocation.Chosen) {
+					t.Fatalf("%s: cycle %d chooses %v, the enumeration %v", n.Name(), i, n.SequenceNames(got), n.SequenceNames(want.Allocation.Chosen))
+				}
+			}
+			cycles += len(syn.Schedule.Cycles)
+		}
+	}
+	if cycles < 1000 {
+		t.Fatalf("only %d cycles checked", cycles)
+	}
+	t.Logf("%d cycles checked", cycles)
 }
 
 // TestEngineBatchOrderAndConcurrency checks AnalyzeBatch returns results

@@ -106,14 +106,3 @@ func sortedNames(n *petri.Net, ts []petri.Transition) []string {
 	sort.Strings(out)
 	return out
 }
-
-// lessStrings is lexicographic order on string slices, for sorting
-// lists of name-sets deterministically.
-func lessStrings(a, b []string) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}

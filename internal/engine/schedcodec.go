@@ -12,70 +12,50 @@ import (
 // binary are simply never hit rather than misdecoded, and the version
 // byte inside the payload rejects any that arrive through other routes
 // (a shared store, a corrupted journal).
-const schedCacheVersion = 2
+const schedCacheVersion = 3
 
 // schedKey is the cache key of a net's schedule payload.
 func schedKey(hash string) string {
 	return fmt.Sprintf("sched:v%d:%s", schedCacheVersion, hash)
 }
 
-// encodeSchedule serialises a canonical-space schedule payload.
+// encodeSchedule serialises a schedule's canonical firing sequences, one
+// per cycle. It stores nothing else: each cycle's allocation and
+// reduction are read off its sequence when the schedule is rebuilt.
 //
 // Cycle sequences repeat a small set of transitions many times (the
 // firing counts of the covering T-invariant), so each cycle is encoded
-// against its kept-transition set: the sorted canonical positions of the
-// transitions the reduction kept, delta-encoded as uvarint gaps, with
-// the sequence itself stored as indices into that set (almost always one
-// byte each) instead of absolute positions. Choices are delta-encoded on
-// their sorted representative-place positions, each paired with the
-// kept-set index of the chosen transition.
-func encodeSchedule(cs *cachedSchedule) []byte {
+// against the sorted distinct canonical positions it fires,
+// delta-encoded as uvarint gaps, with the sequence itself stored as
+// indices into that set (almost always one byte each) instead of
+// absolute positions.
+func encodeSchedule(seqs [][]int) []byte {
 	buf := []byte{schedCacheVersion}
-	buf = binary.AppendUvarint(buf, uint64(len(cs.cycles)))
-	var kept []int
-	for _, cc := range cs.cycles {
-		kept = keptSet(kept[:0], cc)
-		buf = binary.AppendUvarint(buf, uint64(len(kept)))
+	buf = binary.AppendUvarint(buf, uint64(len(seqs)))
+	var fired []int
+	for _, seq := range seqs {
+		fired = append(fired[:0], seq...)
+		slices.Sort(fired)
+		fired = slices.Compact(fired)
+		buf = binary.AppendUvarint(buf, uint64(len(fired)))
 		prev := 0
-		for _, pos := range kept {
+		for _, pos := range fired {
 			buf = binary.AppendUvarint(buf, uint64(pos-prev))
 			prev = pos
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(cc.seq)))
-		for _, pos := range cc.seq {
-			i, _ := slices.BinarySearch(kept, pos)
-			buf = binary.AppendUvarint(buf, uint64(i))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(cc.choices)))
-		prev = 0
-		for _, pair := range cc.choices {
-			buf = binary.AppendUvarint(buf, uint64(pair[0]-prev))
-			prev = pair[0]
-			i, _ := slices.BinarySearch(kept, pair[1])
+		buf = binary.AppendUvarint(buf, uint64(len(seq)))
+		for _, pos := range seq {
+			i, _ := slices.BinarySearch(fired, pos)
 			buf = binary.AppendUvarint(buf, uint64(i))
 		}
 	}
 	return buf
 }
 
-// keptSet appends to dst the sorted distinct canonical transition
-// positions a cycle references: its firing sequence plus every chosen
-// transition. The chosen transitions are normally a subset of the
-// sequence (the covering T-invariant fires every kept transition), but
-// the union keeps the codec correct for any payload.
-func keptSet(dst []int, cc cachedCycle) []int {
-	dst = append(dst, cc.seq...)
-	for _, pair := range cc.choices {
-		dst = append(dst, pair[1])
-	}
-	slices.Sort(dst)
-	return slices.Compact(dst)
-}
-
 // decodeSchedule parses an encodeSchedule payload, validating the
-// version and every index so a foreign or truncated payload surfaces as
-// an error, never a bogus schedule.
-func decodeSchedule(data []byte) (*cachedSchedule, error) {
+// version, every count and every index, so a foreign or truncated
+// payload surfaces as an error, never a bogus schedule or a panic.
+func decodeSchedule(data []byte) ([][]int, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("engine: empty schedule payload")
 	}
@@ -83,73 +63,65 @@ func decodeSchedule(data []byte) (*cachedSchedule, error) {
 		return nil, fmt.Errorf("engine: schedule payload version %d, want %d", data[0], schedCacheVersion)
 	}
 	data = data[1:]
+	const maxInt = int(^uint(0) >> 1)
 	next := func() (int, error) {
 		v, n := binary.Uvarint(data)
-		if n <= 0 || v > uint64(int(^uint(0)>>1)) {
+		if n <= 0 || v > uint64(maxInt) {
 			return 0, fmt.Errorf("engine: truncated or oversized schedule payload")
 		}
 		data = data[n:]
 		return int(v), nil
 	}
-	nCycles, err := next()
+	// count reads a length; every element it counts takes at least one
+	// more byte, so a count past the bytes left is corrupt.
+	count := func() (int, error) {
+		v, err := next()
+		if err == nil && v > len(data) {
+			err = fmt.Errorf("engine: schedule payload count %d exceeds its %d remaining bytes", v, len(data))
+		}
+		return v, err
+	}
+	nCycles, err := count()
 	if err != nil {
 		return nil, err
 	}
-	cs := &cachedSchedule{cycles: make([]cachedCycle, nCycles)}
-	for i := 0; i < nCycles; i++ {
-		nKept, err := next()
+	seqs := make([][]int, nCycles)
+	for i := range seqs {
+		nFired, err := count()
 		if err != nil {
 			return nil, err
 		}
-		kept := make([]int, nKept)
+		fired := make([]int, nFired)
 		pos := 0
-		for k := 0; k < nKept; k++ {
+		for k := range fired {
 			gap, err := next()
 			if err != nil {
 				return nil, err
 			}
+			if (k > 0 && gap == 0) || gap > maxInt-pos {
+				return nil, fmt.Errorf("engine: schedule payload positions not strictly increasing")
+			}
 			pos += gap
-			kept[k] = pos
+			fired[k] = pos
 		}
-		nSeq, err := next()
+		nSeq, err := count()
 		if err != nil {
 			return nil, err
 		}
-		cc := cachedCycle{seq: make([]int, nSeq)}
-		for j := 0; j < nSeq; j++ {
+		seqs[i] = make([]int, nSeq)
+		for j := range seqs[i] {
 			idx, err := next()
 			if err != nil {
 				return nil, err
 			}
-			if idx >= nKept {
-				return nil, fmt.Errorf("engine: schedule payload sequence index %d out of kept set of %d", idx, nKept)
+			if idx >= nFired {
+				return nil, fmt.Errorf("engine: schedule payload sequence index %d out of its %d fired transitions", idx, nFired)
 			}
-			cc.seq[j] = kept[idx]
+			seqs[i][j] = fired[idx]
 		}
-		nChoices, err := next()
-		if err != nil {
-			return nil, err
-		}
-		pos = 0
-		for k := 0; k < nChoices; k++ {
-			gap, err := next()
-			if err != nil {
-				return nil, err
-			}
-			pos += gap
-			idx, err := next()
-			if err != nil {
-				return nil, err
-			}
-			if idx >= nKept {
-				return nil, fmt.Errorf("engine: schedule payload choice index %d out of kept set of %d", idx, nKept)
-			}
-			cc.choices = append(cc.choices, [2]int{pos, kept[idx]})
-		}
-		cs.cycles[i] = cc
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("engine: %d trailing bytes in schedule payload", len(data))
 	}
-	return cs, nil
+	return seqs, nil
 }

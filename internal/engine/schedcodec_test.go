@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"fcpn/internal/engine/stats"
@@ -11,23 +10,19 @@ import (
 )
 
 func TestSchedCodecRoundTrip(t *testing.T) {
-	cases := []*cachedSchedule{
-		{cycles: []cachedCycle{}},
-		{cycles: []cachedCycle{{seq: []int{0, 3, 3, 7}, choices: [][2]int{{1, 3}, {4, 7}}}}},
-		{cycles: []cachedCycle{
-			{seq: []int{2, 2, 2, 5}},
-			{seq: []int{0, 9, 0, 9, 9}, choices: [][2]int{{0, 9}}},
-		}},
-		// A chosen transition outside the firing sequence still round-trips.
-		{cycles: []cachedCycle{{seq: []int{4}, choices: [][2]int{{2, 11}}}}},
+	cases := [][][]int{
+		{},
+		{{0, 3, 3, 7}},
+		{{2, 2, 2, 5}, {0, 9, 0, 9, 9}},
+		{{}, {4}},
 	}
-	for i, cs := range cases {
-		got, err := decodeSchedule(encodeSchedule(cs))
+	for i, seqs := range cases {
+		got, err := decodeSchedule(encodeSchedule(seqs))
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, cs) {
-			t.Fatalf("case %d: round trip\n got %+v\nwant %+v", i, got, cs)
+		if !reflect.DeepEqual(got, seqs) {
+			t.Fatalf("case %d: round trip\n got %v\nwant %v", i, got, seqs)
 		}
 	}
 }
@@ -35,34 +30,26 @@ func TestSchedCodecRoundTrip(t *testing.T) {
 func TestSchedCodecRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
-		cs := &cachedSchedule{cycles: make([]cachedCycle, rng.Intn(5))}
-		for i := range cs.cycles {
-			kept := rng.Perm(40)[:rng.Intn(8)+1]
-			cc := cachedCycle{seq: make([]int, rng.Intn(30))}
-			for j := range cc.seq {
-				cc.seq[j] = kept[rng.Intn(len(kept))]
+		seqs := make([][]int, rng.Intn(5))
+		for i := range seqs {
+			fired := rng.Perm(40)[:rng.Intn(8)+1]
+			seqs[i] = make([]int, rng.Intn(30))
+			for j := range seqs[i] {
+				seqs[i][j] = fired[rng.Intn(len(fired))]
 			}
-			places := rng.Perm(40)[:rng.Intn(4)]
-			sort.Ints(places)
-			for _, p := range places {
-				cc.choices = append(cc.choices, [2]int{p, kept[rng.Intn(len(kept))]})
-			}
-			cs.cycles[i] = cc
 		}
-		got, err := decodeSchedule(encodeSchedule(cs))
+		got, err := decodeSchedule(encodeSchedule(seqs))
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if !reflect.DeepEqual(got, cs) {
-			t.Fatalf("trial %d: round trip\n got %+v\nwant %+v", trial, got, cs)
+		if !reflect.DeepEqual(got, seqs) {
+			t.Fatalf("trial %d: round trip\n got %v\nwant %v", trial, got, seqs)
 		}
 	}
 }
 
 func TestSchedCodecRejectsBadPayloads(t *testing.T) {
-	good := encodeSchedule(&cachedSchedule{cycles: []cachedCycle{
-		{seq: []int{1, 4, 1}, choices: [][2]int{{0, 4}}},
-	}})
+	good := encodeSchedule([][]int{{1, 4, 1}})
 	if _, err := decodeSchedule(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
@@ -79,6 +66,41 @@ func TestSchedCodecRejectsBadPayloads(t *testing.T) {
 	if _, err := decodeSchedule(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	for _, payload := range [][]byte{
+		{schedCacheVersion, 0xff, 0xff, 0xff, 0xff, 0x0f}, // 2^32-1 cycles in no bytes
+		{schedCacheVersion, 1, 2, 3, 0, 1, 0},             // a repeated fired position
+		{schedCacheVersion, 1, 1, 3, 1, 1},                // a sequence index past the fired set
+		// A second fired position past the largest int.
+		{schedCacheVersion, 1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 0},
+	} {
+		if _, err := decodeSchedule(payload); err == nil {
+			t.Fatalf("payload %v accepted", payload)
+		}
+	}
+}
+
+// FuzzSchedCodec checks the schedule codec on arbitrary bytes:
+// decodeSchedule never panics, and every payload it accepts re-encodes to
+// bytes that decode to the same schedule.
+func FuzzSchedCodec(f *testing.F) {
+	f.Add(encodeSchedule(nil))
+	f.Add(encodeSchedule([][]int{{0, 3, 3, 7}}))
+	f.Add(encodeSchedule([][]int{{2, 2, 2, 5}, {0, 9, 0, 9, 9}, {}}))
+	f.Add([]byte{schedCacheVersion, 1, 2, 3, 0, 1, 0})
+	f.Add([]byte{schedCacheVersion, 1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seqs, err := decodeSchedule(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeSchedule(encodeSchedule(seqs))
+		if err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, seqs) {
+			t.Fatalf("re-encoded payload decodes to %v, want %v", again, seqs)
+		}
+	})
 }
 
 // TestSchedKeyStaysInSchedLayer pins the versioned key to the "sched"

@@ -40,9 +40,9 @@ func lookups(e *Engine) map[string]map[string]int64 {
 
 // TestEngineSemiflowLookupsOnce checks that a job looks each semiflow set
 // up once and hands it down. A cold Analyze of a fresh schedulable net
-// makes one lookup, a miss, in each of the tsemi, psemi, reds and sched
-// layers and none in any other; Synthesize afterwards re-reads only
-// sched and tsemi, both hits.
+// makes one lookup, a miss, in each of the tsemi, psemi and sched layers
+// and none in any other; Synthesize afterwards re-reads only tsemi and
+// sched, both hits.
 func TestEngineSemiflowLookupsOnce(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Close()
@@ -51,7 +51,7 @@ func TestEngineSemiflowLookupsOnce(t *testing.T) {
 		t.Fatalf("%s must be schedulable: %s", n.Name(), rep.ScheduleError)
 	}
 	want := map[string]map[string]int64{
-		"tsemi": {"miss": 1}, "psemi": {"miss": 1}, "reds": {"miss": 1}, "sched": {"miss": 1},
+		"tsemi": {"miss": 1}, "psemi": {"miss": 1}, "sched": {"miss": 1},
 	}
 	if got := lookups(e); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cold Analyze made lookups %v, want %v", got, want)
@@ -183,6 +183,7 @@ func errorGoldenNets() []*petri.Net {
 // errorGolden is one line of testdata/errors.golden.
 type errorGolden struct {
 	MaxRows         int      `json:"max_rows"`
+	MaxAllocations  int      `json:"max_allocations,omitempty"`
 	Net             string   `json:"net"`
 	Errors          []string `json:"errors,omitempty"`
 	ScheduleError   string   `json:"schedule_error,omitempty"`
@@ -191,18 +192,22 @@ type errorGolden struct {
 
 // TestEngineErrorGolden pins the error paths of a semiflow enumeration
 // that exceeds its row cap: the report's errors and schedule_error, and
-// Synthesize's error, at Core.MaxRows 2, 4 and 8. Each cap runs the nets
-// in order through one serial engine, Analyze then Synthesize per net.
-// Regenerate with -update.
+// Synthesize's error, at Core.MaxRows 2, 4 and 8. A last pass at
+// Core.MaxAllocations 2 pins a reduction enumeration past its cap, which
+// fills the report's "reductions" error beside its schedule_error. Each
+// pass runs the nets in order through one serial engine, Analyze then
+// Synthesize per net. Regenerate with -update.
 func TestEngineErrorGolden(t *testing.T) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	for _, maxRows := range []int{2, 4, 8} {
-		e := New(Config{Workers: 1, Core: core.Options{MaxRows: maxRows}})
+	passes := []core.Options{{MaxRows: 2}, {MaxRows: 4}, {MaxRows: 8}, {MaxAllocations: 2}}
+	for _, opt := range passes {
+		e := New(Config{Workers: 1, Core: opt})
 		for _, n := range errorGoldenNets() {
 			rep := analyze(t, e, n)
-			g := errorGolden{MaxRows: maxRows, Net: n.Name(), Errors: rep.Errors, ScheduleError: rep.ScheduleError}
+			g := errorGolden{MaxRows: opt.MaxRows, MaxAllocations: opt.MaxAllocations, Net: n.Name(),
+				Errors: rep.Errors, ScheduleError: rep.ScheduleError}
 			if _, err := e.Synthesize(n); err != nil {
 				g.SynthesizeError = err.Error()
 			}
