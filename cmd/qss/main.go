@@ -244,21 +244,26 @@ func runTimingSafety(stdout io.Writer, syn *fcpn.Synthesis, mkStr, marginStr str
 		return sim.Hooks{Resolver: sim.NewDecisionStream(net, seed).Resolver()}
 	}
 
+	// One fault-free run gives the calibrated deadline, the verdict and
+	// every margin search's level 0.
+	nom := sim.RunNominal(syn.Program, base, cost, sim.MarginConfig{
+		MK:     c,
+		Seed:   seed,
+		Robust: sim.RobustConfig{CyclesPerTick: 1},
+		Hooks:  hooks,
+	})
 	if deadline == 0 {
-		deadline, err = sim.CalibrateDeadline(syn.Program, base, cost,
-			sim.RobustConfig{CyclesPerTick: 1}, hooks(), sim.DefaultDeadlineFactor)
-		if err != nil {
+		if deadline, err = nom.Deadline(sim.DefaultDeadlineFactor); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "timing: deadline calibrated to %d cycles (%dx nominal worst response)\n",
 			deadline, sim.DefaultDeadlineFactor)
 	}
-	rm, err := sim.RunRobust(syn.Program, base, cost,
-		sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline, MK: c}, hooks())
+	verdict, err := nom.Verdict(deadline)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "timing: %s\n", rm.Timing)
+	fmt.Fprintf(stdout, "timing: %s\n", verdict)
 
 	if marginStr != "" {
 		for _, name := range strings.Split(marginStr, ",") {
@@ -266,20 +271,14 @@ func runTimingSafety(stdout io.Writer, syn *fcpn.Synthesis, mkStr, marginStr str
 			if err != nil {
 				return err
 			}
-			om, err := sim.SearchOverloadMargin(syn.Program, base, cost, sim.MarginConfig{
-				Kind:   kind,
-				MK:     c,
-				Seed:   seed,
-				Robust: sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline},
-				Hooks:  hooks,
-			})
+			om, err := nom.SearchMargin(kind, deadline)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "  margin %-8s %s\n", om.Kind+":", om.Result)
 		}
 	}
-	if !rm.Timing.Satisfied {
+	if !verdict.Satisfied {
 		return fmt.Errorf("timing: weakly-hard constraint %s violated", c)
 	}
 	return nil

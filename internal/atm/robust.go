@@ -247,20 +247,20 @@ func RunRobustness(cfg RobustnessConfig, cost rtos.CostModel) (*RobustnessReport
 		})
 	}
 	if report.Timing != nil && len(cfg.MarginKinds) > 0 {
-		nominal := NewWorkload(m, cfg.Workload).Events
+		// The searches run behind the bounded queue, so they share a
+		// fault-free run of their own rather than the calibration's.
+		nom := sim.RunNominal(prog, NewWorkload(m, cfg.Workload).Events, cost, sim.MarginConfig{
+			MK:   cfg.MK,
+			Seed: cfg.FaultSeed,
+			Robust: sim.RobustConfig{
+				CyclesPerTick: cfg.CyclesPerTick,
+				Queue:         report.Queue,
+				StepBudget:    cfg.StepBudget,
+			},
+			Hooks: hooks,
+		})
 		for _, kind := range cfg.MarginKinds {
-			om, err := sim.SearchOverloadMargin(prog, nominal, cost, sim.MarginConfig{
-				Kind: kind,
-				MK:   cfg.MK,
-				Seed: cfg.FaultSeed,
-				Robust: sim.RobustConfig{
-					CyclesPerTick: cfg.CyclesPerTick,
-					Queue:         report.Queue,
-					Deadline:      deadline,
-					StepBudget:    cfg.StepBudget,
-				},
-				Hooks: hooks,
-			})
+			om, err := nom.SearchMargin(kind, deadline)
 			if err != nil {
 				return nil, fmt.Errorf("atm: margin %s: %w", kind, err)
 			}

@@ -71,6 +71,19 @@ type Interp struct {
 	// reallocated per ChoiceNode. Safe across the recursive exec: the
 	// slice is dead before the chosen branch's body runs.
 	alts []petri.Transition
+
+	// entries[t] is transition t's entry point when t is a source, so
+	// each dispatch finds its body without scanning the tasks; init is
+	// the net's initial marking, which Reset restores.
+	entries []entryPoint
+	init    []int
+}
+
+// entryPoint is the task a source activates (-1 for none) and the body
+// it runs.
+type entryPoint struct {
+	task int
+	body []Node
 }
 
 // NewInterp prepares an interpreter with counters initialised from the
@@ -82,29 +95,57 @@ func NewInterp(prog *Program, resolve ChoiceResolver) *Interp {
 		Resolve:  resolve,
 		MaxLoop:  1 << 20,
 	}
+	in.init = append([]int(nil), in.Counters...)
 	in.Stats.Fired = make([]int, prog.Net.NumTransitions())
 	in.Stats.MaxCounters = append([]int(nil), in.Counters...)
+	in.entries = make([]entryPoint, prog.Net.NumTransitions())
+	for t := range in.entries {
+		in.entries[t].task = -1
+	}
+	for ti, tc := range prog.Tasks {
+		for _, b := range tc.Bodies {
+			if e := &in.entries[b.Source]; e.task < 0 {
+				*e = entryPoint{task: ti, body: b.Body}
+			}
+		}
+	}
 	return in
+}
+
+// Reset returns the interpreter to the state NewInterp leaves it in,
+// with choices resolved by resolve: counters at the initial marking,
+// statistics cleared and tracing off. OnFire, MaxLoop and MaxOps keep
+// their values. Reusing one interpreter across runs of a program saves
+// rebuilding its state per run.
+func (in *Interp) Reset(resolve ChoiceResolver) {
+	copy(in.Counters, in.init)
+	clear(in.Stats.Fired)
+	copy(in.Stats.MaxCounters, in.init)
+	in.Stats.Firings, in.Stats.Ops, in.Stats.MaxCounter = 0, 0, 0
+	in.Resolve = resolve
+	in.tracing, in.trace, in.traceStart = false, in.trace[:0], 0
+}
+
+// SourceTask returns the index of the task that source src activates,
+// or -1.
+func (in *Interp) SourceTask(src petri.Transition) int {
+	if int(src) < 0 || int(src) >= len(in.entries) {
+		return -1
+	}
+	return in.entries[src].task
 }
 
 // RunSource executes the task body activated by one occurrence of the
 // given source event, including the task's residual drains.
 func (in *Interp) RunSource(src petri.Transition) error {
-	ti := in.Prog.TaskBySource(src)
+	ti := in.SourceTask(src)
 	if ti < 0 {
 		return fmt.Errorf("codegen: no task handles source %s", in.Prog.Net.TransitionName(src))
 	}
-	tc := in.Prog.Tasks[ti]
-	for _, body := range tc.Bodies {
-		if body.Source != src {
-			continue
-		}
-		if err := in.exec(body.Body); err != nil {
-			return err
-		}
-		return in.exec(tc.Residual)
+	if err := in.exec(in.entries[src].body); err != nil {
+		return err
 	}
-	return fmt.Errorf("codegen: task %s has no body for %s", tc.Task.Name, in.Prog.Net.TransitionName(src))
+	return in.exec(in.Prog.Tasks[ti].Residual)
 }
 
 // RunTask executes a task's residual blocks (used for autonomous tasks and

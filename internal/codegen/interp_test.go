@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -268,5 +269,43 @@ func TestTrace(t *testing.T) {
 	}
 	if len(in2.TraceTail()) != 0 {
 		t.Fatal("trace recorded without StartTrace")
+	}
+}
+
+// TestInterpReset: an interpreter reset after one run replays a second
+// run exactly as a fresh interpreter does: counters, statistics and
+// source dispatch.
+func TestInterpReset(t *testing.T) {
+	prog := generate(t, figures.Figure5())
+	sources := prog.Net.SourceTransitions()
+	run := func(in *Interp) {
+		t.Helper()
+		for i := 0; i < 40; i++ {
+			if err := in.RunSource(sources[i%len(sources)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reused := NewInterp(prog, lcgResolver(3))
+	run(reused)
+	reused.StartTrace()
+	run(reused)
+	reused.Reset(lcgResolver(9))
+	run(reused)
+	fresh := NewInterp(prog, lcgResolver(9))
+	run(fresh)
+	if !reflect.DeepEqual(reused.Counters, fresh.Counters) || !reflect.DeepEqual(reused.Stats, fresh.Stats) {
+		t.Fatalf("reset run differs from a fresh one:\n%+v %+v\n%+v %+v", reused.Counters, reused.Stats, fresh.Counters, fresh.Stats)
+	}
+	if len(reused.TraceTail()) != 0 {
+		t.Fatal("Reset left tracing on")
+	}
+	for _, src := range sources {
+		if got, want := reused.SourceTask(src), prog.TaskBySource(src); got != want {
+			t.Fatalf("SourceTask(%d) = %d, TaskBySource %d", src, got, want)
+		}
+	}
+	if reused.SourceTask(-1) != -1 || reused.SourceTask(petri.Transition(prog.Net.NumTransitions())) != -1 {
+		t.Fatal("SourceTask accepted an out-of-range transition")
 	}
 }

@@ -120,31 +120,41 @@ func timingWorkload(n *petri.Net, cf *petri.CanonicalForm, o TimingOptions) []rt
 // therefore resolve correspondingly, which is what lets the timing
 // layer's cached verdicts be a function of the canonical structure alone
 // (sim.DecisionStream hashes net-local indices and would not be).
-func canonResolver(n *petri.Net, cf *petri.CanonicalForm, seed uint64) codegen.ChoiceResolver {
-	// Dense place-indexed state: the resolver runs once per simulated
-	// choice, so occurrence counters and the (static) canonical consumer
-	// order are slice lookups, not map operations; the order is computed
-	// lazily per place instead of sorted on every call.
-	occ := make([]uint64, n.NumPlaces())
-	order := make([][]petri.Transition, n.NumPlaces())
+//
+// The draws depend on nothing a run does, so a job computes each
+// (place, occurrence) target once into a table, and every run of the
+// job, each with its own occurrence counters, reads it.
+type canonResolver struct {
+	n    *petri.Net
+	cf   *petri.CanonicalForm
+	seed uint64
+	// order[p] is p's consumers in canonical order, targets[p][k] the
+	// target of p's k-th occurrence; both grow on demand.
+	order   [][]petri.Transition
+	targets [][]petri.Transition
+}
+
+func newCanonResolver(n *petri.Net, cf *petri.CanonicalForm, seed uint64) *canonResolver {
+	return &canonResolver{
+		n:       n,
+		cf:      cf,
+		seed:    seed,
+		order:   make([][]petri.Transition, n.NumPlaces()),
+		targets: make([][]petri.Transition, n.NumPlaces()),
+	}
+}
+
+// resolver returns a resolver for one run, starting every place at its
+// first occurrence.
+func (cr *canonResolver) resolver() codegen.ChoiceResolver {
+	occ := make([]int, cr.n.NumPlaces())
 	return func(p petri.Place, alts []petri.Transition) int {
 		k := occ[p]
 		occ[p] = k + 1
-		h := seed ^ (uint64(cf.PlacePos[p])+1)*0x9E3779B97F4A7C15 ^ (k+1)*0xBF58476D1CE4E5B9
-		h ^= h >> 31
-		h *= 0x94D049BB133111EB
-		h ^= h >> 29
-		ts := order[p]
-		if ts == nil {
-			cons := n.Consumers(p)
-			ts = make([]petri.Transition, len(cons))
-			for i, c := range cons {
-				ts[i] = c.Transition
-			}
-			sort.Slice(ts, func(a, b int) bool { return cf.TransPos[ts[a]] < cf.TransPos[ts[b]] })
-			order[p] = ts
+		if k >= len(cr.targets[p]) {
+			cr.extend(p, k)
 		}
-		target := ts[h%uint64(len(ts))]
+		target := cr.targets[p][k]
 		for i, t := range alts {
 			if t == target {
 				return i
@@ -154,6 +164,30 @@ func canonResolver(n *petri.Net, cf *petri.CanonicalForm, seed uint64) codegen.C
 	}
 }
 
+// extend draws p's targets up to occurrence k at least, doubling the
+// table so it grows in O(log k) steps.
+func (cr *canonResolver) extend(p petri.Place, k int) {
+	ts := cr.order[p]
+	if ts == nil {
+		cons := cr.n.Consumers(p)
+		ts = make([]petri.Transition, len(cons))
+		for i, c := range cons {
+			ts[i] = c.Transition
+		}
+		sort.Slice(ts, func(a, b int) bool { return cr.cf.TransPos[ts[a]] < cr.cf.TransPos[ts[b]] })
+		cr.order[p] = ts
+	}
+	targets := cr.targets[p]
+	for occ, last := len(targets), max(k, 2*len(targets)); occ <= last; occ++ {
+		h := cr.seed ^ (uint64(cr.cf.PlacePos[p])+1)*0x9E3779B97F4A7C15 ^ (uint64(occ)+1)*0xBF58476D1CE4E5B9
+		h ^= h >> 31
+		h *= 0x94D049BB133111EB
+		h ^= h >> 29
+		targets = append(targets, ts[h%uint64(len(ts))])
+	}
+	cr.targets[p] = targets
+}
+
 // timingPass runs the whole pass for one schedulable net: nominal
 // verdict under the "timing/monitor" span, then (when configured) the
 // margin searches under "timing/margin". Both go through the cache; the
@@ -161,39 +195,42 @@ func canonResolver(n *petri.Net, cf *petri.CanonicalForm, seed uint64) codegen.C
 func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.Schedule, tp *core.TaskPartition, tr *trace.Tracer) (*TimingReport, error) {
 	opts := e.cfg.Timing.normalized()
 
-	// The program is only needed on cache misses; memoise it per job so a
-	// verdict miss and several margin misses generate code once.
-	var prog *codegen.Program
-	getProg := func() (*codegen.Program, error) {
-		if prog != nil {
-			return prog, nil
+	// The nominal run is only needed on cache misses; memoise it, and
+	// the program it runs, per job so a verdict miss and several margin
+	// misses simulate the fault-free workload once.
+	var nominal *sim.Nominal
+	getNominal := func() (*sim.Nominal, error) {
+		if nominal != nil {
+			return nominal, nil
 		}
-		var err error
-		prog, err = codegen.Generate(sched, tp)
-		return prog, err
+		prog, err := codegen.Generate(sched, tp)
+		if err != nil {
+			return nil, err
+		}
+		choices := newCanonResolver(n, cf, opts.Seed)
+		nominal = sim.RunNominal(prog, timingWorkload(n, cf, opts), rtos.DefaultCostModel(), sim.MarginConfig{
+			MK:      opts.MK,
+			Seed:    opts.Seed,
+			Ceiling: opts.MarginCeiling,
+			Robust:  sim.RobustConfig{CyclesPerTick: 1},
+			Hooks:   func() sim.Hooks { return sim.Hooks{Resolver: choices.resolver()} },
+		})
+		return nominal, nil
 	}
-	hooks := func() sim.Hooks {
-		return sim.Hooks{Resolver: canonResolver(n, cf, opts.Seed)}
-	}
-	events := timingWorkload(n, cf, opts)
-	cost := rtos.DefaultCostModel()
 
 	sp := tr.Start("timing/monitor")
 	v, err := e.cache.getOrCompute(timingVerdictKey(cf.Hash, opts), func() (any, error) {
-		p, err := getProg()
+		nom, err := getNominal()
 		if err != nil {
 			return nil, err
 		}
 		deadline := opts.Deadline
 		if deadline == 0 {
-			deadline, err = sim.CalibrateDeadline(p, events, cost,
-				sim.RobustConfig{CyclesPerTick: 1}, hooks(), sim.DefaultDeadlineFactor)
-			if err != nil {
+			if deadline, err = nom.Deadline(sim.DefaultDeadlineFactor); err != nil {
 				return nil, err
 			}
 		}
-		rm, err := sim.RunRobust(p, events, cost,
-			sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline, MK: opts.MK}, hooks())
+		verdict, err := nom.Verdict(deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +239,7 @@ func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.S
 			Deadline:        deadline,
 			EventsPerSource: opts.EventsPerSource,
 			Seed:            opts.Seed,
-			Verdict:         rm.Timing,
+			Verdict:         verdict,
 		})
 		if err != nil {
 			return nil, err
@@ -227,18 +264,11 @@ func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.S
 	for _, kind := range opts.MarginKinds {
 		kind := kind
 		v, err := e.cache.getOrCompute(timingMarginKey(cf.Hash, opts, kind), func() (any, error) {
-			p, err := getProg()
+			nom, err := getNominal()
 			if err != nil {
 				return nil, err
 			}
-			om, err := sim.SearchOverloadMargin(p, events, cost, sim.MarginConfig{
-				Kind:    kind,
-				MK:      opts.MK,
-				Seed:    opts.Seed,
-				Ceiling: opts.MarginCeiling,
-				Robust:  sim.RobustConfig{CyclesPerTick: 1, Deadline: trep.Deadline},
-				Hooks:   hooks,
-			})
+			om, err := nom.SearchMargin(kind, trep.Deadline)
 			if err != nil {
 				return nil, err
 			}

@@ -100,27 +100,26 @@ func RunTimingSafety(wl WorkloadConfig, cost rtos.CostModel, mk timing.Constrain
 			},
 		}
 	}
+	// One fault-free run gives the calibrated deadline, the verdict and
+	// every margin search's level 0.
+	nom := sim.RunNominal(prog, events, cost, sim.MarginConfig{
+		MK:     mk,
+		Seed:   seed,
+		Robust: sim.RobustConfig{CyclesPerTick: 1},
+		Hooks:  hooks,
+	})
 	if deadline == 0 {
-		deadline, err = sim.CalibrateDeadline(prog, events, cost,
-			sim.RobustConfig{CyclesPerTick: 1}, hooks(), sim.DefaultDeadlineFactor)
-		if err != nil {
+		if deadline, err = nom.Deadline(sim.DefaultDeadlineFactor); err != nil {
 			return nil, fmt.Errorf("modem: calibrating deadline: %w", err)
 		}
 	}
-	rm, err := sim.RunRobust(prog, events, cost,
-		sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline, MK: mk}, hooks())
+	verdict, err := nom.Verdict(deadline)
 	if err != nil {
 		return nil, err
 	}
-	res := &TimingSafetyResult{MK: mk.String(), Deadline: deadline, Verdict: rm.Timing}
+	res := &TimingSafetyResult{MK: mk.String(), Deadline: deadline, Verdict: verdict}
 	for _, kind := range kinds {
-		om, err := sim.SearchOverloadMargin(prog, events, cost, sim.MarginConfig{
-			Kind:   kind,
-			MK:     mk,
-			Seed:   seed,
-			Robust: sim.RobustConfig{CyclesPerTick: 1, Deadline: deadline},
-			Hooks:  hooks,
-		})
+		om, err := nom.SearchMargin(kind, deadline)
 		if err != nil {
 			return nil, fmt.Errorf("modem: margin %s: %w", kind, err)
 		}

@@ -122,18 +122,27 @@ func TestParsePolicy(t *testing.T) {
 }
 
 func TestKernelAdmitComplete(t *testing.T) {
-	k := NewKernel(DefaultCostModel())
+	cost := DefaultCostModel()
+	k := NewKernel(cost, 0)
 	// No queue: every event is admitted and only the interrupt is charged.
-	if !k.Admit(ev(petri.Transition(0), 0), 0) {
+	if k.Admit(ev(petri.Transition(0), 0), 0, 1) != 1 {
 		t.Fatal("queueless kernel must admit")
+	}
+	// A group of copies is admitted whole, one interrupt per copy.
+	if k.Admit(ev(petri.Transition(0), 0), 0, 3) != 3 || k.Interrupts != 4 || k.Cycles != 4*cost.Interrupt {
+		t.Fatalf("queueless group admission: interrupts=%d cycles=%d", k.Interrupts, k.Cycles)
 	}
 	k.Queue = NewEventQueue(QueueConfig{Capacity: 1, Policy: Reject})
 	k.Watch = &Watchdog{Budget: 10}
-	if !k.Admit(ev(petri.Transition(0), 1), 1) {
+	if k.Admit(ev(petri.Transition(0), 1), 1, 1) != 1 {
 		t.Fatal("first event fits")
 	}
-	if k.Admit(ev(petri.Transition(0), 2), 2) {
+	if k.Admit(ev(petri.Transition(0), 2), 2, 1) != 0 {
 		t.Fatal("second event must be rejected at capacity 1")
+	}
+	// Every copy of a group is offered: at capacity 1 all three bounce.
+	if k.Admit(ev(petri.Transition(0), 3), 3, 3) != 0 || k.Queue.Rejected != 4 {
+		t.Fatalf("bounded group admission: rejected=%d", k.Queue.Rejected)
 	}
 	if !k.Complete(25) {
 		t.Fatal("response 25 > deadline 10 must register a miss")

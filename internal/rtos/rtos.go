@@ -66,30 +66,39 @@ type Kernel struct {
 	Activations int64
 	Polls       int64
 	Interrupts  int64
-	// PerTask counts activations per task name.
-	PerTask map[string]int64
+	// PerTask counts activations per task index.
+	PerTask []int64
 	// Queue, when set, bounds event ingress (see Admit).
 	Queue *EventQueue
 	// Watch, when set, records per-event deadline misses (see Complete).
 	Watch *Watchdog
 }
 
-// NewKernel returns a kernel with the given cost model.
-func NewKernel(cost CostModel) *Kernel {
-	return &Kernel{Cost: cost, PerTask: make(map[string]int64)}
+// NewKernel returns a kernel with the given cost model that counts
+// activations for tasks 0 to tasks-1.
+func NewKernel(cost CostModel, tasks int) *Kernel {
+	return &Kernel{Cost: cost, PerTask: make([]int64, tasks)}
 }
 
-// Admit delivers one external event arriving at the given clock: the
-// interrupt cost is always charged (the hardware fired regardless), then
-// the event is offered to the ingress queue under its overflow policy.
-// Without a queue the event is accepted unconditionally but not stored.
-// It reports whether the event was admitted for service.
-func (k *Kernel) Admit(ev Event, arrival int64) bool {
-	k.Interrupt()
+// Admit delivers copies back-to-back occurrences of one external event
+// arriving at the given clock: each copy's interrupt cost is always
+// charged (the hardware fired regardless), then each copy is offered to
+// the ingress queue under its overflow policy. Without a queue every copy
+// is accepted unconditionally but not stored. It reports how many copies
+// were admitted for service.
+func (k *Kernel) Admit(ev Event, arrival int64, copies int) int {
+	k.Cycles += int64(copies) * k.Cost.Interrupt
+	k.Interrupts += int64(copies)
 	if k.Queue == nil {
-		return true
+		return copies
 	}
-	return k.Queue.Offer(ev, arrival)
+	admitted := 0
+	for i := 0; i < copies; i++ {
+		if k.Queue.Offer(ev, arrival) {
+			admitted++
+		}
+	}
+	return admitted
 }
 
 // Complete records one served event's response time with the watchdog (a
@@ -98,15 +107,15 @@ func (k *Kernel) Complete(response int64) bool {
 	return k.Watch.Observe(response)
 }
 
-// Activate charges one task dispatch.
-func (k *Kernel) Activate(task string) {
+// Activate charges one dispatch of the task with the given index.
+func (k *Kernel) Activate(task int) {
 	k.Cycles += k.Cost.Activation
 	k.Activations++
 	k.PerTask[task]++
 }
 
 // Poll charges one no-work scheduler examination.
-func (k *Kernel) Poll(task string) {
+func (k *Kernel) Poll() {
 	k.Cycles += k.Cost.Poll
 	k.Polls++
 }

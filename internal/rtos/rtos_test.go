@@ -9,11 +9,11 @@ import (
 )
 
 func TestKernelAccounting(t *testing.T) {
-	k := NewKernel(CostModel{Activation: 100, Poll: 10, Fire: 5, Op: 1, Interrupt: 20})
-	k.Activate("a")
-	k.Activate("a")
-	k.Activate("b")
-	k.Poll("b")
+	k := NewKernel(CostModel{Activation: 100, Poll: 10, Fire: 5, Op: 1, Interrupt: 20}, 2)
+	k.Activate(0)
+	k.Activate(0)
+	k.Activate(1)
+	k.Poll()
 	k.Interrupt()
 	k.ChargeFirings(4)
 	k.ChargeOps(7)
@@ -23,7 +23,7 @@ func TestKernelAccounting(t *testing.T) {
 	if k.Activations != 3 || k.Polls != 1 || k.Interrupts != 1 {
 		t.Fatalf("counters = %+v", k)
 	}
-	if k.PerTask["a"] != 2 || k.PerTask["b"] != 1 {
+	if k.PerTask[0] != 2 || k.PerTask[1] != 1 {
 		t.Fatalf("per task = %v", k.PerTask)
 	}
 	if !strings.Contains(k.String(), "activations=3") {
@@ -123,7 +123,7 @@ func TestChargeDuration(t *testing.T) {
 		petri.Transition(1): 500,
 		petri.Transition(3): 70,
 	}
-	k := NewKernel(cost)
+	k := NewKernel(cost, 0)
 	k.ChargeDuration(petri.Transition(1))
 	k.ChargeDuration(petri.Transition(2)) // unannotated: free
 	k.ChargeDuration(petri.Transition(3))
@@ -131,7 +131,7 @@ func TestChargeDuration(t *testing.T) {
 		t.Fatalf("cycles = %d, want 570", k.Cycles)
 	}
 	// No annotation map at all: ChargeDuration is a no-op.
-	plain := NewKernel(DefaultCostModel())
+	plain := NewKernel(DefaultCostModel(), 0)
 	plain.ChargeDuration(petri.Transition(1))
 	if plain.Cycles != 0 {
 		t.Fatalf("unannotated kernel charged %d", plain.Cycles)

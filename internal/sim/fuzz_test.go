@@ -81,7 +81,10 @@ func FuzzScheduleReplay(f *testing.F) {
 // reference that runs every probe in full (SearchOverloadMarginFull)
 // over fuzzed seeds, kinds, ceilings, deadlines and step budgets: both
 // must fail together or marshal byte-identically. The seed also picks
-// the program and whether arrivals are backlogged or sparse.
+// the program, whether arrivals are backlogged or sparse and, from bits
+// 16 and up, a bounded ingress queue: bits 16-19 its capacity (0 keeps
+// it unbounded, as for every seed below 1<<16) and the bits above them
+// its overflow policy.
 func FuzzMarginEarlyStop(f *testing.F) {
 	nets := []*petri.Net{figures.Figure3a(), figures.Figure4(), figures.Figure5()}
 	for s := uint64(1); s <= 6; s++ {
@@ -104,6 +107,9 @@ func FuzzMarginEarlyStop(f *testing.F) {
 	f.Add(uint64(6), uint8(0), uint16(9), int64(1), uint32(0))     // nominal run fails
 	f.Add(uint64(7), uint8(0), uint16(0), int64(0), uint32(4000))  // small step budget
 	f.Add(uint64(8), uint8(3), uint16(0), int64(1<<40), uint32(3000))
+	f.Add(uint64(0x030001), uint8(0), uint16(0), int64(0), uint32(0)) // burst, capacity 3, drop-newest
+	f.Add(uint64(0x140002), uint8(0), uint16(9), int64(0), uint32(0)) // burst, capacity 4, drop-oldest
+	f.Add(uint64(0x220005), uint8(3), uint16(0), int64(0), uint32(0)) // overrun, capacity 2, reject
 
 	f.Fuzz(func(t *testing.T, seed uint64, kind uint8, ceiling uint16, deadline int64, budget uint32) {
 		prog := progs[seed%uint64(len(progs))]
@@ -123,6 +129,7 @@ func FuzzMarginEarlyStop(f *testing.F) {
 			Ceiling: int(ceiling),
 			Robust: RobustConfig{
 				CyclesPerTick: 1,
+				Queue:         rtos.QueueConfig{Capacity: int(seed >> 16 & 0xF), Policy: rtos.OverflowPolicy(seed >> 20 % 3)},
 				Deadline:      deadline % (1 << 41),
 				StepBudget:    int(budget % (1 << 20)),
 			},

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"fcpn/internal/codegen"
+	"fcpn/internal/core"
 	"fcpn/internal/fault"
 	"fcpn/internal/rtos"
 	"fcpn/internal/timing"
@@ -139,18 +140,73 @@ func (om *OverloadMargin) String() string {
 // cycle. It makes margins meaningful without hand-tuning a deadline per
 // net — level 0 always passes under the calibrated budget.
 func CalibrateDeadline(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks, factor int64) (int64, error) {
-	cfg.Deadline = 0
-	cfg.MK = timing.Constraint{}
-	cfg.Jitter = nil
-	rm, err := RunRobust(prog, events, cost, cfg, hooks)
-	if err != nil {
-		return 0, fmt.Errorf("sim: deadline calibration: %w", err)
+	nom := RunNominal(prog, events, cost, MarginConfig{Robust: cfg, Hooks: func() Hooks { return hooks }})
+	return nom.Deadline(factor)
+}
+
+// Nominal is one fault-free run of a program's workload: no deadline, no
+// cost perturbation, no (m,k) monitor, and each served event's response
+// time recorded. The watchdog only observes, so the run serves exactly
+// what a run with any deadline serves. The calibrated deadline, the
+// (m,k) verdict at any deadline and every overload kind's level 0 are
+// therefore read off it instead of simulated again. Its margin searches
+// reuse its interpreter, kernel and monitor, so it is not safe for
+// concurrent use.
+type Nominal struct {
+	prog *codegen.Program
+	cfg  MarginConfig
+	// raw is the workload as given and events the same in time order.
+	raw, events []rtos.Event
+	r           *runner
+	responses   []int64
+	maxResponse int64
+	// err is the error the run ended with, as RunRobust returns it.
+	err error
+}
+
+// RunNominal serves the workload once under cfg.Robust with its
+// Deadline, MK and Jitter cleared, through hooks built by cfg's hook
+// factory. cfg.Kind and cfg.Robust.Deadline are not read: they belong to
+// each search made from the run (see SearchMargin), which takes every
+// other field from cfg. An error the run ends with is kept and reported
+// by Deadline, Verdict and SearchMargin.
+func RunNominal(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg MarginConfig) *Nominal {
+	n := &Nominal{prog: prog, cfg: cfg, raw: events, events: timeOrdered(events), r: newRunner(prog, cost)}
+	rcfg := cfg.Robust
+	rcfg.Deadline, rcfg.MK, rcfg.Jitter = 0, timing.Constraint{}, nil
+	n.r.record = true
+	err := n.r.run(n.events, 1, rcfg, cfg.hooks(prog), false)
+	n.r.record = false
+	n.responses, n.r.responses = n.r.responses, nil
+	n.maxResponse = n.r.response.max
+	if err != nil && errors.Is(err, core.ErrBudgetExceeded) {
+		err = budgetError(err)
 	}
-	d := factor * rm.ResponseMax
-	if d < 1 {
-		d = 1
+	n.err = err
+	return n
+}
+
+// Deadline is factor times the run's worst response, minimum one cycle.
+func (n *Nominal) Deadline(factor int64) (int64, error) {
+	if n.err != nil {
+		return 0, fmt.Errorf("sim: deadline calibration: %w", n.err)
 	}
-	return d, nil
+	return max(factor*n.maxResponse, 1), nil
+}
+
+// Verdict is the (m,k) verdict, under cfg.MK, of the run judged against
+// the given deadline, with the error the run ended with: what RunRobust
+// reports for the same run with that deadline and constraint.
+func (n *Nominal) Verdict(deadline int64) (*timing.Verdict, error) {
+	mon := timing.NewMonitor(n.cfg.MK)
+	for _, resp := range n.responses {
+		miss := deadline > 0 && resp > deadline
+		if miss {
+			mon.ObserveOverrun(resp - deadline)
+		}
+		mon.Observe(miss)
+	}
+	return mon.Verdict(), n.err
 }
 
 // SearchOverloadMargin binary-searches the fault-injector intensity for
@@ -159,28 +215,53 @@ func CalibrateDeadline(prog *codegen.Program, events []rtos.Event, cost rtos.Cos
 // breaks. Deterministic for a given (workload, seed, config); every
 // probe replays the same seeded injector at a different intensity.
 //
+// It runs the workload fault-free once (RunNominal) and searches from
+// that run, so the calibration and level 0 share it.
+func SearchOverloadMargin(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg MarginConfig) (*OverloadMargin, error) {
+	if _, err := cfg.ceiling(); err != nil {
+		return nil, err
+	}
+	return RunNominal(prog, events, cost, cfg).SearchMargin(cfg.Kind, cfg.Robust.Deadline)
+}
+
+// SearchMargin searches the margin of one overload kind over the run's
+// workload and configuration, against the given deadline (0 calibrates
+// it to DefaultDeadlineFactor x the run's worst response). Level 0 is
+// the run itself.
+//
 // The bisection reads only each probe's Satisfied bit, which is final
 // once the monitor latches a violating window, so a failing probe stops
 // there. The reported Fail level is then replayed in full, outside the
 // probe count, so the result is the one full-length probes give.
-func SearchOverloadMargin(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg MarginConfig) (*OverloadMargin, error) {
-	ceiling, deadline, err := cfg.prepare(prog, events, cost)
+func (n *Nominal) SearchMargin(kind OverloadKind, deadline int64) (*OverloadMargin, error) {
+	cfg := n.cfg
+	cfg.Kind = kind
+	ceiling, err := cfg.ceiling()
 	if err != nil {
 		return nil, err
 	}
-	om := &OverloadMargin{Kind: cfg.Kind.String(), Deadline: deadline}
+	if deadline == 0 {
+		if deadline, err = n.Deadline(DefaultDeadlineFactor); err != nil {
+			return nil, err
+		}
+	}
+	rcfg := cfg.Robust
+	rcfg.Deadline, rcfg.MK = deadline, cfg.MK
+	om := &OverloadMargin{Kind: kind.String(), Deadline: deadline}
 	stopped := make(map[int]bool) // levels whose probe stopped early
 	probe := func(level int, stopAtViolation bool) (*timing.Verdict, error) {
-		stream, rcfg := cfg.probeInput(events, deadline, level)
-		rm, stop, err := runRobust(prog, stream, cost, rcfg, cfg.hooks(prog), stopAtViolation)
-		if rm != nil {
-			om.ProbeEvents += int64(rm.Events)
+		if level == 0 {
+			v, err := n.Verdict(deadline)
+			return probeVerdict(0, v, err)
 		}
-		if stop {
+		events, copies, pcfg := n.probeInput(kind, rcfg, level)
+		err := n.r.run(events, copies, pcfg, cfg.hooks(n.prog), stopAtViolation)
+		om.ProbeEvents += n.r.service.n
+		if n.r.stopped {
 			om.ProbeStops++
 			stopped[level] = true
 		}
-		return probeVerdict(level, rm, err)
+		return probeVerdict(level, n.r.mon.Verdict(), err)
 	}
 
 	res, err := timing.SearchMargin(ceiling, func(level int) (*timing.Verdict, error) {
@@ -198,73 +279,65 @@ func SearchOverloadMargin(prog *codegen.Program, events []rtos.Event, cost rtos.
 	return om, nil
 }
 
-// prepare validates the search and resolves its ceiling and deadline.
-func (cfg MarginConfig) prepare(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel) (ceiling int, deadline int64, err error) {
+// ceiling validates the search and resolves its ceiling.
+func (cfg MarginConfig) ceiling() (int, error) {
 	if err := cfg.MK.Validate(); err != nil {
-		return 0, 0, fmt.Errorf("sim: margin search needs a valid (m,k) constraint: %w", err)
+		return 0, fmt.Errorf("sim: margin search needs a valid (m,k) constraint: %w", err)
 	}
 	if cfg.Robust.Jitter != nil {
-		return 0, 0, fmt.Errorf("sim: margin search owns RobustConfig.Jitter; configure OverloadOverrun instead")
+		return 0, fmt.Errorf("sim: margin search owns RobustConfig.Jitter; configure OverloadOverrun instead")
 	}
 	switch cfg.Kind {
 	case OverloadBurst, OverloadJitter, OverloadDrop, OverloadOverrun:
 	default:
-		return 0, 0, fmt.Errorf("sim: unknown overload kind %v", cfg.Kind)
+		return 0, fmt.Errorf("sim: unknown overload kind %v", cfg.Kind)
 	}
-	ceiling = cfg.Ceiling
+	ceiling := cfg.Ceiling
 	if ceiling <= 0 {
 		ceiling = cfg.Kind.defaultCeiling()
 	}
 	if cfg.Kind == OverloadDrop && ceiling > 100 {
 		ceiling = 100
 	}
-	deadline = cfg.Robust.Deadline
-	if deadline == 0 {
-		deadline, err = CalibrateDeadline(prog, events, cost, cfg.Robust, cfg.hooks(prog), DefaultDeadlineFactor)
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return ceiling, deadline, nil
+	return ceiling, nil
 }
 
-// probeInput builds one probe's workload and run configuration: the
-// seeded injector of the search's kind at the given intensity.
-func (cfg MarginConfig) probeInput(events []rtos.Event, deadline int64, level int) ([]rtos.Event, RobustConfig) {
-	rcfg := cfg.Robust
-	rcfg.Deadline = deadline
-	rcfg.MK = cfg.MK
+// probeInput builds one probe's workload and run configuration at a
+// level above 0: the time-ordered stream, how many times each of its
+// events arrives, and the seeded injector of the kind at that intensity.
+// A burst of level L is every event arriving L+1 times back to back. That
+// is exactly the stream fault.Burst{Pct: 100, Extra: L} makes, since its
+// draws cannot change it, so the nominal stream is served L+1 times
+// instead of being copied.
+func (n *Nominal) probeInput(kind OverloadKind, cfg RobustConfig, level int) ([]rtos.Event, int, RobustConfig) {
 	var inj fault.Injector
-	switch cfg.Kind {
+	switch kind {
 	case OverloadBurst:
-		inj = fault.Burst{Pct: 100, Extra: level, Source: fault.AnySource}
+		return n.events, level + 1, cfg
 	case OverloadJitter:
 		inj = fault.JitterTicks{Window: int64(level), Source: fault.AnySource}
 	case OverloadDrop:
 		inj = fault.Drop{Pct: level, Source: fault.AnySource}
 	case OverloadOverrun:
-		rcfg.Jitter = &fault.CostJitter{Seed: cfg.Seed, MaxPct: level}
-		return events, rcfg
+		cfg.Jitter = &fault.CostJitter{Seed: n.cfg.Seed, MaxPct: level}
+		return n.events, 1, cfg
 	}
-	if level == 0 {
-		return events, rcfg
-	}
-	return fault.Scenario{
-		Name: "margin-" + cfg.Kind.String(), Seed: cfg.Seed, Injectors: []fault.Injector{inj},
-	}.Apply(events), rcfg
+	return timeOrdered(fault.Scenario{
+		Name: "margin-" + kind.String(), Seed: n.cfg.Seed, Injectors: []fault.Injector{inj},
+	}.Apply(n.raw)), 1, cfg
 }
 
 // probeVerdict turns one probe run into its verdict. A probe that
 // exhausts its step budget is a system that cannot keep up with the
 // injected overload: it reports a failed level, not a search abort.
-func probeVerdict(level int, rm *RobustMetrics, err error) (*timing.Verdict, error) {
+func probeVerdict(level int, v *timing.Verdict, err error) (*timing.Verdict, error) {
 	if err != nil {
-		if errors.Is(err, codegen.ErrBudgetExceeded) && rm != nil && rm.Timing != nil {
-			v := *rm.Timing
-			v.Satisfied = false
-			return &v, nil
+		if errors.Is(err, codegen.ErrBudgetExceeded) && v != nil {
+			failed := *v
+			failed.Satisfied = false
+			return &failed, nil
 		}
 		return nil, fmt.Errorf("sim: margin probe level %d: %w", level, err)
 	}
-	return rm.Timing, nil
+	return v, nil
 }

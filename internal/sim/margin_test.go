@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"fcpn/internal/fault"
@@ -88,6 +89,25 @@ func TestSearchOverloadMarginBurstFiniteAndDeterministic(t *testing.T) {
 	b, _ := json.Marshal(run())
 	if string(a) != string(b) {
 		t.Fatalf("margin search not reproducible:\n%s\n%s", a, b)
+	}
+}
+
+// TestBurstSearchMemoryBoundedByWorkload: a burst probe at level L
+// serves every event L+1 times, but what it holds must scale with the
+// workload, not with L. At a ceiling of 65,536 over Figure 4's 30 events
+// the whole search must allocate less than 4 MB.
+func TestBurstSearchMemoryBoundedByWorkload(t *testing.T) {
+	cfg, _, run := marginFixture(t)
+	cfg.Ceiling = 1 << 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	om := run()
+	runtime.ReadMemStats(&after)
+	if om.Result.Level < 0 || om.Result.Level >= om.Result.Ceiling {
+		t.Fatalf("burst margin must be finite: %s", om.Result)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("burst search at ceiling %d allocated %.1f MB, want < 4 MB", cfg.Ceiling, float64(alloc)/(1<<20))
 	}
 }
 

@@ -135,53 +135,106 @@ const defaultStepBudget = 1 << 26
 // When the step budget runs out, the metrics collected so far are
 // returned together with an error wrapping core.ErrBudgetExceeded.
 func RunRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks) (*RobustMetrics, error) {
-	rm, _, err := runRobust(prog, events, cost, cfg, hooks, false)
-	return rm, err
+	r := newRunner(prog, cost)
+	err := r.run(timeOrdered(events), 1, cfg, hooks, false)
+	if err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+		return nil, err
+	}
+	rm := r.metrics(cfg)
+	if err != nil {
+		rm.BudgetExhausted = true
+		return rm, budgetError(err)
+	}
+	return rm, nil
 }
 
-// runRobust is RunRobust's event loop. With stopAtViolation set, the run
-// ends as soon as the (m,k) monitor has latched its first violating
-// window while events are still left to serve, and stopped reports it:
-// the verdict's Satisfied bit is then final, but every metric covers
-// only the events served so far. The margin search's probes use it,
-// since bisection reads nothing else.
-func runRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, cfg RobustConfig, hooks Hooks, stopAtViolation bool) (*RobustMetrics, bool, error) {
+// budgetError is how a run that exhausted its step budget reports it.
+func budgetError(err error) error { return fmt.Errorf("sim: robust run stopped: %w", err) }
+
+// runner is the simulator's state for one program: the interpreter, the
+// kernel, the watchdog and the (m,k) monitor a run drives, and what the
+// last run observed. RunRobust makes one per run; a margin search keeps
+// one and resets it for every probe.
+type runner struct {
+	prog  *codegen.Program
+	cost  rtos.CostModel
+	in    *codegen.Interp
+	k     rtos.Kernel
+	watch rtos.Watchdog
+	mon   *timing.Monitor
+	mk    timing.Constraint // the constraint mon checks
+
+	service, response cycleStats
+	clock             int64
+	// stopped reports that the last run ended at its first violating
+	// (m,k) window; with record set, responses holds each served event's
+	// response time in service order.
+	stopped   bool
+	record    bool
+	responses []int64
+}
+
+func newRunner(prog *codegen.Program, cost rtos.CostModel) *runner {
+	return &runner{
+		prog: prog,
+		cost: cost,
+		in:   codegen.NewInterp(prog, nil),
+		k:    rtos.Kernel{PerTask: make([]int64, len(prog.Tasks))},
+	}
+}
+
+// reset prepares the runner for a run under cfg, whose defaults are
+// applied.
+func (r *runner) reset(cfg RobustConfig, hooks Hooks) {
+	r.in.Reset(hooks.Resolver)
+	r.in.MaxOps = cfg.StepBudget
+	clear(r.k.PerTask)
+	r.k = rtos.Kernel{Cost: r.cost, PerTask: r.k.PerTask}
+	r.in.OnFire = fireHook(&r.k, hooks)
+	// A bounded queue may lose arrivals. An unbounded one never does, so
+	// the kernel gets no queue and run serves events straight from the
+	// stream it was given.
+	if cfg.Queue.Capacity > 0 {
+		r.k.Queue = rtos.NewEventQueue(cfg.Queue)
+	}
+	if cfg.Deadline > 0 {
+		r.watch = rtos.Watchdog{Budget: cfg.Deadline}
+		r.k.Watch = &r.watch
+	}
+	if r.mon == nil || r.mk != cfg.MK {
+		r.mon, r.mk = timing.NewMonitor(cfg.MK), cfg.MK
+	} else {
+		r.mon.Reset()
+	}
+	r.service, r.response, r.clock, r.stopped = cycleStats{}, cycleStats{}, 0, false
+	r.responses = r.responses[:0]
+}
+
+// run serves one workload: events, in time order, each arriving copies
+// times back to back. With stopAtViolation set, the run ends as soon as
+// the (m,k) monitor has latched its first violating window while events
+// are still left to serve, and r.stopped reports it: the verdict's
+// Satisfied bit is then final, but everything else covers only the
+// events served so far. The margin search's probes use it, since
+// bisection reads nothing else.
+func (r *runner) run(events []rtos.Event, copies int, cfg RobustConfig, hooks Hooks, stopAtViolation bool) error {
 	if cfg.CyclesPerTick <= 0 {
 		cfg.CyclesPerTick = 1
 	}
 	if cfg.StepBudget <= 0 {
 		cfg.StepBudget = defaultStepBudget
 	}
-
-	ordered := timeOrdered(events)
-	in := codegen.NewInterp(prog, hooks.Resolver)
-	in.MaxOps = cfg.StepBudget
-	k := rtos.NewKernel(cost)
-	in.OnFire = fireHook(k, hooks)
-	// A bounded queue may lose arrivals. An unbounded one never does, so
-	// it would hold exactly ordered[head:next]: the kernel gets no queue
-	// and events are served straight from ordered. Under overload nearly
-	// the whole stream waits at once, and copying it was the run's
-	// largest set-up cost.
-	if cfg.Queue.Capacity > 0 {
-		k.Queue = rtos.NewEventQueue(cfg.Queue)
-	}
-	if cfg.Deadline > 0 {
-		k.Watch = &rtos.Watchdog{Budget: cfg.Deadline}
-	}
-	mon := timing.NewMonitor(cfg.MK)
-
-	var clock int64
-	var service, response cycleStats
-	next := 0 // index of the next arrival in ordered
-	head := 0 // index of the next event to serve, without a queue
-	stopped := false
-	var runErr error
+	r.reset(cfg, hooks)
+	k, in, mon := &r.k, r.in, r.mon
+	next := 0 // index of the next arrival in events
+	// Without a queue, events[head] is the next event to serve and
+	// served counts its copies already served.
+	head, served := 0, 0
 	for {
 		// Admit every arrival up to the current clock (the interrupt
 		// handler runs even while a task occupies the CPU).
-		for next < len(ordered) && ordered[next].Time*cfg.CyclesPerTick <= clock {
-			k.Admit(ordered[next], ordered[next].Time*cfg.CyclesPerTick)
+		for next < len(events) && events[next].Time*cfg.CyclesPerTick <= r.clock {
+			k.Admit(events[next], events[next].Time*cfg.CyclesPerTick, copies)
 			next++
 		}
 		var qe rtos.QueuedEvent
@@ -189,23 +242,25 @@ func runRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 		if k.Queue != nil {
 			qe, ok = k.Queue.Pop()
 		} else if head < next {
-			qe, ok = rtos.QueuedEvent{Ev: ordered[head], Arrival: ordered[head].Time * cfg.CyclesPerTick}, true
-			head++
+			qe, ok = rtos.QueuedEvent{Ev: events[head], Arrival: events[head].Time * cfg.CyclesPerTick}, true
+			if served++; served == copies {
+				head, served = head+1, 0
+			}
 		}
 		if !ok {
-			if next >= len(ordered) {
-				break
+			if next >= len(events) {
+				return nil
 			}
-			clock = ordered[next].Time * cfg.CyclesPerTick // CPU idles
+			r.clock = events[next].Time * cfg.CyclesPerTick // CPU idles
 			continue
 		}
 		if stopAtViolation && mon.Violated() {
-			stopped = true
-			break
+			r.stopped = true
+			return nil
 		}
-		ti := prog.TaskBySource(qe.Ev.Source)
+		ti := in.SourceTask(qe.Ev.Source)
 		if ti < 0 {
-			return nil, false, fmt.Errorf("sim: no task for source %s", prog.Net.TransitionName(qe.Ev.Source))
+			return fmt.Errorf("sim: no task for source %s", r.prog.Net.TransitionName(qe.Ev.Source))
 		}
 		if hooks.BeforeEvent != nil {
 			hooks.BeforeEvent(qe.Ev)
@@ -213,43 +268,56 @@ func runRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 		if cfg.Jitter != nil {
 			// Every earlier dispatch completed, so service.n is this
 			// dispatch's index.
-			k.Cost = cfg.Jitter.Perturb(cost, service.n)
+			k.Cost = cfg.Jitter.Perturb(r.cost, r.service.n)
 		}
 		start := k.Cycles
-		if runErr = serveEvent(prog, in, k, ti, qe.Ev.Source, cfg.Modular); runErr != nil {
-			break
+		if err := r.serve(ti, qe.Ev.Source, cfg.Modular); err != nil {
+			return err
 		}
 		svc := k.Cycles - start
-		service.add(svc)
-		clock += svc
-		resp := clock - qe.Arrival
-		response.add(resp)
+		r.service.add(svc)
+		r.clock += svc
+		resp := r.clock - qe.Arrival
+		r.response.add(resp)
+		if r.record {
+			r.responses = append(r.responses, resp)
+		}
 		miss := k.Complete(resp)
 		if miss {
 			mon.ObserveOverrun(resp - cfg.Deadline)
 		}
 		mon.Observe(miss)
 	}
+}
 
+// metrics reports the last run under cfg.
+func (r *runner) metrics(cfg RobustConfig) *RobustMetrics {
+	k, in := &r.k, r.in
+	perTask := make(map[string]int64)
+	for ti, n := range k.PerTask {
+		if n > 0 {
+			perTask[r.prog.Tasks[ti].Task.Name] += n
+		}
+	}
 	rm := &RobustMetrics{
 		Metrics: Metrics{
 			Cycles:      k.Cycles,
 			Activations: k.Activations,
 			Polls:       k.Polls,
-			Events:      int(service.n),
+			Events:      int(r.service.n),
 			Fired:       append([]int(nil), in.Stats.Fired...),
 			MaxCounter:  in.Stats.MaxCounter,
-			PerTask:     k.PerTask,
-			LatencyMax:  service.max,
-			LatencyAvg:  service.avg(),
+			PerTask:     perTask,
+			LatencyMax:  r.service.max,
+			LatencyAvg:  r.service.avg(),
 		},
-		ResponseMax:  response.max,
-		ResponseAvg:  response.avg(),
-		CPUBusy:      service.sum,
-		Makespan:     clock,
+		ResponseMax:  r.response.max,
+		ResponseAvg:  r.response.avg(),
+		CPUBusy:      r.service.sum,
+		Makespan:     r.clock,
 		PeakCounters: append([]int(nil), in.Stats.MaxCounters...),
 		Steps:        in.Stats.Ops,
-		Timing:       mon.Verdict(),
+		Timing:       r.mon.Verdict(),
 	}
 	if k.Queue != nil {
 		rm.DroppedEvents = k.Queue.Lost()
@@ -259,18 +327,10 @@ func runRobust(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel, 
 		rm.DeadlineMisses = k.Watch.Misses
 		rm.WorstOverrun = k.Watch.WorstOverrun
 	}
-	rm.Violations = boundCheck(prog.Net, rm.PeakCounters, cfg.Limits)
+	rm.Violations = boundCheck(r.prog.Net, rm.PeakCounters, cfg.Limits)
 	rm.BoundViolations = len(rm.Violations)
-	rm.CycleExceedances = boundCheck(prog.Net, rm.PeakCounters, cfg.CycleLimits)
-
-	if runErr != nil {
-		if errors.Is(runErr, core.ErrBudgetExceeded) {
-			rm.BudgetExhausted = true
-			return rm, false, fmt.Errorf("sim: robust run stopped: %w", runErr)
-		}
-		return nil, false, runErr
-	}
-	return rm, stopped, nil
+	rm.CycleExceedances = boundCheck(r.prog.Net, rm.PeakCounters, cfg.CycleLimits)
+	return rm
 }
 
 // timeOrdered returns the events in stable time order. The workload and
@@ -287,31 +347,32 @@ func timeOrdered(events []rtos.Event) []rtos.Event {
 	return events
 }
 
-// serveEvent dispatches one admitted event: it activates the source's
-// task and runs the source body, then, when modular is set, the
-// functional baseline's dynamic scheduler keeps examining the module
-// tasks until a full pass makes no progress. A task that fires pays an
-// activation, an idle one a poll. Firings and ops are charged once,
-// after the cascade, and not at all when a dispatch fails, so a run cut
-// off by its step budget reports the charges of the events it finished.
-func serveEvent(prog *codegen.Program, in *codegen.Interp, k *rtos.Kernel, ti int, src petri.Transition, modular bool) error {
-	k.Activate(prog.Tasks[ti].Task.Name)
+// serve dispatches one admitted event: it activates task ti and runs
+// src's body, then, when modular is set, the functional baseline's
+// dynamic scheduler keeps examining the module tasks until a full pass
+// makes no progress. A task that fires pays an activation, an idle one a
+// poll. Firings and ops are charged once, after the cascade, and not at
+// all when a dispatch fails, so a run cut off by its step budget reports
+// the charges of the events it finished.
+func (r *runner) serve(ti int, src petri.Transition, modular bool) error {
+	k, in := &r.k, r.in
+	k.Activate(ti)
 	beforeFired, beforeOps := in.Stats.Firings, in.Stats.Ops
 	if err := in.RunSource(src); err != nil {
 		return err
 	}
 	for progress := modular; progress; {
 		progress = false
-		for mi := range prog.Tasks {
+		for mi := range r.prog.Tasks {
 			fired, err := in.RunTask(mi)
 			if err != nil {
 				return err
 			}
 			if fired {
-				k.Activate(prog.Tasks[mi].Task.Name)
+				k.Activate(mi)
 				progress = true
 			} else {
-				k.Poll(prog.Tasks[mi].Task.Name)
+				k.Poll()
 			}
 		}
 	}

@@ -75,7 +75,7 @@ func (c *cycleStats) avg() int64 {
 // deterministically from a seed, so independent runs see identical data.
 type DecisionStream struct {
 	seed uint64
-	k    map[petri.Place]uint64
+	k    []uint64 // per-place occurrence counters
 	net  *petri.Net
 	// Bias optionally overrides the uniform distribution: Bias[p] gives
 	// per-alternative weights for place p (len = number of consumers).
@@ -84,7 +84,7 @@ type DecisionStream struct {
 
 // NewDecisionStream creates a stream for the net with the given seed.
 func NewDecisionStream(n *petri.Net, seed uint64) *DecisionStream {
-	return &DecisionStream{seed: seed, k: make(map[petri.Place]uint64), net: n}
+	return &DecisionStream{seed: seed, k: make([]uint64, n.NumPlaces()), net: n}
 }
 
 // Resolver adapts the stream to the interpreter's callback. The chosen

@@ -147,6 +147,17 @@ func NewMonitor(c Constraint) *Monitor {
 	return &Monitor{c: c, ring: make([]bool, c.K)}
 }
 
+// Reset empties the monitor for a new stream, keeping its constraint
+// and its ring. A nil Monitor stays a no-op.
+func (m *Monitor) Reset() {
+	if m == nil {
+		return
+	}
+	clear(m.ring)
+	m.events, m.misses, m.total = 0, 0, 0
+	m.violation, m.overrun = nil, 0
+}
+
 // Observe feeds one event outcome (miss = deadline missed) into the
 // window. The first violating window is latched; observation continues
 // afterwards so Events/Misses describe the full stream.

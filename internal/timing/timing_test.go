@@ -97,6 +97,24 @@ func TestMonitorBasics(t *testing.T) {
 	}
 }
 
+// TestMonitorReset: a reset monitor judges its next stream exactly as a
+// fresh one does, whatever the stream before the reset left behind.
+func TestMonitorReset(t *testing.T) {
+	c := Constraint{M: 2, K: 3}
+	m := Replay(c, streamOf("0011001"))
+	m.ObserveOverrun(40)
+	m.Reset()
+	for _, miss := range streamOf("110110") {
+		m.Observe(miss)
+	}
+	got, want := m.Verdict(), Replay(c, streamOf("110110")).Verdict()
+	if *got != *want {
+		t.Fatalf("reset monitor verdict = %+v, fresh %+v", got, want)
+	}
+	var nilMon *Monitor
+	nilMon.Reset() // must not panic
+}
+
 func TestMonitorShortStreamVacuouslySatisfied(t *testing.T) {
 	// Fewer events than K: no complete window, satisfied vacuously even
 	// if every event missed.

@@ -1,8 +1,10 @@
 package fcpn
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -292,5 +294,62 @@ func TestErrBudgetExceededReexport(t *testing.T) {
 	}
 	if !errors.Is(ErrBudgetExceeded, ErrBudgetExceeded) {
 		t.Fatal("sentinel does not match itself")
+	}
+}
+
+// TestTimingSafetyPinned pins the bytes of the ATM and modem timing
+// experiments: one SHA-256 of each report's JSON. The ATM cases run
+// their margin searches behind a bounded ingress queue under each
+// overflow policy; the modem cases search every overload kind, once
+// with a calibrated deadline and once with a one-cycle deadline that
+// fails the nominal run.
+func TestTimingSafetyPinned(t *testing.T) {
+	cost := rtos.DefaultCostModel()
+	kinds := []sim.OverloadKind{sim.OverloadBurst, sim.OverloadJitter, sim.OverloadDrop, sim.OverloadOverrun}
+	atmCase := func(capacity int, policy rtos.OverflowPolicy) func() (any, error) {
+		return func() (any, error) {
+			return atm.RunRobustness(atm.RobustnessConfig{
+				Workload:      atm.DefaultWorkload(),
+				Scenarios:     3,
+				FaultSeed:     0xFA117,
+				QueueCapacity: capacity,
+				Policy:        policy,
+				MK:            timing.Constraint{M: 8, K: 10},
+				MarginKinds:   []sim.OverloadKind{sim.OverloadBurst, sim.OverloadOverrun},
+			}, cost)
+		}
+	}
+	modemCase := func(deadline int64) func() (any, error) {
+		return func() (any, error) {
+			return modem.RunTimingSafety(modem.DefaultWorkload(), cost, timing.Constraint{M: 9, K: 10}, deadline, kinds, 0x30DE)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (any, error)
+		want string
+	}{
+		{"atm/drop-newest", atmCase(4, rtos.DropNewest),
+			"2fc47b1d0759de36749f5712a898360ecb791a92fd62eef5c7633d8a4c970795"},
+		{"atm/drop-oldest", atmCase(4, rtos.DropOldest),
+			"e9c95a922caa26f35033d768c90ab1b65ef06c234f5eafbe7d2589db36c8e49e"},
+		{"atm/reject", atmCase(4, rtos.Reject),
+			"7e2028865694bf8acd0c62ef741cfd0868358a735b393cee2654256e3b08ec27"},
+		{"modem/calibrated", modemCase(0),
+			"f5d739291a03e4cc253ee61ff0c028d6326a86bc8d3cf27fb0020c03b3dee5a1"},
+		{"modem/deadline1", modemCase(1),
+			"d8ee985be35499640cbc833710bd26bdaf6da5c25672f78c73e8835df0a4f2c4"},
+	} {
+		rep, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+			t.Errorf("%s: report hash %s, pinned %s\n%s", tc.name, got, tc.want, b)
+		}
 	}
 }
