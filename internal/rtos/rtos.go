@@ -120,12 +120,6 @@ func (k *Kernel) Poll() {
 	k.Polls++
 }
 
-// Interrupt charges one event delivery.
-func (k *Kernel) Interrupt() {
-	k.Cycles += k.Cost.Interrupt
-	k.Interrupts++
-}
-
 // ChargeFirings charges n transition executions.
 func (k *Kernel) ChargeFirings(n int64) { k.Cycles += n * k.Cost.Fire }
 

@@ -14,7 +14,7 @@ func TestKernelAccounting(t *testing.T) {
 	k.Activate(0)
 	k.Activate(1)
 	k.Poll()
-	k.Interrupt()
+	k.Admit(Event{}, 0, 1)
 	k.ChargeFirings(4)
 	k.ChargeOps(7)
 	if k.Cycles != 3*100+10+20+4*5+7 {

@@ -183,8 +183,7 @@ func newRunner(prog *codegen.Program, cost rtos.CostModel) *runner {
 	}
 }
 
-// reset prepares the runner for a run under cfg, whose defaults are
-// applied.
+// reset prepares the runner for a run under cfg, defaults applied.
 func (r *runner) reset(cfg RobustConfig, hooks Hooks) {
 	r.in.Reset(hooks.Resolver)
 	r.in.MaxOps = cfg.StepBudget
