@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"fcpn/internal/codegen"
-	"fcpn/internal/core"
 	"fcpn/internal/fault"
 	"fcpn/internal/rtos"
 	"fcpn/internal/timing"
@@ -179,7 +178,7 @@ func RunNominal(prog *codegen.Program, events []rtos.Event, cost rtos.CostModel,
 	n.r.record = false
 	n.responses, n.r.responses = n.r.responses, nil
 	n.maxResponse = n.r.response.max
-	if err != nil && errors.Is(err, core.ErrBudgetExceeded) {
+	if errors.Is(err, codegen.ErrBudgetExceeded) {
 		err = budgetError(err)
 	}
 	n.err = err

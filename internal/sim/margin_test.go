@@ -106,9 +106,11 @@ func TestBurstSearchMemoryBoundedByWorkload(t *testing.T) {
 	if om.Result.Level < 0 || om.Result.Level >= om.Result.Ceiling {
 		t.Fatalf("burst margin must be finite: %s", om.Result)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc >= 4<<20 {
 		t.Fatalf("burst search at ceiling %d allocated %.1f MB, want < 4 MB", cfg.Ceiling, float64(alloc)/(1<<20))
 	}
+	t.Logf("burst search at ceiling %d (%s) allocated %.3f MB", cfg.Ceiling, om.Result, float64(alloc)/(1<<20))
 }
 
 // TestSearchOverloadMarginOverrunFinite checks the second injector axis:

@@ -179,7 +179,7 @@ func newRunner(prog *codegen.Program, cost rtos.CostModel) *runner {
 		prog: prog,
 		cost: cost,
 		in:   codegen.NewInterp(prog, nil),
-		k:    rtos.Kernel{PerTask: make([]int64, len(prog.Tasks))},
+		k:    *rtos.NewKernel(cost, len(prog.Tasks)),
 	}
 }
 
@@ -192,7 +192,9 @@ func (r *runner) reset(cfg RobustConfig, hooks Hooks) {
 	r.in.OnFire = fireHook(&r.k, hooks)
 	// A bounded queue may lose arrivals. An unbounded one never does, so
 	// the kernel gets no queue and run serves events straight from the
-	// stream it was given.
+	// stream it was given. Under overload nearly the whole stream waits
+	// at once, and copying it into a queue was a run's largest set-up
+	// cost.
 	if cfg.Queue.Capacity > 0 {
 		r.k.Queue = rtos.NewEventQueue(cfg.Queue)
 	}
