@@ -217,12 +217,19 @@ func TestEngineErrorGolden(t *testing.T) {
 		}
 		e.Close()
 	}
-	path := filepath.Join("testdata", "errors.golden")
+	checkGolden(t, "errors.golden", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name line by line, first
+// rewriting the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +237,7 @@ func TestEngineErrorGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
+	if !bytes.Equal(got, want) {
 		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if !bytes.Equal(gl[i], wl[i]) {

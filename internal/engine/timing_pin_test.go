@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -78,23 +76,5 @@ func TestTimingReportsPinned(t *testing.T) {
 		}
 		e.Close()
 	}
-	path := filepath.Join("testdata", "timing_reports.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("line %d differs from %s:\ngot:  %s\nwant: %s", i+1, path, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("%s has %d lines, this run %d", path, len(wl), len(gl))
-	}
+	checkGolden(t, "timing_reports.golden", buf.Bytes())
 }
