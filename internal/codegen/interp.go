@@ -208,6 +208,9 @@ func (in *Interp) exec(nodes []Node) error {
 			if maxLoop <= 0 {
 				maxLoop = 1 << 20
 			}
+			// Whether the body can ever release the guard is fixed per
+			// node, so it is decided once, after the first pass.
+			var noOp bool
 			for iter := 0; ; iter++ {
 				in.Stats.Ops++
 				if !in.holds(x.Conds) {
@@ -219,7 +222,10 @@ func (in *Interp) exec(nodes []Node) error {
 				if err := in.exec(x.Body); err != nil {
 					return err
 				}
-				if in.staticallyNoOp(x.Body) {
+				if iter == 0 {
+					noOp = in.staticallyNoOp(x.Body)
+				}
+				if noOp {
 					// An empty body can never release the guard.
 					break
 				}

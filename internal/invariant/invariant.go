@@ -5,9 +5,9 @@
 // conservativeness questions built on them.
 //
 // Minimal-support invariants are computed exactly with the Farkas algorithm
-// from internal/linalg; every result is reported as plain []int firing
-// counts (invariants of practical nets are small even when intermediate
-// arithmetic is not).
+// from internal/linalg, on int64 rows built from the net's arcs; every
+// result is reported as plain []int firing counts (invariants of
+// practical nets are small even when intermediate arithmetic is not).
 package invariant
 
 import (
@@ -127,36 +127,39 @@ func PInvariants(n *petri.Net, opt Options) ([]PInvariant, error) {
 // matrix and returns the minimal semiflows sorted with lessInts. The
 // T-semiflows have one equation per place and one variable per
 // transition; places selects the transpose, whose variables are places.
+// The system's int64 coefficients are summed straight from the arcs.
 func minimalSemiflows(n *petri.Net, places bool, opt Options) ([][]int, error) {
-	d := n.IncidenceMatrix()
 	nT, nP := n.NumTransitions(), n.NumPlaces()
-	kind, rows, cols := "T", nP, nT
+	kind, sys := "T", linalg.NewSystem(nP, nT)
 	if places {
-		kind, rows, cols = "P", nT, nP
+		kind, sys = "P", linalg.NewSystem(nT, nP)
 	}
-	a := linalg.NewMat(rows, cols)
+	// D[t][p] is the coefficient of variable t in equation p, or of
+	// variable p in equation t.
+	add := func(t int, p petri.Place, w int64) {
+		if places {
+			sys.Add(t, int(p), w)
+		} else {
+			sys.Add(int(p), t, w)
+		}
+	}
 	for t := 0; t < nT; t++ {
-		for p := 0; p < nP; p++ {
-			r, c := p, t
-			if places {
-				r, c = t, p
-			}
-			a.Data[r][c].SetInt64(int64(d[t][p]))
+		for _, a := range n.Post(petri.Transition(t)) {
+			add(t, a.Place, int64(a.Weight))
+		}
+		for _, a := range n.Pre(petri.Transition(t)) {
+			add(t, a.Place, -int64(a.Weight))
 		}
 	}
 	sp := opt.Trace.StartDetail("invariant/farkas")
-	vecs, ok := linalg.MinimalSemiflowsTraced(a, opt.MaxRows, opt.Trace)
+	out, err := linalg.Semiflows(sys, opt.MaxRows, opt.Trace)
 	sp.End()
-	if !ok {
+	var wide *linalg.BigSemiflowError
+	switch {
+	case errors.As(err, &wide):
+		return nil, fmt.Errorf("invariant: %s-semiflow does not fit in int: %v", kind, wide.Flow)
+	case err != nil:
 		return nil, ErrTooComplex
-	}
-	out := make([][]int, len(vecs))
-	for i, v := range vecs {
-		ints, fits := v.Ints()
-		if !fits {
-			return nil, fmt.Errorf("invariant: %s-semiflow does not fit in int: %v", kind, v)
-		}
-		out[i] = ints
 	}
 	sort.Slice(out, func(i, j int) bool { return lessInts(out[i], out[j]) })
 	return out, nil

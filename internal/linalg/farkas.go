@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math/big"
 
 	"fcpn/internal/trace"
@@ -27,36 +28,115 @@ import (
 // returns nil and false. Pass 0 for the default cap (100000).
 //
 // Arithmetic runs on overflow-checked int64 rows first (farkas_int.go)
-// and falls back to this exact big.Int implementation only when an
-// input or intermediate leaves the int64 tier's safe range. Phase traces
-// showed the big.Int path spending roughly half its cycles in allocation
-// and GC; practical nets never leave the int64 range, so the int64 tier
-// is the common case. Both paths run the identical elimination/pruning
-// sequence, so the output — values and order — is the same whichever
-// completes.
+// and falls back to the exact big.Int implementation below only when an
+// input or intermediate leaves the int64 tier's safe range. Both paths
+// run the identical elimination/pruning sequence, so the output —
+// values and order — is the same whichever completes.
 func MinimalSemiflows(a *Mat, maxRows int) ([]Vec, bool) {
-	return MinimalSemiflowsTraced(a, maxRows, nil)
-}
-
-// MinimalSemiflowsTraced is MinimalSemiflows with tier-residency tracing:
-// the int64 attempt records one "linalg/int64" detail span and a big.Int
-// fallback one "linalg/bigint" span, so qssd reports (and the phasegate
-// baseline) show how much of the exact-arithmetic hot path stays on
-// machine integers. A nil tracer disables collection.
-func MinimalSemiflowsTraced(a *Mat, maxRows int, tr *trace.Tracer) ([]Vec, bool) {
-	if maxRows <= 0 {
-		maxRows = 100000
-	}
-	sp := tr.StartDetail("linalg/int64")
-	out, capped, ok := minimalSemiflowsInt(a, maxRows)
-	sp.End()
-	if ok {
+	maxRows = rowCap(maxRows)
+	if out, capped, ok := minimalSemiflowsInt(a, maxRows); ok {
 		return out, !capped
 	}
-	sp = tr.StartDetail("linalg/bigint")
-	res, okBig := minimalSemiflowsBig(a, maxRows)
+	return minimalSemiflowsBig(a, maxRows)
+}
+
+// ErrRowCap is returned by Semiflows when the enumeration exceeds its
+// row cap.
+var ErrRowCap = errors.New("linalg: semiflow enumeration exceeded its row cap")
+
+// BigSemiflowError is returned by Semiflows when a minimal semiflow has
+// an entry that does not fit in int.
+type BigSemiflowError struct {
+	Flow Vec
+}
+
+func (e *BigSemiflowError) Error() string {
+	return "linalg: semiflow does not fit in int: " + e.Flow.String()
+}
+
+// Semiflows is MinimalSemiflows on an int64 system, returning the
+// semiflows as int rows cut from one array. The int64 tier reads s
+// directly under one "linalg/int64" detail span on tr; only when it
+// refuses the system is s converted to a Mat and solved in big.Int,
+// under a "linalg/bigint" span. A nil tracer disables collection. The
+// error is ErrRowCap or a *BigSemiflowError.
+func Semiflows(s System, maxRows int, tr *trace.Tracer) ([][]int, error) {
+	maxRows = rowCap(maxRows)
+	sp := tr.StartDetail("linalg/int64")
+	rows, capped, ok := semiflowsInt(s, maxRows)
 	sp.End()
-	return res, okBig
+	if ok {
+		if capped {
+			return nil, ErrRowCap
+		}
+		return rows, nil
+	}
+	sp = tr.StartDetail("linalg/bigint")
+	vecs, ok := minimalSemiflowsBig(s.mat(), maxRows)
+	sp.End()
+	if !ok {
+		return nil, ErrRowCap
+	}
+	rows = make([][]int, len(vecs))
+	for i, v := range vecs {
+		r, fits := v.Ints()
+		if !fits {
+			return nil, &BigSemiflowError{Flow: v}
+		}
+		rows[i] = r
+	}
+	return rows, nil
+}
+
+// System is a homogeneous integer system A·x = 0 stored by variable:
+// Coef[v*Eqs+e] is A[e][v], the coefficient of variable v in equation
+// e. That is the layout of the Farkas working rows' left halves, so the
+// int64 tier copies each variable's coefficients as one block.
+type System struct {
+	Eqs, Vars int
+	Coef      []int64
+}
+
+// NewSystem returns the zero system of eqs equations over vars variables.
+func NewSystem(eqs, vars int) System {
+	return System{Eqs: eqs, Vars: vars, Coef: make([]int64, eqs*vars)}
+}
+
+// Add adds x to the coefficient of variable v in equation e.
+func (s System) Add(e, v int, x int64) { s.Coef[v*s.Eqs+e] += x }
+
+// mat returns s as a Mat, one row per equation.
+func (s System) mat() *Mat {
+	a := NewMat(s.Eqs, s.Vars)
+	for e, row := range a.Data {
+		for v, x := range row {
+			x.SetInt64(s.Coef[v*s.Eqs+e])
+		}
+	}
+	return a
+}
+
+// systemOf returns a as a System; ok is false when an entry does not fit
+// in int64.
+func systemOf(a *Mat) (s System, ok bool) {
+	s = NewSystem(a.Rows, a.Cols)
+	for e, row := range a.Data {
+		for v, x := range row {
+			if !x.IsInt64() {
+				return System{}, false
+			}
+			s.Coef[v*s.Eqs+e] = x.Int64()
+		}
+	}
+	return s, true
+}
+
+// rowCap resolves a maxRows argument: 0 or less means 100000.
+func rowCap(maxRows int) int {
+	if maxRows <= 0 {
+		return 100000
+	}
+	return maxRows
 }
 
 func minimalSemiflowsBig(a *Mat, maxRows int) ([]Vec, bool) {

@@ -1,9 +1,13 @@
 package linalg
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"fcpn/internal/netgen"
+	"fcpn/internal/petri"
 )
 
 func vecsEqual(a, b []Vec) bool {
@@ -88,6 +92,121 @@ func TestIntFastPathCapMatchesBigPath(t *testing.T) {
 	if agreedCapped == 0 {
 		t.Fatal("no trial exercised the row cap")
 	}
+}
+
+// TestIntTierMatchesBigPathWide is the differential check on systems of
+// 65–200 variables, whose support masks span two to four words:
+// multirate chains, sparse random systems, and the T- and P-semiflow
+// systems of generated pipelines with more than 64 transitions or
+// places. At the default cap the int64 tier must complete and return
+// the big.Int reference's rows in its order; at caps around the
+// variable count both paths must also reach the same row-cap verdict.
+func TestIntTierMatchesBigPathWide(t *testing.T) {
+	type system struct {
+		name string
+		a    *Mat
+	}
+	var systems []system
+	for _, k := range []int{64, 127, 160} {
+		systems = append(systems, system{fmt.Sprintf("chain-%d", k+1), alternatingChain(k)})
+	}
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 12; trial++ {
+		vars := 65 + rng.Intn(136)
+		systems = append(systems, system{fmt.Sprintf("sparse-%d", trial), sparseSystem(rng, 2+rng.Intn(6), vars)})
+	}
+	cfg := netgen.DefaultConfig()
+	cfg.MaxSources, cfg.MaxDepth = 8, 6
+	for seed, tNets, pNets := uint64(1), 0, 0; tNets < 6 || pNets < 2; seed++ {
+		n := netgen.RandomSchedulablePipeline(seed, cfg)
+		tSys, pSys := incidenceSystems(n)
+		if nt := n.NumTransitions(); nt > 64 && nt <= 200 && tNets < 6 {
+			tNets++
+			systems = append(systems, system{fmt.Sprintf("pipeline-%d/T", seed), tSys})
+		}
+		if np := n.NumPlaces(); np > 64 && np <= 200 && pNets < 2 {
+			pNets++
+			systems = append(systems, system{fmt.Sprintf("pipeline-%d/P", seed), pSys})
+		}
+	}
+
+	highWord, capped, completed := 0, 0, 0
+	for _, x := range systems {
+		n := x.a.Cols
+		for _, maxRows := range []int{100000, n / 2, n, n + n/4} {
+			ref, refOK := minimalSemiflowsBig(x.a, maxRows)
+			out, tierCapped, ok := minimalSemiflowsInt(x.a, maxRows)
+			if !ok {
+				t.Fatalf("%s cap %d: int64 tier refused small coefficients", x.name, maxRows)
+			}
+			if tierCapped == refOK {
+				t.Fatalf("%s cap %d: tier capped=%v, reference ok=%v", x.name, maxRows, tierCapped, refOK)
+			}
+			if tierCapped {
+				if maxRows == 100000 {
+					t.Fatalf("%s: default cap exceeded", x.name)
+				}
+				capped++
+				continue
+			}
+			completed++
+			if !vecsEqual(out, ref) {
+				t.Fatalf("%s cap %d: tier diverges\ntier: %v\nref:  %v", x.name, maxRows, out, ref)
+			}
+			for _, v := range out {
+				if sup := v.Support(); len(sup) > 0 && sup[len(sup)-1] >= 64 {
+					highWord++
+				}
+			}
+		}
+	}
+	if highWord == 0 || capped == 0 || completed == 0 {
+		t.Fatalf("corpus too narrow: %d semiflows past word 0, %d capped and %d completed runs",
+			highWord, capped, completed)
+	}
+}
+
+// alternatingChain is a k-stage multirate chain over k+1 variables
+// whose rates alternate between 2:1 and 1:2, so its one semiflow stays
+// in {1, 2}.
+func alternatingChain(k int) *Mat {
+	a := NewMat(k, k+1)
+	for i := 0; i < k; i++ {
+		up := int64(1 + i%2)
+		a.Data[i][i].SetInt64(up)
+		a.Data[i][i+1].SetInt64(-(3 - up))
+	}
+	return a
+}
+
+// sparseSystem has eqs equations over vars variables, each with two to
+// four random non-zero coefficients in [-3, 3].
+func sparseSystem(rng *rand.Rand, eqs, vars int) *Mat {
+	a := NewMat(eqs, vars)
+	for e := 0; e < eqs; e++ {
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			x := int64(1 + rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				x = -x
+			}
+			a.Data[e][rng.Intn(vars)].SetInt64(x)
+		}
+	}
+	return a
+}
+
+// incidenceSystems returns the T-semiflow system Dᵀ (one equation per
+// place) and the P-semiflow system D (one per transition) of n.
+func incidenceSystems(n *petri.Net) (tSys, pSys *Mat) {
+	d := n.IncidenceMatrix()
+	tSys, pSys = NewMat(n.NumPlaces(), n.NumTransitions()), NewMat(n.NumTransitions(), n.NumPlaces())
+	for t, row := range d {
+		for p, x := range row {
+			tSys.Data[p][t].SetInt64(int64(x))
+			pSys.Data[t][p].SetInt64(int64(x))
+		}
+	}
+	return tSys, pSys
 }
 
 // TestHugeCoefficientsFallBack: coefficients beyond the fast path's safe

@@ -1,15 +1,17 @@
 // Package linalg provides the exact integer and rational linear algebra
-// needed by Petri-net invariant analysis: arbitrary-precision vectors, the
-// Farkas/Fourier–Motzkin algorithm for minimal-support non-negative integer
-// solutions of A·x = 0 (semiflows), and Gaussian elimination over the
-// rationals for rank computations.
+// needed by Petri-net invariant analysis: the Farkas/Fourier–Motzkin
+// algorithm for minimal-support non-negative integer solutions of
+// A·x = 0 (semiflows), arbitrary-precision vectors and matrices, and
+// Gaussian elimination over the rationals for rank computations.
 //
-// Arithmetic is exact at every size. The Farkas enumeration runs on
-// overflow-checked int64 rows and falls back to math/big only when an
-// intermediate outgrows the int64 tier's safe range, so invariant
-// computation never overflows no matter how unbalanced the arc weights
-// are — and never allocates big.Ints for the nets that don't need them.
-// The rank computation runs in math/big throughout.
+// Arithmetic is exact at every size. Callers hand the Farkas enumeration
+// an int64 System built straight from their data (Semiflows) and get
+// plain int rows back. It runs on flat, overflow-checked int64 row slabs
+// and falls back to math/big only when an input or intermediate outgrows
+// the int64 tier's safe range, so invariant computation never overflows
+// no matter how unbalanced the arc weights are — and builds no big.Int
+// for the systems that don't need one. The rank computation runs in
+// math/big throughout.
 package linalg
 
 import (

@@ -12,7 +12,6 @@ package sdf
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"strings"
 
 	"fcpn/internal/linalg"
@@ -87,22 +86,29 @@ func (g *Graph) RepetitionVectorTraced(tr *trace.Tracer) ([]int, error) {
 	}
 	// Build one equation per channel over the q variables. Self-loops
 	// contribute produce−consume to a single cell, as they should.
-	a := linalg.NewMat(len(g.Channels), n)
+	sys := linalg.NewSystem(len(g.Channels), n)
 	for i, c := range g.Channels {
-		a.Data[i][c.From].Add(a.Data[i][c.From], big.NewInt(int64(c.Produce)))
-		a.Data[i][c.To].Sub(a.Data[i][c.To], big.NewInt(int64(c.Consume)))
+		sys.Add(i, c.From, int64(c.Produce))
+		sys.Add(i, c.To, -int64(c.Consume))
 	}
-	flows, ok := linalg.MinimalSemiflowsTraced(a, 0, tr)
-	if !ok {
+	flows, err := linalg.Semiflows(sys, 0, tr)
+	var wide *linalg.BigSemiflowError
+	switch {
+	case errors.As(err, &wide):
+		return nil, errors.New("sdf: repetition vector overflows int")
+	case err != nil:
 		return nil, errors.New("sdf: balance system too large")
 	}
 	// The repetition vector is the smallest positive combination covering
-	// every actor: per connected component there is exactly one minimal
-	// semiflow; sum them and verify full support.
-	sum := linalg.SumVecs(flows, n)
-	counts, fits := sum.Ints()
-	if !fits {
-		return nil, errors.New("sdf: repetition vector overflows int")
+	// every actor. A channel's balance equation makes its two actors both
+	// zero or both positive, so each connected component carries at most
+	// one minimal semiflow, covering all of it: the supports are
+	// disjoint and the sum cannot overflow.
+	counts := make([]int, n)
+	for _, f := range flows {
+		for i, x := range f {
+			counts[i] += x
+		}
 	}
 	for _, q := range counts {
 		if q == 0 {
