@@ -43,8 +43,8 @@ const (
 // a running service or coordinator. The cold/warm split measures the
 // service's content-addressed dedup — the warm passes should come back
 // marked "hit" without touching the engines. Availability and latency
-// percentiles are tallied over every request, which is what
-// `make bench-coord` reads after killing a backend mid-run.
+// percentiles are tallied over every request, so a run that kills a
+// backend mid-batch reads its availability from the report.
 func runClient(cfg clientConfig, sources []string, nets []*petri.Net, stdout io.Writer) error {
 	base := strings.TrimRight(cfg.BaseURL, "/")
 	workers := cfg.Workers

@@ -22,9 +22,8 @@ import (
 // engine's JobStatus vocabulary in reports only.
 const statusSkippedResume = "skipped-resume"
 
-// batchReport is the JSON document qssd emits (also the BENCH_engine.json
-// and BENCH_service.json payload). Per-net reports are deterministic;
-// timings are not.
+// batchReport is the JSON document qssd emits, in batch and in client
+// mode. Per-net reports are deterministic; timings are not.
 type batchReport struct {
 	Workers int `json:"workers"`
 	Repeat  int `json:"repeat"`
@@ -70,7 +69,7 @@ type batchReport struct {
 	// regime, and the service's own /v1/stats document. Availability is
 	// the fraction of requests answered 200 after client-side retries —
 	// with a coordinator absorbing backend faults it should stay 1.0
-	// even with a host killed mid-batch (make bench-coord). The latency
+	// even with a host killed mid-batch (TestCoordChaosSoak). The latency
 	// percentiles are nearest-rank over every request of every pass.
 	ServerURL      string          `json:"server_url,omitempty"`
 	RequestsPerSec float64         `json:"requests_per_sec,omitempty"`

@@ -121,7 +121,7 @@ func runBatch(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *repeat < 1 {
-		*repeat = 1
+		return fmt.Errorf("-repeat must be >= 1 (1 = one cold pass), got %d", *repeat)
 	}
 	if *resume && *journalPath == "" {
 		return fmt.Errorf("-resume requires -journal")

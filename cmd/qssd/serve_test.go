@@ -177,6 +177,8 @@ func TestQssdBatchFlagValidation(t *testing.T) {
 		{"-workers", "-1", "-gen", "1"},
 		{"-submit-window", "-3", "-gen", "1"},
 		{"-job-timeout", "-5s", "-gen", "1"},
+		{"-repeat", "0", "-gen", "1"},
+		{"-repeat", "-2", "-gen", "1"},
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("%v: want error", args)

@@ -61,7 +61,7 @@ func TestConcurrentPublicAPI(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(nets)
 				n := nets[i]
-				s, err := fcpn.Solve(n, fcpn.Options{Workers: 2})
+				s, err := fcpn.Solve(n, fcpn.Options{})
 				if err != nil {
 					errs <- err
 					return

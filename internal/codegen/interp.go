@@ -56,9 +56,9 @@ type Interp struct {
 	MaxLoop int
 	// MaxOps, when positive, bounds the total interpreter steps of the
 	// run; exceeding it returns an error wrapping ErrBudgetExceeded. This
-	// is the execution-side analogue of core.Options.MaxCycleLength: a
-	// hostile workload or a wrong schedule terminates instead of running
-	// away.
+	// is the execution-side analogue of core's 2^20-firing cap on cycle
+	// realisation: a hostile workload or a wrong schedule terminates
+	// instead of running away.
 	MaxOps int
 
 	// Step tracing (see StartTrace / TraceTail).

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"fcpn/internal/invariant"
 	"fcpn/internal/petri"
@@ -41,28 +40,19 @@ type Options struct {
 	// MaxRows caps the Farkas semiflow enumeration (default from
 	// internal/invariant).
 	MaxRows int
-	// MaxCycleLength caps finite-complete-cycle simulation (default 1 << 20
-	// firings) as a safety net.
-	MaxCycleLength int
 	// KeepDuplicateReductions disables T-reduction deduplication, keeping
 	// one cycle per allocation even when reductions coincide. It also
 	// disables the parent-semiflow restriction, so every check runs Farkas
 	// from scratch: this is the paper's unoptimised sweep, the reference
 	// the equivalence tests and ablation benchmarks compare against.
 	KeepDuplicateReductions bool
-	// Workers bounds the parallel fan-out of the per-T-reduction work
-	// (reduction construction in the ablation path and the schedulability
-	// sweep). Values ≤ 1 run serially. Results are merged in enumeration
-	// order, so the outcome — schedule or diagnostic — is identical for
-	// every worker count.
-	Workers int
 	// Trace optionally records detail spans for the pipeline's inner
 	// steps: "core/enumerate" (allocation/reduction enumeration),
-	// "core/check" (one per distinct reduction — the unit of Workers
-	// fan-out), "core/cycle" (finite-complete-cycle search) and the
-	// invariant package's spans, plus the core/semiflow/* counters (see
-	// docs/TRACING.md). Nil disables collection; spans may end on any
-	// worker goroutine.
+	// "core/check" (one per reduction checked; the sweep stops at the
+	// first failing one), "core/cycle" (finite-complete-cycle search) and
+	// the invariant package's spans, plus the core/semiflow/* counters
+	// (see docs/TRACING.md). Nil disables collection. Every span runs on
+	// the calling goroutine: the solver starts none of its own.
 	Trace *trace.Tracer
 	// Ctx optionally cancels the pipeline's long loops — reduction
 	// enumeration, the schedulability sweep, finite-complete-cycle
@@ -100,26 +90,16 @@ func (o Options) maxAllocations() int {
 	return o.MaxAllocations
 }
 
-func (o Options) maxCycleLength() int {
-	if o.MaxCycleLength <= 0 {
-		return 1 << 20
-	}
-	return o.MaxCycleLength
-}
-
-func (o Options) workerCount() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
-}
+// maxCycleLength caps finite-complete-cycle realisation as a safety
+// net: a cycle of more firings fails with ErrBudgetExceeded.
+const maxCycleLength = 1 << 20
 
 // ErrTooManyAllocations is returned when the choice structure exceeds
 // Options.MaxAllocations.
 var ErrTooManyAllocations = errors.New("core: too many T-allocations")
 
 // ErrBudgetExceeded is the typed cause for every structured step budget in
-// the pipeline: cycle realisation past Options.MaxCycleLength, interpreter
+// the pipeline: cycle realisation past 2^20 firings, interpreter
 // execution past its op budget (codegen.Interp.MaxOps), and robust
 // simulation past its step budget all wrap it, so hostile or
 // non-schedulable inputs terminate with errors.Is(err, ErrBudgetExceeded)
@@ -202,16 +182,16 @@ func Solve(n *petri.Net, opt Options) (*Schedule, error) {
 }
 
 // reduceEveryAllocation reduces the net under every T-allocation, in
-// allocation order, fanning the Reduce calls out across opt's workers.
+// allocation order.
 func reduceEveryAllocation(n *petri.Net, opt Options) ([]*Reduction, error) {
 	allocs, err := EnumerateAllocations(n, opt.maxAllocations())
 	if err != nil {
 		return nil, err
 	}
 	reductions := make([]*Reduction, len(allocs))
-	forEachIndex(len(allocs), opt.workerCount(), func(i int) {
-		reductions[i] = Reduce(n, allocs[i])
-	})
+	for i, a := range allocs {
+		reductions[i] = Reduce(n, a)
+	}
 	return reductions, nil
 }
 
@@ -251,85 +231,31 @@ func solveReductions(n *petri.Net, reductions []*Reduction, opt Options, aids ch
 	}
 	count, saturated := CountAllocationsSat(n)
 	sched := &Schedule{Net: n, AllocationCount: count, AllocationCountSaturated: saturated}
-	// Schedulability sweep: each reduction's check is independent, so they
-	// fan out across workers; merging in enumeration order keeps the
-	// result — including which failing reduction is diagnosed — identical
-	// to the serial sweep. Every reduction is checked even when an early
-	// one fails, so the phase trace (core/check count) is a function of
-	// the net alone, not of the worker count or of goroutine timing.
-	reports := make([]*ReductionReport, len(reductions))
-	forEachIndex(len(reductions), opt.workerCount(), func(i int) {
+	// Schedulability sweep, in the order the reductions are given. By
+	// Theorem 3.1 the net is schedulable exactly when every reduction is,
+	// so the first failing reduction settles the verdict and is the one
+	// diagnosed: the sweep stops there.
+	for _, red := range reductions {
 		sp := opt.Trace.StartDetail("core/check")
-		reports[i] = checkReduction(n, reductions[i], opt, aids)
+		report := checkReduction(n, red, opt, aids)
 		sp.End()
-	})
-	// A cancelled sweep leaves stub reports behind; surface the
-	// cancellation instead of misreading a stub as "not schedulable".
-	if err := opt.cancelled(); err != nil {
-		return nil, err
-	}
-	for i, report := range reports {
 		if !report.Schedulable {
+			// A cancelled check leaves a stub report behind; surface the
+			// cancellation instead of misreading the stub as "not
+			// schedulable".
+			if err := opt.cancelled(); err != nil {
+				return nil, err
+			}
 			return nil, &NotSchedulableError{Report: report}
 		}
 		sched.Cycles = append(sched.Cycles, Cycle{
 			Sequence:  report.Cycle,
 			Counts:    n.FiringCount(report.Cycle),
-			Reduction: reductions[i],
+			Reduction: red,
 		})
 		sched.Reports = append(sched.Reports, report)
 	}
 	return sched, nil
-}
-
-// forEachIndex runs fn(0..n-1), fanning out across up to workers
-// goroutines. Each index is processed exactly once; fn must only write to
-// its own index's slots for the sweep to stay deterministic.
-//
-// A panic in fn is re-raised on the calling goroutine (the first one wins
-// when several workers panic), never on a spawned worker: a raw goroutine
-// panic would kill the whole process and bypass any recovery the caller —
-// in particular the engine's per-job panic quarantine — has installed.
-func forEachIndex(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-					// Keep draining so the feeder below never blocks on a
-					// channel nobody reads.
-					for range jobs {
-					}
-				}
-			}()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 // Schedulable is a convenience wrapper: it reports whether the net has a

@@ -10,7 +10,9 @@ import (
 
 	"fcpn/internal/figures"
 	"fcpn/internal/invariant"
+	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
+	"fcpn/internal/trace"
 )
 
 func names(n *petri.Net, ts []petri.Transition) []string { return n.SequenceNames(ts) }
@@ -531,5 +533,55 @@ func TestNestedChoices(t *testing.T) {
 	}
 	if s.AllocationCount != 4 {
 		t.Fatalf("allocations = %d, want 2×2", s.AllocationCount)
+	}
+}
+
+// TestSweepStopsAtFirstFailure pins the sweep's early return: by Theorem
+// 3.1 the first reduction that fails settles the verdict, so the sweep
+// checks reductions only up to it (one core/check span each) and
+// diagnoses that one. The diagnoses are the ones a sweep that checks
+// every reduction reports.
+func TestSweepStopsAtFirstFailure(t *testing.T) {
+	for _, tc := range []struct {
+		n          *petri.Net
+		wantChecks int64
+		wantErr    string
+	}{
+		{figures.Figure1a(), 1, `core: net is not quasi-statically schedulable: T-reduction "figure1a/p→t1" is not consistent: transitions {t1} are in no T-invariant`},
+		{figures.Figure3b(), 1, `core: net is not quasi-statically schedulable: T-reduction "figure3b/p1→t2" is not consistent: transitions {t1, t2, t4} are in no T-invariant`},
+		{figures.Figure7(), 1, `core: net is not quasi-statically schedulable: T-reduction "figure7/p1→t2" is not consistent: transitions {t1, t2, t4, t6} are in no T-invariant`},
+		{netgen.RandomNet(6, netgen.DefaultConfig()), 3, `core: net is not quasi-statically schedulable: T-reduction "rand6_sync/p2→t3, p12→t13, p20→t21, p22→t25" is not consistent: transitions {src15, t17, t19, t21, t25, sync_join} are in no T-invariant`},
+	} {
+		n := tc.n
+		// The first failing reduction in sweep order, found by checking
+		// each reduction on its own.
+		reds, err := EnumerateDistinctReductions(n, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", n.Name(), err)
+		}
+		first := -1
+		for i, red := range reds {
+			if !CheckReduction(n, red, Options{}).Schedulable {
+				first = i
+				break
+			}
+		}
+		if first < 0 {
+			t.Fatalf("%s: no reduction fails", n.Name())
+		}
+		tr := trace.New()
+		_, err = Solve(n, Options{Trace: tr})
+		var nse *NotSchedulableError
+		if !errors.As(err, &nse) {
+			t.Fatalf("%s: err = %v, want NotSchedulableError", n.Name(), err)
+		}
+		if err.Error() != tc.wantErr {
+			t.Errorf("%s: diagnosis\n got %q\nwant %q", n.Name(), err, tc.wantErr)
+		}
+		check, _ := tr.Report().Phase("core/check")
+		if check.Count != int64(first+1) || check.Count != tc.wantChecks {
+			t.Errorf("%s: %d core/check spans, want %d (first failure at position %d of %d)",
+				n.Name(), check.Count, tc.wantChecks, first, len(reds))
+		}
 	}
 }

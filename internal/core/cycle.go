@@ -25,14 +25,10 @@ var ErrCycleDeadlock = errors.New("core: deadlock while realising T-invariant")
 //
 // maxLen bounds the sequence length defensively.
 func FindCompleteCycle(n *petri.Net, counts []int, maxLen int) ([]petri.Transition, error) {
-	every := petri.NewNodeSet(n.NumPlaces())
-	for p := 0; p < n.NumPlaces(); p++ {
-		every.Add(p)
-	}
-	return findCompleteCycle(nil, n, n.Transitions(), every, counts, maxLen)
+	return FindCompleteCycleStrategy(n, counts, maxLen, StrategyRoundRobin)
 }
 
-// findCompleteCycle is the greedy loop of FindCompleteCycle on n
+// findCompleteCycle is the greedy loop of FindCompleteCycleStrategy on n
 // restricted to the kept transitions ts (ascending) and the kept places
 // keptP: the induced subnet of a T-reduction, without building it.
 // counts and the remaining vector of a deadlock diagnosis are indexed by
@@ -40,11 +36,12 @@ func FindCompleteCycle(n *petri.Net, counts []int, maxLen int) ([]petri.Transiti
 // sequence is returned in n's transitions. Every place adjacent to a kept
 // transition must be kept, as it is in every T-reduction
 // (restriction-exactness, docs/ALGORITHM.md §6), so firing on n moves
-// tokens exactly as firing on the subnet would. FindCompleteCycle keeps
-// every node. ctx (nil never cancels) is checked once per greedy sweep so
-// a deadline can interrupt a realisation of up to maxLen (default 2^20)
-// firings.
-func findCompleteCycle(ctx context.Context, n *petri.Net, ts []petri.Transition, keptP petri.NodeSet, counts []int, maxLen int) ([]petri.Transition, error) {
+// tokens exactly as firing on the subnet would. FindCompleteCycleStrategy
+// keeps every node. strat picks which enabled transitions each greedy sweep
+// fires; the error texts do not depend on it. ctx (nil never cancels) is
+// checked once per greedy sweep so a deadline can interrupt a realisation
+// of up to maxLen (2^20 in the solver) firings.
+func findCompleteCycle(ctx context.Context, n *petri.Net, ts []petri.Transition, keptP petri.NodeSet, counts []int, maxLen int, strat CycleStrategy) ([]petri.Transition, error) {
 	if len(counts) != len(ts) {
 		return nil, fmt.Errorf("core: counts length %d != %d transitions", len(counts), len(ts))
 	}
@@ -64,19 +61,40 @@ func findCompleteCycle(ctx context.Context, n *petri.Net, ts []petri.Transition,
 	remaining := append([]int(nil), counts...)
 	m := n.InitialMarking()
 	seq := make([]petri.Transition, 0, total)
+	// fire fires ts[i] once, if it has firings left and is enabled.
+	fire := func(i int) bool {
+		if remaining[i] == 0 || !n.Enabled(m, ts[i]) {
+			return false
+		}
+		n.MustFire(m, ts[i])
+		remaining[i]--
+		seq = append(seq, ts[i])
+		return true
+	}
 	for len(seq) < total {
 		if err := ctxErr(ctx); err != nil {
 			return nil, fmt.Errorf("cycle search interrupted after %d of %d firings: %w", len(seq), total, err)
 		}
 		fired := false
-		for i, t := range ts {
-			if remaining[i] == 0 || !n.Enabled(m, t) {
-				continue
+		switch strat {
+		case StrategyBatch:
+			// Exhaust the first transition that can fire.
+			for i := 0; i < len(ts) && !fired; i++ {
+				for fire(i) {
+					fired = true
+				}
 			}
-			n.MustFire(m, t)
-			remaining[i]--
-			seq = append(seq, t)
-			fired = true
+		case StrategyDemand:
+			// Fire the deepest transition that can fire, once.
+			for i := len(ts) - 1; i >= 0 && !fired; i-- {
+				fired = fire(i)
+			}
+		default: // round-robin
+			for i := range ts {
+				if fire(i) {
+					fired = true
+				}
+			}
 		}
 		if !fired {
 			return nil, fmt.Errorf("%w: %d of %d firings done, stuck at %s with remaining %v",

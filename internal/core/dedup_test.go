@@ -125,10 +125,6 @@ func TestSweepPathsByteIdentical(t *testing.T) {
 		if noAids != withAids {
 			t.Errorf("%s: sweep output depends on the invariant path:\nno aids: %s\n   aids: %s", name, noAids, withAids)
 		}
-		parallel := distillOutcome(solveReductions(n, reds, Options{Workers: 4}, checkAids{parentTIs: parentTIs, haveParent: true}))
-		if parallel != withAids {
-			t.Errorf("%s: parallel sweep diverges from serial:\n got: %s\nwant: %s", name, parallel, withAids)
-		}
 	}
 }
 

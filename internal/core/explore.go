@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"fcpn/internal/petri"
-	"fcpn/internal/trace"
 )
 
 // CycleStrategy selects the firing policy used to realise a T-invariant as
@@ -49,81 +46,11 @@ func (s CycleStrategy) String() string {
 // All strategies are complete on conflict-free nets (persistence): if the
 // counts are realisable, every policy realises them.
 func FindCompleteCycleStrategy(n *petri.Net, counts []int, maxLen int, strat CycleStrategy) ([]petri.Transition, error) {
-	return findCompleteCycleStrategy(nil, nil, n, counts, maxLen, strat)
-}
-
-// findCompleteCycleStrategy is the traced, cancellable realisation body:
-// tr records one "core/cycle" detail span per call (matching the solver's
-// cycle search), ctx is checked once per firing sweep.
-func findCompleteCycleStrategy(ctx context.Context, tr *trace.Tracer, n *petri.Net, counts []int, maxLen int, strat CycleStrategy) ([]petri.Transition, error) {
-	defer tr.StartDetail("core/cycle").End()
-	if len(counts) != n.NumTransitions() {
-		return nil, fmt.Errorf("core: counts length %d != %d transitions", len(counts), n.NumTransitions())
+	every := petri.NewNodeSet(n.NumPlaces())
+	for p := 0; p < n.NumPlaces(); p++ {
+		every.Add(p)
 	}
-	if !n.IsConflictFree() {
-		return nil, errors.New("core: FindCompleteCycleStrategy requires a conflict-free net")
-	}
-	total := 0
-	for _, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("core: negative firing count %v", counts)
-		}
-		total += c
-	}
-	if total > maxLen {
-		return nil, fmt.Errorf("core: cycle of %d firings exceeds cap %d: %w", total, maxLen, ErrBudgetExceeded)
-	}
-	remaining := append([]int(nil), counts...)
-	m := n.InitialMarking()
-	seq := make([]petri.Transition, 0, total)
-
-	fireOnce := func(t petri.Transition) bool {
-		if remaining[t] == 0 || !n.Enabled(m, t) {
-			return false
-		}
-		n.MustFire(m, t)
-		remaining[t]--
-		seq = append(seq, t)
-		return true
-	}
-
-	for len(seq) < total {
-		if err := ctxErr(ctx); err != nil {
-			return nil, fmt.Errorf("cycle search under %s interrupted after %d of %d firings: %w", strat, len(seq), total, err)
-		}
-		fired := false
-		switch strat {
-		case StrategyBatch:
-			for t := petri.Transition(0); int(t) < n.NumTransitions(); t++ {
-				for fireOnce(t) {
-					fired = true
-				}
-				if fired {
-					break
-				}
-			}
-		case StrategyDemand:
-			for t := petri.Transition(n.NumTransitions() - 1); t >= 0; t-- {
-				if fireOnce(t) {
-					fired = true
-					break
-				}
-			}
-		default: // round-robin
-			for t := petri.Transition(0); int(t) < n.NumTransitions(); t++ {
-				if fireOnce(t) {
-					fired = true
-				}
-			}
-		}
-		if !fired {
-			return nil, fmt.Errorf("%w: %d of %d firings done under %s", ErrCycleDeadlock, len(seq), total, strat)
-		}
-	}
-	if !m.Equal(n.InitialMarking()) {
-		return nil, fmt.Errorf("core: firing vector is not a T-invariant under %s", strat)
-	}
-	return seq, nil
+	return findCompleteCycle(nil, n, n.Transitions(), every, counts, maxLen, strat)
 }
 
 // TradeoffPoint is one explored schedule variant.
@@ -163,17 +90,21 @@ func Explore(n *petri.Net, opt Options) ([]TradeoffPoint, error) {
 		}
 		sched := &Schedule{Net: n, AllocationCount: base.AllocationCount, AllocationCountSaturated: base.AllocationCountSaturated}
 		for _, c := range base.Cycles {
-			sub := c.Reduction.Subnet()
-			subCounts := make([]int, sub.Net.NumTransitions())
-			for st, pt := range sub.ParentTransition {
-				subCounts[st] = c.Counts[pt]
+			// Realise the cycle on n over its reduction's kept sets, as
+			// the sweep's check does.
+			kept := c.Reduction.KeptTransitions()
+			counts := make([]int, len(kept))
+			for i, t := range kept {
+				counts[i] = c.Counts[t]
 			}
-			seq, err := findCompleteCycleStrategy(opt.Ctx, opt.Trace, sub.Net, subCounts, opt.maxCycleLength(), strat)
+			cs := opt.Trace.StartDetail("core/cycle")
+			seq, err := findCompleteCycle(opt.Ctx, n, kept, c.Reduction.kept().keptP, counts, maxCycleLength, strat)
+			cs.End()
 			if err != nil {
 				return nil, fmt.Errorf("core: explore %s: %w", strat, err)
 			}
 			sched.Cycles = append(sched.Cycles, Cycle{
-				Sequence:  sub.MapSequenceToParent(seq),
+				Sequence:  seq,
 				Counts:    c.Counts,
 				Reduction: c.Reduction,
 			})

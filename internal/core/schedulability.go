@@ -86,9 +86,8 @@ func reductionInvariants(red *Reduction, kept []petri.Transition, opt Options, a
 func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *ReductionReport {
 	report := &ReductionReport{Reduction: red}
 
-	// Deadline checkpoint: once the job is cancelled the remaining checks
-	// of the sweep degrade to stubs; SolveReductions surfaces the
-	// cancellation instead of any stub verdict.
+	// Deadline checkpoint: once the job is cancelled the check degrades to
+	// a stub; the sweep surfaces the cancellation instead of its verdict.
 	if err := opt.cancelled(); err != nil {
 		report.FailReason = err.Error()
 		report.Cause = err
@@ -166,7 +165,7 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	// (3) Deadlock-free simulation realising the covering counts and
 	// returning to the initial marking.
 	sp := opt.Trace.StartDetail("core/cycle")
-	seq, simErr := findCompleteCycle(opt.Ctx, n, kept, red.kept().keptP, report.CoveringCounts, opt.maxCycleLength())
+	seq, simErr := findCompleteCycle(opt.Ctx, n, kept, red.kept().keptP, report.CoveringCounts, maxCycleLength, StrategyRoundRobin)
 	sp.End()
 	if simErr != nil {
 		report.FailReason = fmt.Sprintf("T-reduction %q deadlocks: %v", red.name(), simErr)

@@ -18,11 +18,10 @@ func benchNets() []*petri.Net {
 }
 
 // BenchmarkEngineBatch measures cold batch-analysis throughput at several
-// pool widths. The inner schedulability sweep inherits the pool width
-// (the engine default), so wide pools win twice: batches shard across
-// workers and the dominant net's reduction sweep parallelises. The
-// acceptance target is workers=4 beating workers=1 by >1.5x. A fresh
-// engine per iteration keeps every run cold.
+// pool widths. The pool is the engine's only parallelism: each net runs
+// on one worker, so a wide pool wins only by sharding the batch, and a
+// batch dominated by one large net scales no further than that net. A
+// fresh engine per iteration keeps every run cold.
 func BenchmarkEngineBatch(b *testing.B) {
 	nets := benchNets()
 	for _, workers := range []int{1, 2, 4} {

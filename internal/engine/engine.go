@@ -58,8 +58,8 @@ var ErrQuarantined = errors.New("engine: net is quarantined")
 // window, no deadline, no fault injection.
 type Config struct {
 	// Workers is the analysis worker-pool size (≤ 0 → GOMAXPROCS). The
-	// per-net schedulability sweep inherits it through Core.Workers
-	// unless that is set explicitly.
+	// pool is the pipeline's only parallelism: each job runs on one
+	// worker goroutine, schedulability sweep included.
 	Workers int
 	// CacheCapacity bounds the content-addressed cache (entries across
 	// all layers; ≤ 0 → 4096). Eviction is LRU.
@@ -82,9 +82,6 @@ type Config struct {
 	// deadline is cancelled at the pipeline's next checkpoint and
 	// returns its partial report with a typed ErrJobTimeout.
 	JobTimeout time.Duration
-	// RetryBackoff is the wait before the single retry of a transiently
-	// failed job (one wrapping core.ErrBudgetExceeded; ≤ 0 → 1ms).
-	RetryBackoff time.Duration
 	// FaultHook, when non-nil, runs at the start of every job attempt
 	// with the job's canonical hash and attempt number (0 = first). It
 	// may panic, sleep, or return an error, which the engine treats
@@ -236,16 +233,12 @@ func (e *Engine) Stats() stats.Snapshot {
 	return s
 }
 
-// coreOpts is the per-job solver configuration: the job's tracer, the
-// job's cancellation context and — unless the caller pinned one — the
-// engine's worker count for the inner schedulability sweep.
+// coreOpts is the per-job solver configuration: the job's tracer and the
+// job's cancellation context.
 func (e *Engine) coreOpts(ctx context.Context, tr *trace.Tracer) core.Options {
 	opt := e.cfg.Core
 	opt.Trace = tr
 	opt.Ctx = ctx
-	if opt.Workers == 0 {
-		opt.Workers = e.workers
-	}
 	return opt
 }
 
@@ -260,13 +253,9 @@ func (e *Engine) SubmitWindow() int {
 	return 2 * e.workers
 }
 
-// retryBackoff is the wait before a transient-failure retry.
-func (e *Engine) retryBackoff() time.Duration {
-	if e.cfg.RetryBackoff > 0 {
-		return e.cfg.RetryBackoff
-	}
-	return time.Millisecond
-}
+// retryBackoff is the wait before the single retry of a transiently
+// failed job (one wrapping core.ErrBudgetExceeded or ErrJobTimeout).
+const retryBackoff = time.Millisecond
 
 // jobContext returns the per-attempt context: deadline-bound with
 // ErrJobTimeout as the cancellation cause when Config.JobTimeout is set.
@@ -805,9 +794,8 @@ func (e *Engine) analyzeGuarded(n *petri.Net, tr *trace.Tracer) Result {
 			// singleflight leader's deadline observed from a waiter whose
 			// own deadline is intact. Retry once with backoff.
 			e.counters.Retries.Add(1)
-			backoff := e.retryBackoff()
-			tr.Observe("engine/retry", backoff, true)
-			time.Sleep(backoff)
+			tr.Observe("engine/retry", retryBackoff, true)
+			time.Sleep(retryBackoff)
 			continue
 		case jobErr != nil:
 			return Result{Report: rep, Status: StatusError, Err: jobErr}

@@ -149,7 +149,7 @@ func TestEngineRetryTransient(t *testing.T) {
 	inj := &fault.EngineInjector{
 		Force: map[string]fault.JobFaultKind{n.CanonicalHash(): fault.FaultFlaky},
 	}
-	e := New(Config{Workers: 2, FaultHook: inj.Hook(), RetryBackoff: time.Millisecond})
+	e := New(Config{Workers: 2, FaultHook: inj.Hook()})
 	defer e.Close()
 
 	results, err := e.AnalyzeBatch([]*petri.Net{n})
@@ -180,7 +180,7 @@ func TestEnginePersistentFaultIsError(t *testing.T) {
 	hook := func(ctx context.Context, hash string, attempt int) error {
 		return fmt.Errorf("%w: persistent: %w", fault.ErrInjected, core.ErrBudgetExceeded)
 	}
-	e := New(Config{Workers: 1, FaultHook: hook, RetryBackoff: time.Millisecond})
+	e := New(Config{Workers: 1, FaultHook: hook})
 	defer e.Close()
 	results, err := e.AnalyzeBatch([]*petri.Net{n})
 	if err != nil {
@@ -299,7 +299,6 @@ func TestEngineSoak(t *testing.T) {
 		Workers:      4,
 		SubmitWindow: 4,
 		JobTimeout:   100 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
 		FaultHook:    inj.Hook(),
 	})
 	defer e.Close()

@@ -7,9 +7,9 @@ import (
 )
 
 // TestSnapshotJSONFieldNames pins the wire names of the snapshot: they
-// appear in qssd batch reports, BENCH_engine.json / BENCH_service.json
-// and the service's GET /v1/stats document, so a rename is a breaking
-// API change and must fail a test, not slip through a refactor.
+// appear in qssd batch and client reports and the service's GET /v1/stats
+// document, so a rename is a breaking API change and must fail a test,
+// not slip through a refactor.
 func TestSnapshotJSONFieldNames(t *testing.T) {
 	want := map[string]bool{
 		"jobs":             true,

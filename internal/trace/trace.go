@@ -13,9 +13,9 @@
 //   - stdlib only, no metrics dependency (mirrors internal/engine/stats);
 //   - allocation-frugal: starting and ending a span allocates nothing
 //     after a phase's first use (Span is a value, aggregates are reused);
-//   - goroutine-safe: spans may end on any goroutine, so the per-phase
-//     fan-out of core.Options.Workers is visible as count×duration
-//     overlap;
+//   - goroutine-safe: spans may end on any goroutine, so one tracer can
+//     aggregate the jobs of a whole worker pool (internal/engine merges
+//     every job's tracer into its lifetime tracer);
 //   - a nil *Tracer is valid everywhere and disables collection, so
 //     callers thread the tracer unconditionally.
 //
