@@ -46,6 +46,7 @@ cover:
 fuzz:
 	go test -fuzz='FuzzParse$$' -fuzztime=30s ./internal/petri/
 	go test -fuzz='FuzzParsePN$$' -fuzztime=30s ./internal/petri/
+	go test -fuzz='FuzzBuilderMatchesReference$$' -fuzztime=30s ./internal/petri/
 	go test -fuzz='FuzzScheduleReplay$$' -fuzztime=30s ./internal/sim/
 	go test -fuzz='FuzzMarginEarlyStop$$' -fuzztime=30s ./internal/sim/
 	go test -fuzz='FuzzFarkasLadder$$' -fuzztime=30s ./internal/linalg/

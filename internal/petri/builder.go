@@ -1,23 +1,36 @@
 package petri
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Builder accumulates places, transitions and arcs and then produces an
 // immutable Net. Methods panic on structural misuse (duplicate names,
-// unknown endpoints, non-positive weights): nets are built by code, not
-// from untrusted input — the text-format parser validates before calling.
+// unknown endpoints, non-positive weights, repeated arcs whose weights sum
+// past int): nets are built by code, not from untrusted input — the
+// text-format parser validates before calling.
 type Builder struct {
 	name       string
 	placeNames []string
 	transNames []string
 	placeIndex map[string]Place
 	transIndex map[string]Transition
-	preArcs    map[Transition]map[Place]int
-	postArcs   map[Transition]map[Place]int
-	marking    map[Place]int
+	// arcs logs every arc call in order, repeats included; Build groups
+	// them by transition, sorts each group by place and sums repeats.
+	arcs    []builderArc
+	marking []int // marking[p]: initial tokens of place p
+}
+
+// builderArc is one logged arc call: place→transition, or
+// transition→place when out is set.
+type builderArc struct {
+	t   Transition
+	p   Place
+	w   int
+	out bool
 }
 
 // NewBuilder creates a Builder for a net with the given name.
@@ -26,9 +39,6 @@ func NewBuilder(name string) *Builder {
 		name:       name,
 		placeIndex: make(map[string]Place),
 		transIndex: make(map[string]Transition),
-		preArcs:    make(map[Transition]map[Place]int),
-		postArcs:   make(map[Transition]map[Place]int),
-		marking:    make(map[Place]int),
 	}
 }
 
@@ -54,9 +64,7 @@ func (b *Builder) MarkedPlace(name string, tokens int) Place {
 	p := Place(len(b.placeNames))
 	b.placeNames = append(b.placeNames, name)
 	b.placeIndex[name] = p
-	if tokens > 0 {
-		b.marking[p] = tokens
-	}
+	b.marking = append(b.marking, tokens)
 	return p
 }
 
@@ -86,33 +94,22 @@ func (b *Builder) ArcTP(t Transition, p Place) { b.WeightedArcTP(t, p, 1) }
 // WeightedArc adds an arc from place p to transition t with weight w.
 // Adding an arc that already exists accumulates the weight.
 func (b *Builder) WeightedArc(p Place, t Transition, w int) {
-	b.checkPlace(p)
-	b.checkTransition(t)
-	if w <= 0 {
-		panic(fmt.Sprintf("petri: non-positive arc weight %d", w))
-	}
-	m := b.preArcs[t]
-	if m == nil {
-		m = make(map[Place]int)
-		b.preArcs[t] = m
-	}
-	m[p] += w
+	b.addArc(t, p, w, false)
 }
 
 // WeightedArcTP adds an arc from transition t to place p with weight w.
 // Adding an arc that already exists accumulates the weight.
 func (b *Builder) WeightedArcTP(t Transition, p Place, w int) {
+	b.addArc(t, p, w, true)
+}
+
+func (b *Builder) addArc(t Transition, p Place, w int, out bool) {
 	b.checkPlace(p)
 	b.checkTransition(t)
 	if w <= 0 {
 		panic(fmt.Sprintf("petri: non-positive arc weight %d", w))
 	}
-	m := b.postArcs[t]
-	if m == nil {
-		m = make(map[Place]int)
-		b.postArcs[t] = m
-	}
-	m[p] += w
+	b.arcs = append(b.arcs, builderArc{t, p, w, out})
 }
 
 // Chain is a convenience that threads a token path
@@ -145,10 +142,6 @@ func (b *Builder) SetMarking(p Place, tokens int) {
 	if tokens < 0 {
 		panic("petri: negative marking")
 	}
-	if tokens == 0 {
-		delete(b.marking, p)
-		return
-	}
 	b.marking[p] = tokens
 }
 
@@ -165,50 +158,90 @@ func (b *Builder) checkTransition(t Transition) {
 }
 
 // Build finalises the net. The Builder may keep being used afterwards;
-// subsequent Build calls produce independent nets.
+// subsequent Build calls produce independent nets. Build panics when the
+// weights of repeated arcs sum past the range of int.
 func (b *Builder) Build() *Net {
-	n := &Net{
-		name:       b.name,
-		placeNames: append([]string(nil), b.placeNames...),
-		transNames: append([]string(nil), b.transNames...),
-		placeIndex: make(map[string]Place, len(b.placeIndex)),
-		transIndex: make(map[string]Transition, len(b.transIndex)),
-		pre:        make([][]ArcRef, len(b.transNames)),
-		post:       make([][]ArcRef, len(b.transNames)),
-		placeIn:    make([][]TArc, len(b.placeNames)),
-		placeOut:   make([][]TArc, len(b.placeNames)),
-	}
-	for name, p := range b.placeIndex {
-		n.placeIndex[name] = p
-	}
-	for name, t := range b.transIndex {
-		n.transIndex[name] = t
-	}
-	for t := Transition(0); int(t) < len(b.transNames); t++ {
-		n.pre[t] = sortedArcRefs(b.preArcs[t])
-		n.post[t] = sortedArcRefs(b.postArcs[t])
-		for _, a := range n.pre[t] {
-			n.placeOut[a.Place] = append(n.placeOut[a.Place], TArc{t, a.Weight})
-		}
-		for _, a := range n.post[t] {
-			n.placeIn[a.Place] = append(n.placeIn[a.Place], TArc{t, a.Weight})
-		}
-	}
-	n.initialMark = NewMarking(len(b.placeNames))
-	for p, k := range b.marking {
-		n.initialMark[p] = k
+	n, err := b.build()
+	if err != nil {
+		panic(err.Error())
 	}
 	return n
 }
 
-func sortedArcRefs(m map[Place]int) []ArcRef {
-	if len(m) == 0 {
-		return nil
+// build is Build with the weight overflow returned as an error, for
+// Parse. It buckets the arc log by transition (input arcs, then output
+// arcs) into one array, sorts each bucket by place and sums repeated
+// places in place, so a transition of degree d costs O(d log d).
+func (b *Builder) build() (*Net, error) {
+	nT := len(b.transNames)
+	n := &Net{
+		name:        b.name,
+		placeNames:  slices.Clone(b.placeNames),
+		transNames:  slices.Clone(b.transNames),
+		placeIndex:  maps.Clone(b.placeIndex),
+		transIndex:  maps.Clone(b.transIndex),
+		initialMark: NewMarking(len(b.placeNames)),
 	}
-	out := make([]ArcRef, 0, len(m))
-	for p, w := range m {
-		out = append(out, ArcRef{p, w})
+	copy(n.initialMark, b.marking)
+
+	// Bucket i < nT holds the input arcs of transition i, bucket nT+i its
+	// output arcs. pos[i] counts bucket i, then marks where it ends, and
+	// after the scatter where it begins; pos[2nT] ends the last bucket.
+	pos := make([]int, 2*nT+1)
+	for _, a := range b.arcs {
+		pos[bucketOf(a, nT)]++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Place < out[j].Place })
-	return out
+	for i := 1; i < len(pos); i++ {
+		pos[i] += pos[i-1]
+	}
+	refs := make([]ArcRef, len(b.arcs))
+	for j := len(b.arcs) - 1; j >= 0; j-- {
+		a := b.arcs[j]
+		i := bucketOf(a, nT)
+		pos[i]--
+		refs[pos[i]] = ArcRef{a.p, a.w}
+	}
+
+	lists := make([][]ArcRef, 2*nT)
+	done := 0 // refs[:done] holds the finished lists
+	for i := range lists {
+		seg := refs[pos[i]:pos[i+1]]
+		slices.SortFunc(seg, func(x, y ArcRef) int { return cmp.Compare(x.Place, y.Place) })
+		k := done
+		for _, a := range seg { // k never passes the element read
+			if k > done && refs[k-1].Place == a.Place {
+				if refs[k-1].Weight += a.Weight; refs[k-1].Weight < 0 {
+					return nil, b.overflowError(i, a.Place)
+				}
+				continue
+			}
+			refs[k] = a
+			k++
+		}
+		if k > done {
+			lists[i] = refs[done:k:k]
+		}
+		done = k
+	}
+	n.pre, n.post = lists[:nT:nT], lists[nT:]
+	n.link()
+	return n, nil
+}
+
+func bucketOf(a builderArc, nT int) int {
+	if a.out {
+		return nT + int(a.t)
+	}
+	return int(a.t)
+}
+
+// overflowError names the arc of bucket i into or out of place p whose
+// summed weight does not fit in int.
+func (b *Builder) overflowError(i int, p Place) error {
+	nT := len(b.transNames)
+	from, to := b.placeNames[p], b.transNames[i%nT]
+	if i >= nT {
+		from, to = to, from
+	}
+	return fmt.Errorf("petri: arc %s -> %s: summed weight overflows int", from, to)
 }

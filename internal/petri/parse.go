@@ -2,11 +2,17 @@ package petri
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
+
+// maxLine is the longest line Parse accepts, in bytes.
+const maxLine = 1 << 20
 
 // Parse reads the textual net format:
 //
@@ -21,24 +27,28 @@ import (
 //
 // Nodes may also be declared implicitly by prefix: names starting with "p"
 // are NOT auto-typed; every node must be declared before use so typos fail
-// loudly. Parse returns the first error with a line number.
+// loudly. Lines are at most 1 MiB long. Repeated arcs between the same
+// two nodes add up, and the sum must fit in int. Parse returns the first
+// error with a line number, or, once every line has been read, an error
+// naming an arc whose summed weight overflows.
 func Parse(r io.Reader) (*Net, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(nil, maxLine)
 	b := NewBuilder("")
 	named := false
 	line := 0
+	var fields [][]byte
 	for sc.Scan() {
 		line++
-		text := sc.Text()
-		if i := strings.IndexByte(text, '#'); i >= 0 {
+		text := sc.Bytes()
+		if i := bytes.IndexByte(text, '#'); i >= 0 {
 			text = text[:i]
 		}
-		fields := strings.Fields(text)
+		fields = splitFields(fields, text)
 		if len(fields) == 0 {
 			continue
 		}
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "net":
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("petri: line %d: usage: net NAME", line)
@@ -47,14 +57,14 @@ func Parse(r io.Reader) (*Net, error) {
 				return nil, fmt.Errorf("petri: line %d: duplicate net directive", line)
 			}
 			named = true
-			b.name = fields[1]
+			b.name = string(fields[1])
 		case "place":
 			if len(fields) != 2 && len(fields) != 3 {
 				return nil, fmt.Errorf("petri: line %d: usage: place NAME [TOKENS]", line)
 			}
 			tokens := 0
 			if len(fields) == 3 {
-				v, err := strconv.Atoi(fields[2])
+				v, err := strconv.Atoi(string(fields[2]))
 				if err != nil || v < 0 {
 					return nil, fmt.Errorf("petri: line %d: bad token count %q", line, fields[2])
 				}
@@ -63,7 +73,7 @@ func Parse(r io.Reader) (*Net, error) {
 			if err := checkFresh(b, fields[1]); err != nil {
 				return nil, fmt.Errorf("petri: line %d: %w", line, err)
 			}
-			b.MarkedPlace(fields[1], tokens)
+			b.MarkedPlace(string(fields[1]), tokens)
 		case "trans", "transition":
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("petri: line %d: usage: trans NAME", line)
@@ -71,7 +81,7 @@ func Parse(r io.Reader) (*Net, error) {
 			if err := checkFresh(b, fields[1]); err != nil {
 				return nil, fmt.Errorf("petri: line %d: %w", line, err)
 			}
-			b.Transition(fields[1])
+			b.Transition(string(fields[1]))
 		case "arc":
 			if err := parseArcChain(b, fields[1:]); err != nil {
 				return nil, fmt.Errorf("petri: line %d: %w", line, err)
@@ -83,31 +93,58 @@ func Parse(r io.Reader) (*Net, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("petri: read: %w", err)
 	}
-	return b.Build(), nil
+	return b.build()
 }
 
 // ParseString is Parse over an in-memory document.
 func ParseString(s string) (*Net, error) { return Parse(strings.NewReader(s)) }
 
-func checkFresh(b *Builder, name string) error {
-	if _, dup := b.placeIndex[name]; dup {
+// splitFields appends the fields of line to dst[:0] and returns it. It
+// splits exactly as strings.Fields does: fields are maximal runs of runes
+// that unicode.IsSpace rejects, and invalid UTF-8 bytes are not spaces.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	dst = dst[:0]
+	start := -1
+	for i := 0; i < len(line); {
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(line[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+func checkFresh(b *Builder, name []byte) error {
+	if _, dup := b.placeIndex[string(name)]; dup {
 		return fmt.Errorf("duplicate node %q", name)
 	}
-	if _, dup := b.transIndex[name]; dup {
+	if _, dup := b.transIndex[string(name)]; dup {
 		return fmt.Errorf("duplicate node %q", name)
 	}
 	return nil
 }
 
 // parseArcChain handles "A -> B [* W] [-> C [* W] ...]".
-func parseArcChain(b *Builder, fields []string) error {
+func parseArcChain(b *Builder, fields [][]byte) error {
 	if len(fields) < 3 {
 		return fmt.Errorf("usage: arc FROM -> TO [* WEIGHT] [-> NEXT ...]")
 	}
 	cur := fields[0]
 	i := 1
 	for i < len(fields) {
-		if fields[i] != "->" {
+		if string(fields[i]) != "->" {
 			return fmt.Errorf("expected \"->\" at token %q", fields[i])
 		}
 		if i+1 >= len(fields) {
@@ -116,11 +153,11 @@ func parseArcChain(b *Builder, fields []string) error {
 		next := fields[i+1]
 		i += 2
 		weight := 1
-		if i < len(fields) && fields[i] == "*" {
+		if i < len(fields) && string(fields[i]) == "*" {
 			if i+1 >= len(fields) {
 				return fmt.Errorf("dangling \"*\"")
 			}
-			w, err := strconv.Atoi(fields[i+1])
+			w, err := strconv.Atoi(string(fields[i+1]))
 			if err != nil || w <= 0 {
 				return fmt.Errorf("bad weight %q", fields[i+1])
 			}
@@ -135,11 +172,11 @@ func parseArcChain(b *Builder, fields []string) error {
 	return nil
 }
 
-func addArcByName(b *Builder, from, to string, w int) error {
-	if p, ok := b.placeIndex[from]; ok {
-		t, ok := b.transIndex[to]
+func addArcByName(b *Builder, from, to []byte, w int) error {
+	if p, ok := b.placeIndex[string(from)]; ok {
+		t, ok := b.transIndex[string(to)]
 		if !ok {
-			if _, isPlace := b.placeIndex[to]; isPlace {
+			if _, isPlace := b.placeIndex[string(to)]; isPlace {
 				return fmt.Errorf("arc %s -> %s connects two places", from, to)
 			}
 			return fmt.Errorf("unknown node %q", to)
@@ -147,10 +184,10 @@ func addArcByName(b *Builder, from, to string, w int) error {
 		b.WeightedArc(p, t, w)
 		return nil
 	}
-	if t, ok := b.transIndex[from]; ok {
-		p, ok := b.placeIndex[to]
+	if t, ok := b.transIndex[string(from)]; ok {
+		p, ok := b.placeIndex[string(to)]
 		if !ok {
-			if _, isTrans := b.transIndex[to]; isTrans {
+			if _, isTrans := b.transIndex[string(to)]; isTrans {
 				return fmt.Errorf("arc %s -> %s connects two transitions", from, to)
 			}
 			return fmt.Errorf("unknown node %q", to)

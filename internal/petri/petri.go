@@ -57,8 +57,12 @@ type Arc struct {
 // Net is an immutable weighted place/transition net. Build one with a
 // Builder; the zero Net is empty and valid.
 //
-// All per-node relations are precomputed at Build time so queries are O(1)
-// or O(degree) and never allocate.
+// The per-node relations (presets, postsets, producers, consumers) and the
+// name lookups are precomputed at Build time, so their accessors are O(1)
+// and return shared slices without allocating. Queries that return a
+// fresh slice (Places, SourceTransitions, Arcs, InitialMarking, ...)
+// allocate it on every call. FreeChoiceSets and CanonicalForm are computed
+// on first use and then shared.
 type Net struct {
 	name        string
 	placeNames  []string
@@ -76,6 +80,62 @@ type Net struct {
 	// shared across goroutines (see hash.go).
 	canonOnce sync.Once
 	canon     *CanonicalForm
+
+	// choiceOnce/choices memoise FreeChoiceSets in the same way.
+	choiceOnce sync.Once
+	choices    []ConflictCluster
+}
+
+// link completes a net whose name, node names, marking and per-transition
+// arcs (pre and post, each list sorted by place without repeats) are set:
+// it derives the name lookups, unless they are set already, and every
+// place's producer and consumer list, in transition order. Build,
+// InducedSubnet and CanonicalNet all finish their nets here. The lists of
+// all places share one backing array, each capped at its own length.
+func (n *Net) link() {
+	if n.placeIndex == nil {
+		n.placeIndex = make(map[string]Place, len(n.placeNames))
+		for i, name := range n.placeNames {
+			n.placeIndex[name] = Place(i)
+		}
+	}
+	if n.transIndex == nil {
+		n.transIndex = make(map[string]Transition, len(n.transNames))
+		for i, name := range n.transNames {
+			n.transIndex[name] = Transition(i)
+		}
+	}
+	// lists[p] is the consumer list of place p, lists[nP+p] its producers.
+	nP := len(n.placeNames)
+	deg := make([]int, 2*nP)
+	total := 0
+	for t := range n.pre {
+		for _, a := range n.pre[t] {
+			deg[a.Place]++
+		}
+		for _, a := range n.post[t] {
+			deg[nP+int(a.Place)]++
+		}
+		total += len(n.pre[t]) + len(n.post[t])
+	}
+	arcs := make([]TArc, total)
+	lists := make([][]TArc, 2*nP)
+	at := 0
+	for i, d := range deg {
+		if d > 0 {
+			lists[i] = arcs[at : at : at+d]
+			at += d
+		}
+	}
+	for t := range n.pre {
+		for _, a := range n.pre[t] {
+			lists[a.Place] = append(lists[a.Place], TArc{Transition(t), a.Weight})
+		}
+		for _, a := range n.post[t] {
+			lists[nP+int(a.Place)] = append(lists[nP+int(a.Place)], TArc{Transition(t), a.Weight})
+		}
+	}
+	n.placeOut, n.placeIn = lists[:nP:nP], lists[nP:]
 }
 
 // ArcRef is a weighted reference from a transition to a place.

@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +74,13 @@ func TestBuilderPanics(t *testing.T) {
 			p := b.Place("p")
 			q := b.Place("q")
 			b.Chain(p, q)
+		}},
+		{"summed weight overflows int", func(b *Builder) {
+			p := b.Place("p")
+			tr := b.Transition("t")
+			b.WeightedArc(p, tr, math.MaxInt)
+			b.WeightedArc(p, tr, 2)
+			b.Build()
 		}},
 	}
 	for _, tc := range cases {

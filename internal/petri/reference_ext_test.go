@@ -1,0 +1,119 @@
+package petri_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"fcpn/internal/atm"
+	"fcpn/internal/figures"
+	"fcpn/internal/modem"
+	"fcpn/internal/netgen"
+	"fcpn/internal/petri"
+)
+
+// TestConstructorsMatchReference pins Builder.Build, Parse, CanonicalNet,
+// ConflictClusters and FreeChoiceSets against the map-based and pairwise
+// references in reference_test.go over the paper's figures, the shipped
+// .pn files, the ATM server, the modem and RandomNet and
+// RandomSchedulablePipeline seeds 0–499, each RandomNet also in a variant
+// that is not free-choice (see unfree).
+func TestConstructorsMatchReference(t *testing.T) {
+	type entry struct {
+		name string
+		net  *petri.Net
+	}
+	var nets []entry
+	figs := figures.All()
+	names := make([]string, 0, len(figs))
+	for name := range figs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		nets = append(nets, entry{name, figs[name]})
+	}
+	files, err := filepath.Glob("../../examples/nets/*.pn")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example nets: %v", err)
+	}
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := petri.Parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		nets = append(nets, entry{filepath.Base(file), n})
+	}
+	m, err := modem.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, entry{"atm", atm.New().Net}, entry{"modem", m.Net})
+	seeds := uint64(500)
+	if testing.Short() {
+		seeds = 50
+	}
+	cfg := netgen.DefaultConfig()
+	for seed := uint64(0); seed < seeds; seed++ {
+		rn := netgen.RandomNet(seed, cfg)
+		nets = append(nets,
+			entry{fmt.Sprintf("RandomNet/%d", seed), rn},
+			entry{fmt.Sprintf("RandomSchedulablePipeline/%d", seed), netgen.RandomSchedulablePipeline(seed, cfg)})
+		if u := unfree(rn); u != nil {
+			nets = append(nets, entry{fmt.Sprintf("RandomNet/%d/unfree", seed), u})
+		}
+	}
+	notFC := 0
+	for _, e := range nets {
+		if !e.net.IsFreeChoice() {
+			notFC++
+		}
+		if err := petri.CheckAgainstReference(e.net); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+	}
+	t.Logf("%d nets, %d of them not free-choice", len(nets), notFC)
+}
+
+// unfree derives a net that is not free-choice from a net with a choice:
+// the first consumer u of its first choice place c gets a second, marked
+// input place q, and a new transition takes the same preset {c, q}. The
+// result has a two-place conflict cluster and a choice whose alternatives
+// have different presets. It returns nil for a net without a choice.
+func unfree(n *petri.Net) *petri.Net {
+	choices := n.ChoicePlaces()
+	if len(choices) == 0 {
+		return nil
+	}
+	b := petri.NewBuilder(n.Name() + "_unfree")
+	init := n.InitialMarking()
+	for p := 0; p < n.NumPlaces(); p++ {
+		b.MarkedPlace(n.PlaceName(petri.Place(p)), init[p])
+	}
+	for t := 0; t < n.NumTransitions(); t++ {
+		b.Transition(n.TransitionName(petri.Transition(t)))
+	}
+	for t := petri.Transition(0); int(t) < n.NumTransitions(); t++ {
+		for _, a := range n.Pre(t) {
+			b.WeightedArc(a.Place, t, a.Weight)
+		}
+		for _, a := range n.Post(t) {
+			b.WeightedArcTP(t, a.Place, a.Weight)
+		}
+	}
+	c := choices[0]
+	u := n.Consumers(c)[0].Transition
+	q := b.MarkedPlace("unfree_q", 1)
+	b.Arc(q, u)
+	dup := b.Transition("unfree_dup")
+	b.Arc(c, dup)
+	b.Arc(q, dup)
+	return b.Build()
+}

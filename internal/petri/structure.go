@@ -1,6 +1,6 @@
 package petri
 
-import "sort"
+import "slices"
 
 // IsMarkedGraph reports whether every place has at most one input and at
 // most one output transition. Marked graphs model concurrency and
@@ -109,43 +109,48 @@ type ConflictCluster struct {
 
 // ConflictClusters partitions the transitions with non-empty presets into
 // equal-conflict clusters, sorted by first transition index. Source
-// transitions (empty preset) are never part of a cluster.
-func (n *Net) ConflictClusters() []ConflictCluster {
+// transitions (empty preset) are never part of a cluster. A cluster's
+// places are its transitions' common preset. The result is fresh on every
+// call.
+func (n *Net) ConflictClusters() []ConflictCluster { return n.clusters(1) }
+
+// FreeChoiceSets returns only the clusters with ≥ 2 transitions: the
+// decision points the QSS algorithm must resolve. They are computed on the
+// first call and the same slice is returned on every call after it, from
+// any goroutine; callers must not modify it or the clusters in it.
+func (n *Net) FreeChoiceSets() []ConflictCluster {
+	n.choiceOnce.Do(func() { n.choices = n.clusters(2) })
+	return n.choices
+}
+
+// clusters returns the equal-conflict clusters of at least minSize
+// transitions. Transitions in equal conflict with t share t's first input
+// place, so only that place's consumers are compared with t: the cost is
+// O(Σ consumers × preset), not O(T²).
+func (n *Net) clusters(minSize int) []ConflictCluster {
 	seen := make([]bool, n.NumTransitions())
-	var clusters []ConflictCluster
+	var out []ConflictCluster
+	var members []Transition
 	for t := Transition(0); int(t) < n.NumTransitions(); t++ {
 		if seen[t] || len(n.pre[t]) == 0 {
 			continue
 		}
-		cluster := ConflictCluster{Transitions: []Transition{t}}
+		members = append(members[:0], t)
 		seen[t] = true
-		for u := t + 1; int(u) < n.NumTransitions(); u++ {
-			if !seen[u] && n.EqualConflict(t, u) {
-				cluster.Transitions = append(cluster.Transitions, u)
+		for _, c := range n.placeOut[n.pre[t][0].Place] {
+			if u := c.Transition; u > t && !seen[u] && n.samePreset(t, u) {
+				members = append(members, u)
 				seen[u] = true
 			}
 		}
-		placeSet := map[Place]bool{}
-		for _, a := range n.pre[t] {
-			placeSet[a.Place] = true
+		if len(members) < minSize {
+			continue
 		}
-		for p := range placeSet {
-			cluster.Places = append(cluster.Places, p)
+		places := make([]Place, len(n.pre[t]))
+		for i, a := range n.pre[t] {
+			places[i] = a.Place
 		}
-		sort.Slice(cluster.Places, func(i, j int) bool { return cluster.Places[i] < cluster.Places[j] })
-		clusters = append(clusters, cluster)
-	}
-	return clusters
-}
-
-// FreeChoiceSets returns only the clusters with ≥ 2 transitions: the
-// decision points the QSS algorithm must resolve.
-func (n *Net) FreeChoiceSets() []ConflictCluster {
-	var out []ConflictCluster
-	for _, c := range n.ConflictClusters() {
-		if len(c.Transitions) > 1 {
-			out = append(out, c)
-		}
+		out = append(out, ConflictCluster{Places: places, Transitions: slices.Clone(members)})
 	}
 	return out
 }

@@ -27,9 +27,8 @@ type Subnet struct {
 //
 // The Net is assembled directly rather than through a Builder: the parent
 // is already a validated Net (unique non-empty names, deduplicated sorted
-// arcs), so none of the Builder's checks or map-based arc accumulation can
-// observe anything, and the solver materialises hundreds of these per
-// sweep. Filtering the parent's place-sorted arc lists preserves their
+// arcs), so none of the Builder's checks or arc accumulation can observe
+// anything. Filtering the parent's place-sorted arc lists preserves their
 // order because kept nodes keep their relative order.
 func (n *Net) InducedSubnet(name string, keepT []Transition, keepP []Place) *Subnet {
 	tKeep := make([]bool, n.NumTransitions())
@@ -60,6 +59,7 @@ func (n *Net) InducedSubnet(name string, keepT []Transition, keepP []Place) *Sub
 		s.ParentPlace = append(s.ParentPlace, p)
 		sub.placeNames = append(sub.placeNames, n.placeNames[p])
 	}
+	arcs := 0
 	for t := Transition(0); int(t) < n.NumTransitions(); t++ {
 		if !tKeep[t] {
 			continue
@@ -67,37 +67,33 @@ func (n *Net) InducedSubnet(name string, keepT []Transition, keepP []Place) *Sub
 		s.transTo[t] = len(sub.transNames)
 		s.ParentTransition = append(s.ParentTransition, t)
 		sub.transNames = append(sub.transNames, n.transNames[t])
+		arcs += len(n.pre[t]) + len(n.post[t])
 	}
-	sub.placeIndex = make(map[string]Place, len(sub.placeNames))
-	for i, nm := range sub.placeNames {
-		sub.placeIndex[nm] = Place(i)
+	nT := len(sub.transNames)
+	refs := make([]ArcRef, 0, arcs)
+	lists := make([][]ArcRef, 2*nT)
+	keep := func(from []ArcRef) []ArcRef {
+		at := len(refs)
+		for _, a := range from {
+			if sp := s.placeTo[a.Place]; sp >= 0 {
+				refs = append(refs, ArcRef{Place(sp), a.Weight})
+			}
+		}
+		if len(refs) == at {
+			return nil
+		}
+		return refs[at:len(refs):len(refs)]
 	}
-	sub.transIndex = make(map[string]Transition, len(sub.transNames))
-	for i, nm := range sub.transNames {
-		sub.transIndex[nm] = Transition(i)
-	}
-	sub.pre = make([][]ArcRef, len(sub.transNames))
-	sub.post = make([][]ArcRef, len(sub.transNames))
-	sub.placeIn = make([][]TArc, len(sub.placeNames))
-	sub.placeOut = make([][]TArc, len(sub.placeNames))
 	for st, pt := range s.ParentTransition {
-		for _, a := range n.pre[pt] {
-			if sp := s.placeTo[a.Place]; sp >= 0 {
-				sub.pre[st] = append(sub.pre[st], ArcRef{Place(sp), a.Weight})
-				sub.placeOut[sp] = append(sub.placeOut[sp], TArc{Transition(st), a.Weight})
-			}
-		}
-		for _, a := range n.post[pt] {
-			if sp := s.placeTo[a.Place]; sp >= 0 {
-				sub.post[st] = append(sub.post[st], ArcRef{Place(sp), a.Weight})
-				sub.placeIn[sp] = append(sub.placeIn[sp], TArc{Transition(st), a.Weight})
-			}
-		}
+		lists[st] = keep(n.pre[pt])
+		lists[nT+st] = keep(n.post[pt])
 	}
+	sub.pre, sub.post = lists[:nT:nT], lists[nT:]
 	sub.initialMark = NewMarking(len(sub.placeNames))
 	for sp, pp := range s.ParentPlace {
 		sub.initialMark[sp] = n.initialMark[pp]
 	}
+	sub.link()
 	s.Net = sub
 	return s
 }
