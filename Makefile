@@ -55,6 +55,7 @@ fuzz:
 	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/
 	go test -fuzz='FuzzEnvelopeSplice$$' -fuzztime=30s ./internal/coord/
 	go test -fuzz='FuzzSchedCodec$$' -fuzztime=30s ./internal/engine/
+	go test -fuzz='FuzzExportJSON$$' -fuzztime=30s ./internal/core/
 
 examples:
 	go run ./examples/quickstart

@@ -231,6 +231,7 @@ func solveReductions(n *petri.Net, reductions []*Reduction, opt Options, aids ch
 	}
 	count, saturated := CountAllocationsSat(n)
 	sched := &Schedule{Net: n, AllocationCount: count, AllocationCountSaturated: saturated}
+	aids.sources = n.SourceTransitions()
 	// Schedulability sweep, in the order the reductions are given. By
 	// Theorem 3.1 the net is schedulable exactly when every reduction is,
 	// so the first failing reduction settles the verdict and is the one

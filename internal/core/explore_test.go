@@ -162,9 +162,11 @@ func TestScheduleExport(t *testing.T) {
 	}
 	foundT2 := false
 	for _, c := range ex.Cycles {
-		if c.Choices["p1"] == "t2" {
+		if choice, _ := c.Choices.Lookup("p1"); choice == "t2" {
 			foundT2 = true
-			if c.Counts["t4"] != 1 || c.Counts["t1"] != 2 {
+			t4, _ := c.Counts.Lookup("t4")
+			t1, _ := c.Counts.Lookup("t1")
+			if t4 != 1 || t1 != 2 {
 				t.Fatalf("counts = %v", c.Counts)
 			}
 			if len(c.Sequence) != 5 {
@@ -243,13 +245,14 @@ func TestImportScheduleRejectsBadInput(t *testing.T) {
 
 	// A cycle whose declared choice contradicts its firings.
 	bad.Cycles = append([]CycleExport(nil), good.Cycles...)
-	flipped := map[string]string{}
-	for k, v := range bad.Cycles[0].Choices {
-		if v == "t2" {
-			flipped[k] = "t3"
+	var flipped Entries[string]
+	for _, e := range bad.Cycles[0].Choices {
+		if e.Value == "t2" {
+			e.Value = "t3"
 		} else {
-			flipped[k] = "t2"
+			e.Value = "t2"
 		}
+		flipped = append(flipped, e)
 	}
 	bad.Cycles[0].Choices = flipped
 	if _, err := ImportSchedule(n, &bad); err == nil {

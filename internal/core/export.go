@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"fcpn/internal/petri"
 )
@@ -20,45 +22,109 @@ type ScheduleExport struct {
 	Cycles               []CycleExport `json:"cycles"`
 }
 
-// CycleExport is one finite complete cycle in name form.
+// CycleExport is one finite complete cycle in name form. Choices and
+// Counts hold their entries sorted by name, and each marshals as a JSON
+// object keyed by name, the object a map would give; Lookup finds a
+// name's entry.
 type CycleExport struct {
 	// Choices maps each choice place to the transition the cycle's
 	// T-allocation selected.
-	Choices map[string]string `json:"choices"`
+	Choices Entries[string] `json:"choices"`
 	// Sequence is the firing order.
 	Sequence []string `json:"sequence"`
 	// Counts is the firing-count vector, transitions with zero count
 	// omitted.
-	Counts map[string]int `json:"counts"`
+	Counts Entries[int] `json:"counts"`
 }
 
-// Export converts the schedule to its serialisable form.
+// Export converts the schedule to its serialisable form. The transitions
+// are sorted by name once per call and the choice places once per
+// cluster list the cycles' allocations share, so each cycle costs
+// O(places + transitions) and every cycle's names, choices and counts
+// come from one backing array each.
 func (s *Schedule) Export() *ScheduleExport {
+	n := s.Net
 	out := &ScheduleExport{
-		Net:                  s.Net.Name(),
+		Net:                  n.Name(),
 		Allocations:          s.AllocationCount,
 		AllocationsSaturated: s.AllocationCountSaturated,
 	}
+	if len(s.Cycles) == 0 {
+		return out
+	}
+	steps, fired := 0, 0
 	for _, c := range s.Cycles {
-		ce := CycleExport{
-			Choices:  map[string]string{},
-			Sequence: s.Net.SequenceNames(c.Sequence),
-			Counts:   map[string]int{},
-		}
-		alloc := c.Reduction.Allocation
-		for i, cluster := range alloc.Clusters {
-			for _, p := range cluster.Places {
-				ce.Choices[s.Net.PlaceName(p)] = s.Net.TransitionName(alloc.Chosen[i])
-			}
-		}
-		for t, k := range c.Counts {
+		steps += len(c.Sequence)
+		for _, k := range c.Counts {
 			if k > 0 {
-				ce.Counts[s.Net.TransitionName(petri.Transition(t))] = k
+				fired++
 			}
 		}
-		out.Cycles = append(out.Cycles, ce)
+	}
+	byName := make([]petri.Transition, n.NumTransitions())
+	for t := range byName {
+		byName[t] = petri.Transition(t)
+	}
+	slices.SortFunc(byName, func(a, b petri.Transition) int {
+		return strings.Compare(n.TransitionName(a), n.TransitionName(b))
+	})
+	var clusters []petri.ConflictCluster
+	var places []choicePlace
+	seqNames := make([]string, 0, steps)
+	counts := make(Entries[int], 0, fired)
+	var choices Entries[string]
+	out.Cycles = make([]CycleExport, len(s.Cycles))
+	for i, c := range s.Cycles {
+		alloc := c.Reduction.Allocation
+		if choices == nil || !sameClusters(alloc.Clusters, clusters) {
+			clusters = alloc.Clusters
+			places = choicePlaces(n, clusters)
+			choices = make(Entries[string], 0, (len(s.Cycles)-i)*len(places))
+		}
+		start := len(choices)
+		for _, cp := range places {
+			choices = append(choices, Entry[string]{cp.name, n.TransitionName(alloc.Chosen[cp.cluster])})
+		}
+		ce := &out.Cycles[i]
+		ce.Choices = choices[start:len(choices):len(choices)]
+		start = len(seqNames)
+		for _, t := range c.Sequence {
+			seqNames = append(seqNames, n.TransitionName(t))
+		}
+		ce.Sequence = seqNames[start:len(seqNames):len(seqNames)]
+		start = len(counts)
+		for _, t := range byName {
+			if k := c.Counts[t]; k > 0 {
+				counts = append(counts, Entry[int]{n.TransitionName(t), k})
+			}
+		}
+		ce.Counts = counts[start:len(counts):len(counts)]
 	}
 	return out
+}
+
+// choicePlace is a choice place's name and the index of its cluster.
+type choicePlace struct {
+	name    string
+	cluster int
+}
+
+// choicePlaces lists the places of the clusters sorted by name.
+func choicePlaces(n *petri.Net, clusters []petri.ConflictCluster) []choicePlace {
+	var out []choicePlace
+	for i, c := range clusters {
+		for _, p := range c.Places {
+			out = append(out, choicePlace{n.PlaceName(p), i})
+		}
+	}
+	slices.SortFunc(out, func(a, b choicePlace) int { return strings.Compare(a.name, b.name) })
+	return out
+}
+
+// sameClusters reports whether a and b are the same cluster list: the
+// allocations of one schedule share the net's FreeChoiceSets slice.
+func sameClusters(a, b []petri.ConflictCluster) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // MarshalJSON serialises the schedule through its export form.
@@ -100,7 +166,7 @@ func ImportSchedule(n *petri.Net, ex *ScheduleExport) (*Schedule, error) {
 		for i, c := range clusters {
 			chosen[i] = c.Transitions[0]
 			for _, p := range c.Places {
-				if name, ok := ce.Choices[n.PlaceName(p)]; ok {
+				if name, ok := ce.Choices.Lookup(n.PlaceName(p)); ok {
 					t, tok := n.TransitionByName(name)
 					if !tok {
 						return nil, fmt.Errorf("core: cycle %d: unknown choice target %q", ci, name)

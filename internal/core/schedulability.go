@@ -64,6 +64,9 @@ type checkAids struct {
 	// Validate (docs/ALGORITHM.md §6).
 	parentTIs  []invariant.TInvariant
 	haveParent bool
+	// sources are the net's source transitions (n.SourceTransitions),
+	// listed once per sweep; nil lists them in the check.
+	sources []petri.Transition
 }
 
 // reductionInvariants resolves a reduction's minimal T-semiflows, in
@@ -124,7 +127,11 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	// reduction algorithm never removes sources; a missing source would be
 	// a structural anomaly worth reporting.
 	report.SourcesCovered = true
-	for _, src := range n.SourceTransitions() {
+	sources := aids.sources
+	if sources == nil {
+		sources = n.SourceTransitions()
+	}
+	for _, src := range sources {
 		if !red.KeepsTransition(src) || !covered.Has(int(src)) {
 			report.SourcesCovered = false
 			report.MissingSources = append(report.MissingSources, src)

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
+	"fcpn/internal/atm"
+	"fcpn/internal/core"
+	"fcpn/internal/modem"
 	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
 )
@@ -48,4 +52,96 @@ func BenchmarkEngineWarm(b *testing.B) {
 		e.AnalyzeBatch(nets)
 	}
 	b.ReportMetric(float64(len(nets))*float64(b.N)/b.Elapsed().Seconds(), "nets/s")
+}
+
+// handoffNets is the corpus of the schedule hand-off benchmarks: the ATM
+// server (2,048 allocations), the modem, a heavy generated pipeline (4
+// sources, depth 5) and netgen.ChoiceFan(10), whose 1,024 allocations are
+// 1,024 distinct T-reductions and so 1,024 cycles.
+func handoffNets(b *testing.B) []struct {
+	name string
+	net  *petri.Net
+} {
+	m, err := modem.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	heavy := netgen.DefaultConfig()
+	heavy.MaxSources, heavy.MaxDepth = 4, 5
+	return []struct {
+		name string
+		net  *petri.Net
+	}{
+		{"atm", atm.New().Net},
+		{"modem", m.Net},
+		{"pipeline", netgen.RandomSchedulablePipeline(1, heavy)},
+		{"choicefan10", netgen.ChoiceFan(10)},
+	}
+}
+
+// twinReductions enumerates n's distinct T-reductions and returns them
+// with n's canonical form and twin, as a sched: miss has them.
+func twinReductions(b *testing.B, n *petri.Net) (*petri.CanonicalForm, *petri.Net, []*core.Reduction) {
+	reds, err := core.EnumerateDistinctReductions(n, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n.CanonicalForm(), n.CanonicalNet(), reds
+}
+
+// BenchmarkMapReductionsToTwin measures the relabelling of a net's
+// distinct T-reductions onto its canonical twin.
+func BenchmarkMapReductionsToTwin(b *testing.B) {
+	for _, x := range handoffNets(b) {
+		cf, twin, reds := twinReductions(b, x.net)
+		b.Run(x.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = mapReductionsToTwin(cf, twin, reds)
+			}
+		})
+	}
+}
+
+// BenchmarkRebuildSchedule measures the rebuild of a schedule from its
+// decoded canonical sequences, the step every sched: hit and miss ends
+// with.
+func BenchmarkRebuildSchedule(b *testing.B) {
+	for _, x := range handoffNets(b) {
+		cf, twin, reds := twinReductions(b, x.net)
+		s, err := core.SolveReductions(twin, mapReductionsToTwin(cf, twin, reds), core.Options{})
+		if err != nil {
+			b.Fatalf("%s: %v", x.name, err)
+		}
+		seqs := cachedSequences(s)
+		b.Run(x.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rebuildSchedule(x.net, cf, seqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReportMarshal measures json.Marshal of a schedulable net's
+// whole report.
+func BenchmarkReportMarshal(b *testing.B) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	for _, x := range handoffNets(b) {
+		rep, err := e.Analyze(x.net)
+		if err != nil || !rep.Schedulable {
+			b.Fatalf("%s: %v %s", x.name, err, rep.ScheduleError)
+		}
+		b.Run(x.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(rep); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -557,9 +558,14 @@ func (e *solveError) localSets(cf *petri.CanonicalForm) [][]petri.Transition {
 // twin, whose transition indices are canonical positions: each cycle's
 // firing sequence, cycles sorted lexicographically.
 func cachedSequences(s *core.Schedule) [][]int {
+	steps := 0
+	for _, cyc := range s.Cycles {
+		steps += len(cyc.Sequence)
+	}
+	buf := make([]int, steps)
 	seqs := make([][]int, len(s.Cycles))
 	for i, cyc := range s.Cycles {
-		seqs[i] = make([]int, len(cyc.Sequence))
+		seqs[i], buf = buf[:len(cyc.Sequence):len(cyc.Sequence)], buf[len(cyc.Sequence):]
 		for j, t := range cyc.Sequence {
 			seqs[i][j] = int(t)
 		}
@@ -578,36 +584,71 @@ func cachedSequences(s *core.Schedule) [][]int {
 // allocation as a core.LazyReduction: nothing on the engine's path reads
 // a rebuilt cycle's kept sets, so the reduction algorithm runs only if a
 // caller asks for them.
+//
+// One pass over each sequence fills its count vector and its choices,
+// through a transition→cluster table, and the schedule's sequences,
+// count vectors, choices, allocations and cycles each come from one
+// backing array.
 func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, seqs [][]int) (*core.Schedule, error) {
 	clusters := n.FreeChoiceSets()
 	count, saturated := core.CountAllocationsSat(n)
-	sched := &core.Schedule{Net: n, AllocationCount: count, AllocationCountSaturated: saturated}
+	nT, nC := n.NumTransitions(), len(clusters)
+	clusterOf := make([]int, nT)
+	for t := range clusterOf {
+		clusterOf[t] = -1
+	}
+	for i, c := range clusters {
+		for _, t := range c.Transitions {
+			clusterOf[t] = i
+		}
+	}
+	steps := 0
 	for _, cseq := range seqs {
-		seq := make([]petri.Transition, len(cseq))
+		steps += len(cseq)
+	}
+	seqBuf := make([]petri.Transition, steps)
+	countBuf := make([]int, len(seqs)*nT)
+	chosenBuf := make([]petri.Transition, len(seqs)*nC)
+	allocs := make([]core.Allocation, len(seqs))
+	sched := &core.Schedule{
+		Net:                      n,
+		Cycles:                   make([]core.Cycle, len(seqs)),
+		AllocationCount:          count,
+		AllocationCountSaturated: saturated,
+	}
+	// alternatives[k] counts the alternatives of cluster k the cycle fires.
+	alternatives := make([]int, nC)
+	for i, cseq := range seqs {
+		var seq []petri.Transition
+		seq, seqBuf = seqBuf[:len(cseq):len(cseq)], seqBuf[len(cseq):]
+		counts := countBuf[i*nT : (i+1)*nT : (i+1)*nT]
+		chosen := chosenBuf[i*nC : (i+1)*nC : (i+1)*nC]
 		for j, pos := range cseq {
-			seq[j] = cf.TransAt[pos]
-		}
-		counts := n.FiringCount(seq)
-		chosen := make([]petri.Transition, len(clusters))
-		for i, c := range clusters {
-			chosen[i] = c.Transitions[0]
-			fired := 0
-			for _, t := range c.Transitions {
-				if counts[t] > 0 {
-					chosen[i] = t
-					fired++
-				}
+			t := cf.TransAt[pos]
+			seq[j] = t
+			counts[t]++
+			if k := clusterOf[t]; k >= 0 && counts[t] == 1 {
+				chosen[k] = t
+				alternatives[k]++
 			}
-			if fired > 1 {
+		}
+		for k, c := range clusters {
+			switch alternatives[k] {
+			case 0:
+				chosen[k] = c.Transitions[0]
+			case 1:
+			default:
 				return nil, fmt.Errorf("engine: cached cycle fires %d alternatives of choice %q of net %q",
-					fired, n.PlaceName(c.Places[0]), n.Name())
+					alternatives[k], n.PlaceName(c.Places[0]), n.Name())
 			}
+			alternatives[k] = 0
 		}
-		sched.Cycles = append(sched.Cycles, core.Cycle{
+		allocs[i] = core.Allocation{Clusters: clusters, Chosen: chosen}
+		sched.Cycles[i] = core.Cycle{
 			Sequence:  seq,
 			Counts:    counts,
-			Reduction: core.LazyReduction(n, &core.Allocation{Clusters: clusters, Chosen: chosen}),
-		})
+			Reduction: core.LazyReduction(n, &allocs[i]),
+		}
 	}
 	return sched, nil
 }
@@ -629,29 +670,41 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, seqs [][]int) (*core
 // nets, better on 232 and 234; one net goes from 24 calls to 235 (9.8x).
 func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.Reduction) []*core.Reduction {
 	clusters := twin.FreeChoiceSets()
-	clusterOf := map[petri.Place]int{}
+	nC := len(clusters)
+	// clusterOf[p] is the cluster of twin choice place p.
+	clusterOf := make([]int, twin.NumPlaces())
 	for i, c := range clusters {
 		for _, p := range c.Places {
 			clusterOf[p] = i
 		}
 	}
-	out := make([]*core.Reduction, len(reds))
+	chosenBuf := make([]petri.Transition, len(reds)*nC)
+	allocs := make([]core.Allocation, len(reds))
+	type keyed struct {
+		key string
+		red *core.Reduction
+	}
+	out := make([]keyed, len(reds))
 	for i, r := range reds {
-		chosen := make([]petri.Transition, len(clusters))
+		chosen := chosenBuf[i*nC : (i+1)*nC : (i+1)*nC]
 		for k, c := range clusters {
 			chosen[k] = c.Transitions[0]
 		}
 		la := r.Allocation
 		for k, cluster := range la.Clusters {
-			ci := clusterOf[petri.Place(cf.PlacePos[cluster.Places[0]])]
-			chosen[ci] = petri.Transition(cf.TransPos[la.Chosen[k]])
+			chosen[clusterOf[cf.PlacePos[cluster.Places[0]]]] = petri.Transition(cf.TransPos[la.Chosen[k]])
 		}
-		out[i] = r.Relabel(twin, &core.Allocation{Clusters: clusters, Chosen: chosen}, cf.TransPos, cf.PlacePos)
+		allocs[i] = core.Allocation{Clusters: clusters, Chosen: chosen}
+		tr := r.Relabel(twin, &allocs[i], cf.TransPos, cf.PlacePos)
+		out[i] = keyed{tr.TransitionSetKey(), tr}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return out[a].TransitionSetKey() < out[b].TransitionSetKey()
-	})
-	return out
+	// The keys are distinct (the reductions are), so the order is total.
+	slices.SortFunc(out, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	twinReds := make([]*core.Reduction, len(out))
+	for i, k := range out {
+		twinReds[i] = k.red
+	}
+	return twinReds
 }
 
 // tSemiflows returns the net's minimal T-semiflows through the tsemi:
@@ -938,11 +991,11 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		rep.ScheduleError = err.Error()
 		return rep, nil
 	}
-	rep.Reductions = reductionNames(n, cycleSupports(sched))
 	rep.Schedulable = true
 	rep.Allocations = sched.AllocationCount
 	rep.AllocationsSaturated = sched.AllocationCountSaturated
 	rep.Schedule = sched.Export()
+	rep.Reductions = exportedReductions(rep.Schedule)
 	sp = tr.Start("core/bounds")
 	if bounds, err := sched.BufferBounds(); err != nil {
 		fail("buffer-bounds", err)
@@ -986,18 +1039,25 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 	return rep, nil
 }
 
-// cycleSupports lists, per cycle, the transitions it fires: the kept
-// transitions of its reduction.
-func cycleSupports(s *core.Schedule) [][]petri.Transition {
-	sets := make([][]petri.Transition, len(s.Cycles))
-	for i, c := range s.Cycles {
-		for t, k := range c.Counts {
-			if k > 0 {
-				sets[i] = append(sets[i], petri.Transition(t))
-			}
-		}
+// exportedReductions lists the report's reductions off its schedule: a
+// cycle fires exactly the transitions its reduction keeps, so each
+// cycle's Counts names, which are name-sorted, are its reduction's kept
+// set.
+func exportedReductions(ex *core.ScheduleExport) [][]string {
+	kept := 0
+	for _, c := range ex.Cycles {
+		kept += len(c.Counts)
 	}
-	return sets
+	buf := make([]string, 0, kept)
+	out := make([][]string, len(ex.Cycles))
+	for i, c := range ex.Cycles {
+		start := len(buf)
+		for _, e := range c.Counts {
+			buf = append(buf, e.Name)
+		}
+		out[i] = buf[start:len(buf):len(buf)]
+	}
+	return sortReductions(out)
 }
 
 // reductionNames renders kept-transition sets as the report lists them:
@@ -1010,6 +1070,13 @@ func reductionNames(n *petri.Net, sets [][]petri.Transition) [][]string {
 	for i, ts := range sets {
 		out[i] = sortedNames(n, ts)
 	}
-	slices.SortFunc(out, slices.Compare)
-	return slices.CompactFunc(out, slices.Equal)
+	return sortReductions(out)
+}
+
+// sortReductions sorts name-sorted kept sets and drops repeats. Comparing
+// names with strings.Compare takes one comparison per name where
+// cmp.Compare takes two for equal ones; the order is the same.
+func sortReductions(sets [][]string) [][]string {
+	slices.SortFunc(sets, func(a, b []string) int { return slices.CompareFunc(a, b, strings.Compare) })
+	return slices.CompactFunc(sets, slices.Equal)
 }

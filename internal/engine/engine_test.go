@@ -174,7 +174,8 @@ func TestEngineCallOrderInvariant(t *testing.T) {
 // it fires, and carries the allocation of the distinct reduction that
 // EnumerateDistinctReductions finds on the same net with the same kept
 // transitions: a choice the reduction removed stays at that net's first
-// alternative, whichever twin filled the cache.
+// alternative, whichever twin filled the cache. The reductions read off
+// the schedule's export are the cycles' kept sets.
 func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 	nets := corpus()
 	for seed := uint64(0); seed < 50; seed++ {
@@ -198,10 +199,16 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 			for _, r := range reds {
 				byKey[r.TransitionSetKey()] = r
 			}
-			supports := cycleSupports(syn.Schedule)
+			keptSets := make([][]petri.Transition, len(syn.Schedule.Cycles))
 			for i, c := range syn.Schedule.Cycles {
-				fired := supports[i]
-				if kept := c.Reduction.KeptTransitions(); !slices.Equal(fired, kept) {
+				var fired []petri.Transition
+				for t, k := range c.Counts {
+					if k > 0 {
+						fired = append(fired, petri.Transition(t))
+					}
+				}
+				keptSets[i] = c.Reduction.KeptTransitions()
+				if kept := keptSets[i]; !slices.Equal(fired, kept) {
 					t.Fatalf("%s: cycle %d fires %v, its allocation keeps %v", n.Name(), i, n.SequenceNames(fired), n.SequenceNames(kept))
 				}
 				want, ok := byKey[c.Reduction.TransitionSetKey()]
@@ -212,6 +219,12 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 					t.Fatalf("%s: cycle %d chooses %v, the enumeration %v", n.Name(), i, n.SequenceNames(got), n.SequenceNames(want.Allocation.Chosen))
 				}
 			}
+			// The report reads its reductions off the export, which is
+			// what it lists when they are the cycles' kept sets.
+			got, want := exportedReductions(syn.Schedule.Export()), reductionNames(n, keptSets)
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("%s: reductions read off the export %v, kept sets %v", n.Name(), got, want)
+			}
 			cycles += len(syn.Schedule.Cycles)
 		}
 	}
@@ -219,6 +232,27 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 		t.Fatalf("only %d cycles checked", cycles)
 	}
 	t.Logf("%d cycles checked", cycles)
+}
+
+// TestRebuildRejectsTwoAlternatives feeds rebuildSchedule a cached cycle
+// that fires both alternatives of Figure 4's choice: no reduction keeps
+// both, so the payload is corrupt and the rebuild must say which choice.
+func TestRebuildRejectsTwoAlternatives(t *testing.T) {
+	n := figures.Figure4()
+	cf := n.CanonicalForm()
+	pos := func(name string) int {
+		tr, _ := n.TransitionByName(name)
+		return cf.TransPos[tr]
+	}
+	good := []int{pos("t1"), pos("t2"), pos("t1"), pos("t2"), pos("t4")}
+	if _, err := rebuildSchedule(n, cf, [][]int{good}); err != nil {
+		t.Fatalf("rebuild of a valid cycle: %v", err)
+	}
+	bad := []int{pos("t1"), pos("t2"), pos("t1"), pos("t3"), pos("t5"), pos("t5")}
+	_, err := rebuildSchedule(n, cf, [][]int{good, bad})
+	if want := `engine: cached cycle fires 2 alternatives of choice "p1" of net "figure4"`; err == nil || err.Error() != want {
+		t.Fatalf("rebuild of a cycle firing t2 and t3: err = %v, want %s", err, want)
+	}
 }
 
 // TestEngineBatchOrderAndConcurrency checks AnalyzeBatch returns results

@@ -30,11 +30,42 @@ func schedKey(hash string) string {
 // indices into that set (almost always one byte each) instead of
 // absolute positions.
 func encodeSchedule(seqs [][]int) []byte {
-	buf := []byte{schedCacheVersion}
+	size, maxPos := 1+binary.MaxVarintLen64, -1
+	for _, seq := range seqs {
+		// Gaps and indices take one byte each unless they are large.
+		size += 2*binary.MaxVarintLen64 + 2*len(seq)
+		for _, pos := range seq {
+			maxPos = max(maxPos, pos)
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, schedCacheVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(seqs)))
+	// index[pos] is pos's index among the positions the current cycle
+	// fires, and -1 outside the cycle. Canonical positions are below the
+	// net's transition count; a payload decoded from other bytes may hold
+	// any position, and past maxIndexedPos each firing's index is found
+	// by binary search instead.
+	var index []int
+	if maxPos <= maxIndexedPos {
+		index = make([]int, maxPos+1)
+		for pos := range index {
+			index[pos] = -1
+		}
+	}
 	var fired []int
 	for _, seq := range seqs {
-		fired = append(fired[:0], seq...)
+		fired = fired[:0]
+		if index == nil {
+			fired = append(fired, seq...)
+		} else {
+			for _, pos := range seq {
+				if index[pos] < 0 {
+					index[pos] = 0
+					fired = append(fired, pos)
+				}
+			}
+		}
 		slices.Sort(fired)
 		fired = slices.Compact(fired)
 		buf = binary.AppendUvarint(buf, uint64(len(fired)))
@@ -44,13 +75,28 @@ func encodeSchedule(seqs [][]int) []byte {
 			prev = pos
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(seq)))
+		if index == nil {
+			for _, pos := range seq {
+				i, _ := slices.BinarySearch(fired, pos)
+				buf = binary.AppendUvarint(buf, uint64(i))
+			}
+			continue
+		}
+		for k, pos := range fired {
+			index[pos] = k
+		}
 		for _, pos := range seq {
-			i, _ := slices.BinarySearch(fired, pos)
-			buf = binary.AppendUvarint(buf, uint64(i))
+			buf = binary.AppendUvarint(buf, uint64(index[pos]))
+		}
+		for _, pos := range fired {
+			index[pos] = -1
 		}
 	}
 	return buf
 }
+
+// maxIndexedPos bounds the positions encodeSchedule indexes by table.
+const maxIndexedPos = 1 << 20
 
 // decodeSchedule parses an encodeSchedule payload, validating the
 // version, every count and every index, so a foreign or truncated
@@ -86,12 +132,16 @@ func decodeSchedule(data []byte) ([][]int, error) {
 		return nil, err
 	}
 	seqs := make([][]int, nCycles)
+	// Every sequence element takes at least one byte, so the sequences
+	// fit one backing array of len(data) elements.
+	steps := make([]int, 0, len(data))
+	var fired []int
 	for i := range seqs {
 		nFired, err := count()
 		if err != nil {
 			return nil, err
 		}
-		fired := make([]int, nFired)
+		fired = slices.Grow(fired[:0], nFired)[:nFired]
 		pos := 0
 		for k := range fired {
 			gap, err := next()
@@ -108,8 +158,8 @@ func decodeSchedule(data []byte) ([][]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		seqs[i] = make([]int, nSeq)
-		for j := range seqs[i] {
+		start := len(steps)
+		for range nSeq {
 			idx, err := next()
 			if err != nil {
 				return nil, err
@@ -117,8 +167,9 @@ func decodeSchedule(data []byte) ([][]int, error) {
 			if idx >= nFired {
 				return nil, fmt.Errorf("engine: schedule payload sequence index %d out of its %d fired transitions", idx, nFired)
 			}
-			seqs[i][j] = fired[idx]
+			steps = append(steps, fired[idx])
 		}
+		seqs[i] = steps[start:len(steps):len(steps)]
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("engine: %d trailing bytes in schedule payload", len(data))

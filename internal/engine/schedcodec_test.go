@@ -15,6 +15,8 @@ func TestSchedCodecRoundTrip(t *testing.T) {
 		{{0, 3, 3, 7}},
 		{{2, 2, 2, 5}, {0, 9, 0, 9, 9}},
 		{{}, {4}},
+		// Positions past maxIndexedPos take the binary-search path.
+		{{maxIndexedPos + 9, 7, maxIndexedPos + 9}, {3, 3}},
 	}
 	for i, seqs := range cases {
 		got, err := decodeSchedule(encodeSchedule(seqs))

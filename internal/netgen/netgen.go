@@ -179,3 +179,27 @@ func RandomNet(seed uint64, cfg Config) *petri.Net {
 	}
 	return b.Build()
 }
+
+// ChoiceFan builds a net whose T-reductions are as many as its
+// T-allocations: a source forks a token to k choice places, each choice
+// place's two alternatives feed one place of its own, and a join consumes
+// those k places. Every one of the 2^k allocations keeps another set of
+// alternatives, so a valid schedule has 2^k cycles. Benchmarks use it to
+// load the per-cycle work of a schedule.
+func ChoiceFan(k int) *petri.Net {
+	b := petri.NewBuilder(fmt.Sprintf("choicefan%d", k))
+	src := b.Transition("src")
+	join := b.Transition("join")
+	for i := 0; i < k; i++ {
+		p := b.Place(fmt.Sprintf("c%d", i))
+		q := b.Place(fmt.Sprintf("m%d", i))
+		b.ArcTP(src, p)
+		for _, alt := range []string{"a", "b"} {
+			t := b.Transition(fmt.Sprintf("%s%d", alt, i))
+			b.Arc(p, t)
+			b.ArcTP(t, q)
+		}
+		b.Arc(q, join)
+	}
+	return b.Build()
+}

@@ -52,3 +52,13 @@ func TestRandomNetValid(t *testing.T) {
 		t.Fatal("RandomNet never produced a synchronising variant")
 	}
 }
+
+func TestChoiceFan(t *testing.T) {
+	n := ChoiceFan(3)
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.FreeChoiceSets()); got != 3 {
+		t.Fatalf("%d choices, want 3", got)
+	}
+}

@@ -102,7 +102,8 @@ func BenchmarkCanonicalNet(b *testing.B) {
 }
 
 // BenchmarkFreeChoiceSets measures the first FreeChoiceSets call on a
-// fresh net per op.
+// fresh net per op, over the corpus and on sharedFirstPlace(40000, 2),
+// which is built per op with the timer stopped.
 func BenchmarkFreeChoiceSets(b *testing.B) {
 	for _, x := range benchCorpus(b) {
 		text := petri.Format(x.net)
@@ -110,4 +111,13 @@ func BenchmarkFreeChoiceSets(b *testing.B) {
 			forFreshNets(b, text, func(n *petri.Net) { _ = n.FreeChoiceSets() })
 		})
 	}
+	b.Run("sharedFirstPlace40000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			n := sharedFirstPlace(40000, 2)
+			b.StartTimer()
+			_ = n.FreeChoiceSets()
+		}
+	})
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"fcpn/internal/atm"
 	"fcpn/internal/figures"
@@ -19,7 +21,7 @@ import (
 // references in reference_test.go over the paper's figures, the shipped
 // .pn files, the ATM server, the modem and RandomNet and
 // RandomSchedulablePipeline seeds 0–499, each RandomNet also in a variant
-// that is not free-choice (see unfree).
+// that is not free-choice (see unfree), and sharedFirstPlace nets.
 func TestConstructorsMatchReference(t *testing.T) {
 	type entry struct {
 		name string
@@ -70,6 +72,11 @@ func TestConstructorsMatchReference(t *testing.T) {
 			nets = append(nets, entry{fmt.Sprintf("RandomNet/%d/unfree", seed), u})
 		}
 	}
+	for _, k := range []int{2, 7, 60, 301} {
+		for _, share := range []int{1, 2, 3} {
+			nets = append(nets, entry{fmt.Sprintf("sharedFirstPlace/%d/%d", k, share), sharedFirstPlace(k, share)})
+		}
+	}
 	notFC := 0
 	for _, e := range nets {
 		if !e.net.IsFreeChoice() {
@@ -116,4 +123,46 @@ func unfree(n *petri.Net) *petri.Net {
 	b.Arc(c, dup)
 	b.Arc(q, dup)
 	return b.Build()
+}
+
+// sharedFirstPlace builds a net that is not free-choice: place p0 feeds
+// k transitions, and transition i also consumes from place q(i/share),
+// so p0 is every transition's first input place and each run of share
+// transitions has one preset, an equal-conflict cluster of its own.
+func sharedFirstPlace(k, share int) *petri.Net {
+	b := petri.NewBuilder(fmt.Sprintf("shared%d_%d", k, share))
+	p0 := b.MarkedPlace("p0", 1)
+	var q petri.Place
+	for i := 0; i < k; i++ {
+		if i%share == 0 {
+			q = b.MarkedPlace(fmt.Sprintf("q%d", i/share), 1)
+		}
+		t := b.Transition(fmt.Sprintf("t%d", i))
+		b.Arc(p0, t)
+		b.Arc(q, t)
+		b.ArcTP(t, p0)
+	}
+	return b.Build()
+}
+
+// TestFreeChoiceSetsSharedFirstPlace times the first FreeChoiceSets call
+// on sharedFirstPlace(40000, 2): 40,000 transitions share their first
+// input place in 20,000 presets. Comparing each transition with every
+// consumer of that place took seconds; sorting them by preset takes
+// milliseconds.
+func TestFreeChoiceSetsSharedFirstPlace(t *testing.T) {
+	n := sharedFirstPlace(40000, 2)
+	start := time.Now()
+	clusters := n.FreeChoiceSets()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("first FreeChoiceSets took %v", d)
+	}
+	if len(clusters) != 20000 {
+		t.Fatalf("%d clusters, want 20000", len(clusters))
+	}
+	for i, c := range clusters {
+		if want := []petri.Transition{petri.Transition(2 * i), petri.Transition(2*i + 1)}; !slices.Equal(c.Transitions, want) {
+			t.Fatalf("cluster %d is %v, want %v", i, c.Transitions, want)
+		}
+	}
 }

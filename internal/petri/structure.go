@@ -1,6 +1,9 @@
 package petri
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // IsMarkedGraph reports whether every place has at most one input and at
 // most one output transition. Marked graphs model concurrency and
@@ -124,35 +127,65 @@ func (n *Net) FreeChoiceSets() []ConflictCluster {
 }
 
 // clusters returns the equal-conflict clusters of at least minSize
-// transitions. Transitions in equal conflict with t share t's first input
-// place, so only that place's consumers are compared with t: the cost is
-// O(Σ consumers × preset), not O(T²).
+// transitions. Transitions in equal conflict have one preset and so one
+// first input place: the transitions whose first input place is p are
+// sorted by preset, then by index, and each run of equal presets is a
+// cluster. The cost is O(arcs · log arcs) even where many transitions
+// share their first input place but not their presets, which only a net
+// that is not free-choice has.
 func (n *Net) clusters(minSize int) []ConflictCluster {
-	seen := make([]bool, n.NumTransitions())
 	var out []ConflictCluster
-	var members []Transition
-	for t := Transition(0); int(t) < n.NumTransitions(); t++ {
-		if seen[t] || len(n.pre[t]) == 0 {
-			continue
-		}
-		members = append(members[:0], t)
-		seen[t] = true
-		for _, c := range n.placeOut[n.pre[t][0].Place] {
-			if u := c.Transition; u > t && !seen[u] && n.samePreset(t, u) {
-				members = append(members, u)
-				seen[u] = true
+	var bucket []Transition
+	for p := range n.placeOut {
+		bucket = bucket[:0]
+		for _, a := range n.placeOut[p] {
+			if t := a.Transition; n.pre[t][0].Place == Place(p) {
+				bucket = append(bucket, t)
 			}
 		}
-		if len(members) < minSize {
+		if len(bucket) < minSize {
 			continue
 		}
-		places := make([]Place, len(n.pre[t]))
-		for i, a := range n.pre[t] {
-			places[i] = a.Place
+		slices.SortFunc(bucket, func(a, b Transition) int {
+			if c := n.comparePresets(a, b); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		for i := 0; i < len(bucket); {
+			j := i + 1
+			for j < len(bucket) && n.samePreset(bucket[i], bucket[j]) {
+				j++
+			}
+			if j-i >= minSize {
+				t := bucket[i]
+				places := make([]Place, len(n.pre[t]))
+				for k, a := range n.pre[t] {
+					places[k] = a.Place
+				}
+				out = append(out, ConflictCluster{Places: places, Transitions: slices.Clone(bucket[i:j])})
+			}
+			i = j
 		}
-		out = append(out, ConflictCluster{Places: places, Transitions: slices.Clone(members)})
 	}
+	// Each cluster's first transition is its lowest, and no two clusters
+	// share one.
+	slices.SortFunc(out, func(a, b ConflictCluster) int {
+		return cmp.Compare(a.Transitions[0], b.Transitions[0])
+	})
 	return out
+}
+
+// comparePresets orders transitions by preset: by their arcs in place
+// order, compared by place and then weight. It is 0 exactly when
+// samePreset holds.
+func (n *Net) comparePresets(a, b Transition) int {
+	return slices.CompareFunc(n.pre[a], n.pre[b], func(x, y ArcRef) int {
+		if c := cmp.Compare(x.Place, y.Place); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Weight, y.Weight)
+	})
 }
 
 // StronglyConnected reports whether the underlying directed graph (places
