@@ -35,7 +35,8 @@ func TestQssdJournalWritesEveryJob(t *testing.T) {
 		if !ok {
 			t.Fatalf("journal missing entry for seed %d", seed)
 		}
-		if ent.Status != "ok" || ent.Report == nil || !ent.Report.Schedulable {
+		rep, ok := decodeReport(ent.Report)
+		if ent.Status != "ok" || !ok || rep == nil || !rep.Schedulable {
 			t.Fatalf("bad journal entry for seed %d: %+v", seed, ent)
 		}
 	}
@@ -276,9 +277,9 @@ func TestQssdJournalRoundTripsTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(80); seed < 82; seed++ {
-		ent := entries[genHash(seed)]
-		if ent.Report == nil || ent.Report.Timing == nil || ent.Report.Timing.Verdict == nil {
-			t.Fatalf("compacted journal lost timing for seed %d: %+v", seed, ent.Report)
+		rep, ok := decodeReport(entries[genHash(seed)].Report)
+		if !ok || rep == nil || rep.Timing == nil || rep.Timing.Verdict == nil {
+			t.Fatalf("compacted journal lost timing for seed %d: %+v", seed, rep)
 		}
 	}
 

@@ -237,12 +237,15 @@ func runBatch(args []string, stdout io.Writer) error {
 		if ent, ok := prior[hash]; ok {
 			switch ent.Status {
 			case string(engine.StatusOK), statusSkippedResume:
-				final[i] = netResult{
-					Source: sources[i],
-					Status: statusSkippedResume,
-					Report: ent.Report,
+				// A report that does not decode is analysed again.
+				if rep, ok := decodeReport(ent.Report); ok {
+					final[i] = netResult{
+						Source: sources[i],
+						Status: statusSkippedResume,
+						Report: rep,
+					}
+					continue
 				}
-				continue
 			case string(engine.StatusPanicked), string(engine.StatusQuarantined):
 				e.Quarantine(hash, "journalled "+ent.Status+": "+ent.Error)
 			}
@@ -276,14 +279,17 @@ func runBatch(args []string, stdout io.Writer) error {
 		if r.Err != nil {
 			final[i].Error = r.Err.Error()
 		}
-		jw.Record(journal.Entry{
-			Hash:      r.Report.Hash,
-			Source:    sources[i],
-			Status:    string(r.Status),
-			Error:     final[i].Error,
-			ElapsedMS: msOf(r.Elapsed),
-			Report:    r.Report,
-		})
+		if jw != nil {
+			raw, _ := json.Marshal(r.Report) // a NetReport has no value Marshal refuses
+			jw.Record(journal.Entry{
+				Hash:      r.Report.Hash,
+				Source:    sources[i],
+				Status:    string(r.Status),
+				Error:     final[i].Error,
+				ElapsedMS: msOf(r.Elapsed),
+				Report:    raw,
+			})
+		}
 	})
 	if err != nil {
 		return err
@@ -351,6 +357,16 @@ func runBatch(args []string, stdout io.Writer) error {
 	}
 
 	return writeReport(&rep, *out, stdout)
+}
+
+// decodeReport decodes a journalled report; a missing one decodes to
+// nil.
+func decodeReport(raw json.RawMessage) (*engine.NetReport, bool) {
+	if raw == nil {
+		return nil, true
+	}
+	rep := new(engine.NetReport)
+	return rep, json.Unmarshal(raw, rep) == nil
 }
 
 // validateEngineFlags rejects negative engine sizing flags up front with

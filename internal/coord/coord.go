@@ -30,15 +30,16 @@
 //     (400, 413, 422-quarantine) proxy through untouched;
 //   - a hedged second request fires to the failover host when the
 //     primary exceeds a latency threshold, first-complete-wins;
-//   - the coordinator keeps its own journal, folds backend journals with
-//     journal.Merge on boot, re-submits journalled timeout/panic records
-//     (which carry the net source) to a healthy host, and serves stale
-//     journal reports with an explicit degraded marker when every owner
-//     of a prefix is down — never a blind 502 while an answer exists;
+//   - the coordinator keeps its own journal, folds backend journals into
+//     it on boot, re-submits journalled timeout/panic records (which
+//     carry the net source) to a healthy host, and serves stale journal
+//     reports with an explicit degraded marker when every owner of a
+//     prefix is down — never a blind 502 while an answer exists;
 //   - a backend's envelope is forwarded as the bytes it sent, with the
 //     routing fields appended; it is decoded only where a field is
-//     needed (the journal, and the first 200 of a hash, which fills the
-//     deflate-compressed stale cache).
+//     needed: the first 200 of a hash, which fills the
+//     deflate-compressed stale cache and journals the report bytes once,
+//     and the timeouts and panics the journal keeps.
 //
 // See docs/SERVICE.md ("The multi-host coordinator") for the topology
 // and the failure-mode table.
@@ -55,6 +56,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,7 +98,7 @@ type Config struct {
 	HedgeAfter time.Duration
 	// Journal is the coordinator's own append-only journal path. On
 	// boot, BackendJournals (plus any previous coordinator journal) are
-	// folded into it with journal.Merge.
+	// folded into it.
 	Journal string
 	// BackendJournals are backend journal files (e.g. each host's
 	// shard-*.jsonl) folded into the coordinator's view on boot: ok
@@ -260,50 +262,26 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// foldJournals merges the backend journals (and any previous
-// coordinator journal) into the coordinator's journal file, loads the
-// folded entries into the stale-serving cache, and returns the
+// foldJournals folds the backend journals and then any previous
+// coordinator journal, so the coordinator's view wins ties, writes the
+// fold to the coordinator's journal file when it has one, loads the
+// folded reports into the stale-serving cache, and returns the
 // reissueable records: journalled timeouts/panics that carry their net
 // source.
 func (c *Coordinator) foldJournals() ([]journal.Entry, error) {
 	var inputs []string
-	for _, p := range c.cfg.BackendJournals {
+	for _, p := range append(slices.Clip(c.cfg.BackendJournals), c.cfg.Journal) {
 		if _, err := os.Stat(p); err == nil {
 			inputs = append(inputs, p)
 		}
 	}
-	var entries map[string]journal.Entry
-	switch {
-	case c.cfg.Journal != "" && len(inputs) > 0:
-		// Own journal folds last so the coordinator's view wins ties.
-		if _, err := os.Stat(c.cfg.Journal); err == nil {
-			inputs = append(inputs, c.cfg.Journal)
-		}
-		if _, _, err := journal.Merge(c.cfg.Journal, inputs); err != nil {
-			return nil, fmt.Errorf("coord: folding backend journals: %w", err)
-		}
-		fallthrough
-	case c.cfg.Journal != "":
-		if _, err := os.Stat(c.cfg.Journal); err != nil {
-			entries = map[string]journal.Entry{}
-			break
-		}
-		got, err := journal.Read(c.cfg.Journal)
-		if err != nil {
-			return nil, fmt.Errorf("coord: reading journal: %w", err)
-		}
-		entries = got
-	default:
-		// No coordinator journal: fold the backend journals in memory.
-		entries = map[string]journal.Entry{}
-		for _, in := range inputs {
-			got, err := journal.Read(in)
-			if err != nil {
-				return nil, fmt.Errorf("coord: reading %s: %w", in, err)
-			}
-			for h, ent := range got {
-				entries[h] = ent
-			}
+	entries, err := journal.Read(inputs...)
+	if err != nil {
+		return nil, fmt.Errorf("coord: folding journals: %w", err)
+	}
+	if c.cfg.Journal != "" {
+		if err := journal.Write(c.cfg.Journal, entries); err != nil {
+			return nil, fmt.Errorf("coord: writing the folded journal: %w", err)
 		}
 	}
 
@@ -311,14 +289,9 @@ func (c *Coordinator) foldJournals() ([]journal.Entry, error) {
 	for hash, ent := range entries {
 		switch ent.Status {
 		case string(engine.StatusOK):
-			if ent.Report == nil {
-				continue
+			if ent.Report != nil {
+				c.cache[hash] = deflate(ent.Report)
 			}
-			raw, err := json.Marshal(ent.Report)
-			if err != nil {
-				return nil, err
-			}
-			c.cache[hash] = deflate(raw)
 		case string(engine.StatusTimeout), string(engine.StatusPanicked):
 			if ent.Net != "" {
 				pending = append(pending, ent)
@@ -748,17 +721,22 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// journalOutcome records an analyze outcome in the coordinator journal,
-// decoding the backend's envelope only for the outcomes a journal keeps:
-// a report (200), a timeout (504) and a panic, one kind of 500.
-// Reissueable outcomes keep the net source, exactly like the backends'
-// own journals.
+// journalOutcome records an analyze outcome in the coordinator journal:
+// a hash's first report (a 200 while the stale cache does not hold the
+// hash, the condition remember fills it under), every timeout (504) and
+// every panic, one kind of 500. It decodes the backend's envelope only
+// and journals the report as the backend sent it. Reissueable outcomes
+// keep the net source, exactly like the backends' own journals.
 func (c *Coordinator) journalOutcome(hash, name string, code int, body, src []byte) {
 	if c.jw == nil {
 		return
 	}
 	switch code {
-	case http.StatusOK, http.StatusGatewayTimeout, http.StatusInternalServerError:
+	case http.StatusOK:
+		if c.cached(hash) {
+			return // a later 200 repeats the journalled report's bytes
+		}
+	case http.StatusGatewayTimeout, http.StatusInternalServerError:
 	default:
 		return // refusals (parse, quarantine, window) are not ours to journal
 	}
@@ -774,10 +752,7 @@ func (c *Coordinator) journalOutcome(hash, name string, code int, body, src []by
 	}
 	switch env.Status {
 	case string(engine.StatusOK):
-		rep := new(engine.NetReport)
-		if err := json.Unmarshal(env.Report, rep); err == nil {
-			ent.Report = rep
-		}
+		ent.Report = env.Report
 	case string(engine.StatusTimeout), string(engine.StatusPanicked):
 		ent.Net = string(src)
 	default:

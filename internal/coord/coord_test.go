@@ -384,6 +384,47 @@ func TestCoordBootReissue(t *testing.T) {
 	}
 }
 
+// TestCoordJournalsFirstReportOnce: the coordinator journals a hash's
+// report with its first 200 only, as the backend sent it, so repeated
+// traffic for one net does not grow the journal.
+func TestCoordJournalsFirstReportOnce(t *testing.T) {
+	_, b0 := bootBackend(t, server.Config{})
+	cfg := fastConfig(b0.URL)
+	cfg.Journal = filepath.Join(t.TempDir(), "coord.jsonl")
+	c, front := bootCoord(t, cfg)
+	src := petri.Format(figures.Figure5())
+	var first AnalyzeResponse
+	for i := 0; i < 10; i++ {
+		code, env := postCoord(t, front.URL, src)
+		if code != http.StatusOK {
+			t.Fatalf("post %d: code=%d env=%+v", i, code, env)
+		}
+		if i == 0 {
+			// The first 200 fills the stale cache after its reply is sent.
+			first = env
+			waitStats(t, c, "stale cache filled", func(r StatsReport) bool { return r.CachedReports == 1 })
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cfg.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if len(lines) != 1 {
+		t.Fatalf("ten posts of one net left %d journal lines, want 1:\n%s", len(lines), raw)
+	}
+	var ent journal.Entry
+	if err := json.Unmarshal(lines[0], &ent); err != nil {
+		t.Fatal(err)
+	}
+	if ent.Status != string(engine.StatusOK) || !bytes.Equal(ent.Report, first.Report) {
+		t.Fatalf("journalled entry differs from the relayed report: %s", lines[0])
+	}
+}
+
 // TestCoordHedgedRequest: a slow owner past the hedge threshold loses
 // to the hedged copy on the failover host.
 func TestCoordHedgedRequest(t *testing.T) {

@@ -6,12 +6,16 @@
 // JSONL; a killed writer leaves at worst one torn final line, and every
 // reader tolerates exactly that.
 //
-// Lifecycle: a Writer appends entries as jobs complete; Read folds a
-// journal into a hash-keyed map (later lines win); Compact rewrites a
-// journal to one line per hash; Merge folds several shard journals into
-// one using the same later-wins codec. Compact and Merge both write
+// Lifecycle: a Writer appends entries as jobs complete; Read folds
+// journals into a hash-keyed map (later lines and later files win);
+// Write rewrites a folded map as one line per hash; Merge is Read then
+// Write, and Compact is Merge of one journal into itself. Write goes
 // through a temporary file renamed over the destination, so a crash
 // mid-rewrite never loses a journal.
+//
+// A journal is a byte log: an entry's report holds the bytes the
+// engine's job marshalled, and every reader and rewriter moves them
+// unchanged.
 package journal
 
 import (
@@ -23,21 +27,19 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"fcpn/internal/engine"
 )
 
 // Entry is one journal line. Status is the engine's JobStatus vocabulary
-// plus the qssd-level "skipped-resume"; Report is the full deterministic
-// NetReport for completed jobs (nil for refusals journalled before any
-// analysis ran).
+// plus the qssd-level "skipped-resume"; Report is the engine's NetReport
+// exactly as the job marshalled it (nil for refusals journalled before
+// any analysis ran; a "report":null line reads as nil).
 type Entry struct {
-	Hash      string            `json:"hash"`
-	Source    string            `json:"source"`
-	Status    string            `json:"status"`
-	Error     string            `json:"error,omitempty"`
-	ElapsedMS float64           `json:"elapsed_ms"`
-	Report    *engine.NetReport `json:"report,omitempty"`
+	Hash      string          `json:"hash"`
+	Source    string          `json:"source"`
+	Status    string          `json:"status"`
+	Error     string          `json:"error,omitempty"`
+	ElapsedMS float64         `json:"elapsed_ms"`
+	Report    json.RawMessage `json:"report,omitempty"`
 	// Net is the `.pn` source of the net, recorded only for reissueable
 	// outcomes (timeout, panicked): a journal reader holding such an
 	// entry — the multi-host coordinator's boot reissue pass — can
@@ -116,21 +118,31 @@ func (w *Writer) Close() error {
 	return cerr
 }
 
-// Read loads a journal into a hash-keyed map. Later entries win (a
-// resumed run re-journals the nets it re-analyses). Unparsable lines are
-// skipped: the journal is append-only, so the only malformed line a
-// crash can produce is a torn final one.
-func Read(path string) (map[string]Entry, error) {
-	out := map[string]Entry{}
-	_, err := foldInto(out, path)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// Read folds journals into a hash-keyed map: files in argument order,
+// lines in file order, later entries winning (a resumed run re-journals
+// the nets it re-analyses). Unparsable lines are skipped: a journal is
+// append-only, so the only malformed line a crash can produce is a torn
+// final one.
+func Read(paths ...string) (map[string]Entry, error) {
+	entries, _, err := fold(paths)
+	return entries, err
 }
 
-// foldInto streams one journal's lines into entries (later lines win)
-// and returns the number of lines seen, torn tail included.
+// fold is Read that also counts the lines seen, torn tails included.
+func fold(paths []string) (entries map[string]Entry, lines int, err error) {
+	entries = map[string]Entry{}
+	for _, path := range paths {
+		n, err := foldInto(entries, path)
+		lines += n
+		if err != nil {
+			return nil, lines, fmt.Errorf("journal: reading %s: %w", path, err)
+		}
+	}
+	return entries, lines, nil
+}
+
+// foldInto streams one journal's lines into entries and returns the
+// number of lines seen.
 func foldInto(entries map[string]Entry, path string) (lines int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -144,6 +156,9 @@ func foldInto(entries map[string]Entry, path string) (lines int, err error) {
 			lines++
 			var ent Entry
 			if jerr := json.Unmarshal(line, &ent); jerr == nil && ent.Hash != "" {
+				if string(ent.Report) == "null" {
+					ent.Report = nil
+				}
 				entries[ent.Hash] = ent
 			}
 		}
@@ -156,11 +171,10 @@ func foldInto(entries map[string]Entry, path string) (lines int, err error) {
 	}
 }
 
-// writeSorted writes the entries sorted by hash to path via a temporary
-// file renamed over the destination — the shared codec of Compact and
-// Merge. Sorting makes the output deterministic; the rename makes the
-// rewrite atomic.
-func writeSorted(path string, entries map[string]Entry) error {
+// Write writes entries to path, one line each sorted by hash, through a
+// temporary file renamed over the destination. Sorting makes the output
+// deterministic; the rename makes the rewrite atomic.
+func Write(path string, entries map[string]Entry) error {
 	hashes := make([]string, 0, len(entries))
 	for h := range entries {
 		hashes = append(hashes, h)
@@ -190,46 +204,29 @@ func writeSorted(path string, entries map[string]Entry) error {
 }
 
 // Compact rewrites the journal in place to one line per canonical hash,
-// keeping the latest entry for each — the exact state a resume would
-// reconstruct, including quarantine records (a panicked or quarantined
-// entry is the latest for its hash until the net is successfully
-// re-analysed, so later-wins preserves it). Returns the line count
-// before and the entry count after.
+// keeping the latest entry for each: Merge with the journal as its only
+// input. Returns the line count before and the entry count after.
 func Compact(path string) (before, after int, err error) {
-	entries := map[string]Entry{}
-	before, err = foldInto(entries, path)
-	if err != nil {
-		return before, 0, err
-	}
-	if err := writeSorted(path, entries); err != nil {
-		return before, 0, err
-	}
-	return before, len(entries), nil
+	return Merge(path, []string{path})
 }
 
-// Merge folds several journals — typically one per service shard — into
-// a single compacted journal at out. Inputs are folded in argument
-// order, so for a hash that (unexpectedly — shards partition by hash
-// prefix) appears in several inputs, the later input wins, matching
-// Compact's later-wins rule within a file. Quarantine records survive
-// exactly as under Compact: a panicked/quarantined entry is the latest
-// for its hash until some input holds a successful re-analysis. Torn
-// tail lines in any input are skipped. out may be one of the inputs; the
-// rewrite is atomic. Returns the total input line count and the merged
-// entry count.
+// Merge folds several journals, typically one per service shard, into
+// one compacted journal at out, as Read folds them: for a hash that
+// (unexpectedly, since shards partition by hash prefix) appears in
+// several inputs, the later input wins. A panicked or quarantined entry
+// stays the latest for its hash until some input holds a successful
+// re-analysis, so quarantines survive. Torn tail lines in any input are
+// skipped. out may be one of the inputs; the rewrite is atomic. Returns
+// the total input line count and the merged entry count.
 func Merge(out string, inputs []string) (lines, entries int, err error) {
 	if len(inputs) == 0 {
 		return 0, 0, fmt.Errorf("journal: merge needs at least one input journal")
 	}
-	merged := map[string]Entry{}
-	for _, in := range inputs {
-		n, err := foldInto(merged, in)
-		lines += n
-		if err != nil {
-			return lines, 0, fmt.Errorf("journal: reading %s: %w", in, err)
-		}
+	merged, lines, err := fold(inputs)
+	if err != nil {
+		return lines, 0, err
 	}
-	if err := writeSorted(out, merged); err != nil {
+	if err := Write(out, merged); err != nil {
 		return lines, 0, err
 	}
 	return lines, len(merged), nil

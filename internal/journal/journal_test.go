@@ -77,6 +77,62 @@ func TestReadLaterEntriesWin(t *testing.T) {
 	}
 }
 
+// TestReadFoldsFilesInOrder checks Read folds several journals as Merge
+// does, the later file winning, and names a file it cannot read.
+func TestReadFoldsFilesInOrder(t *testing.T) {
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.jsonl")
+	b := filepath.Join(dir, "b.jsonl")
+	write(t, a, "", Entry{Hash: "h", Source: "a"}, Entry{Hash: "ha", Source: "a"})
+	write(t, b, "", Entry{Hash: "h", Source: "b"})
+	got, err := Read(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got["h"].Source != "b" || got["ha"].Source != "a" {
+		t.Fatalf("fold of two journals: %+v", got)
+	}
+	missing := filepath.Join(dir, "missing.jsonl")
+	if _, err := Read(a, missing); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("reading a missing journal: %v", err)
+	}
+}
+
+// TestReportBytesVerbatim checks a report's bytes cross Read and Compact
+// unchanged, whatever their member order and escapes, and that a
+// hand-written "report":null reads as no report and is omitted when the
+// journal is rewritten.
+func TestReportBytesVerbatim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	const report = `{"z":1,"a":[true,null,1.50],"s":"\u003c\u2028<\\"}`
+	kept := `{"hash":"h1","source":"a","status":"ok","elapsed_ms":0,"report":` + report + "}\n"
+	if err := os.WriteFile(path, []byte(kept+`{"hash":"h2","source":"b","status":"ok","elapsed_ms":0,"report":null}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got["h1"].Report) != report {
+		t.Fatalf("report bytes changed on read:\n got %s\nwant %s", got["h1"].Report, report)
+	}
+	if got["h2"].Report != nil {
+		t.Fatalf(`"report":null read as %q`, got["h2"].Report)
+	}
+	if _, _, err := Compact(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewriting escapes the bare '<' as Marshal does; nothing else moves.
+	want := strings.Replace(kept, `<\\`, `\u003c\\`, 1) + `{"hash":"h2","source":"b","status":"ok","elapsed_ms":0}` + "\n"
+	if string(raw) != want {
+		t.Fatalf("compacted journal:\n got %s\nwant %s", raw, want)
+	}
+}
+
 // TestMergeLaterInputWins pins the cross-journal conflict rule: when the
 // same hash appears in several shard journals, the later input wins —
 // the multi-file extension of Compact's later-lines-win.

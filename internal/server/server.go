@@ -187,15 +187,9 @@ func (s *Server) replayJournals(dir string) error {
 		return err
 	}
 	sort.Strings(paths)
-	entries := map[string]journal.Entry{}
-	for _, p := range paths {
-		got, err := journal.Read(p)
-		if err != nil {
-			return fmt.Errorf("server: replaying journal %s: %w", p, err)
-		}
-		for h, ent := range got {
-			entries[h] = ent
-		}
+	entries, err := journal.Read(paths...)
+	if err != nil {
+		return fmt.Errorf("server: replaying journals: %w", err)
 	}
 	for hash, ent := range entries {
 		sh := s.shardFor(hash)
@@ -203,14 +197,9 @@ func (s *Server) replayJournals(dir string) error {
 		case string(engine.StatusPanicked), string(engine.StatusQuarantined):
 			sh.eng.Quarantine(hash, "journalled "+ent.Status+": "+ent.Error)
 		case string(engine.StatusOK):
-			if ent.Report == nil {
-				continue
+			if ent.Report != nil {
+				sh.store(hash, ent.Report)
 			}
-			raw, err := json.Marshal(ent.Report)
-			if err != nil {
-				return err
-			}
-			sh.store(hash, raw)
 		}
 	}
 	return nil
@@ -468,16 +457,26 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	s.reqMisses.Add(1)
 	var res engine.Result
+	var raw []byte
+	var rawErr error
 	err = sh.eng.AnalyzeEach([]*petri.Net{n}, func(_ int, r engine.Result) {
 		res = r
+		if sh.journal == nil {
+			return
+		}
 		// Journal inside the engine callback: Engine.Close waits for it,
-		// so a drain never loses a completed job's record.
+		// so a drain never loses a completed job's record. The one
+		// encoding of the report serves the journal, the store and the
+		// reply.
+		if raw, rawErr = json.Marshal(r.Report); rawErr != nil {
+			return
+		}
 		ent := journal.Entry{
 			Hash:      r.Report.Hash,
 			Source:    "http:" + n.Name(),
 			Status:    string(r.Status),
 			ElapsedMS: float64(r.Elapsed.Nanoseconds()) / 1e6,
-			Report:    r.Report,
+			Report:    raw,
 		}
 		if r.Err != nil {
 			ent.Error = r.Err.Error()
@@ -494,9 +493,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	raw, err := json.Marshal(res.Report)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: err.Error()})
+	// Without a journal the report is marshalled here, off the engine's
+	// worker and its callback lock.
+	if raw == nil && rawErr == nil {
+		raw, rawErr = json.Marshal(res.Report)
+	}
+	if rawErr != nil {
+		writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: rawErr.Error()})
 		return
 	}
 	if res.Status == engine.StatusOK {
