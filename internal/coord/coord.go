@@ -244,7 +244,7 @@ func New(cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("GET /v1/report/{hash}", c.handleReport)
 	mux.HandleFunc("GET /v1/stats", c.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	c.mux = mux
@@ -588,11 +588,13 @@ func (c *Coordinator) sendHedged(ctx context.Context, primary *backend, ownerIdx
 	return first, false
 }
 
-// analyzeUpstream drives one analyze request through routing, hedging,
-// bounded retries and failover. It returns the winning exchange plus
-// routing metadata; a nil exchange body with err set means the fleet is
-// exhausted and the caller should degrade.
-func (c *Coordinator) analyzeUpstream(ctx context.Context, hash string, body []byte) (ex exchange, failover, hedged bool, attempts int) {
+// upstream drives one request through routing, bounded retries with
+// backoff (honouring Retry-After) and failover, hedging analyze requests
+// (POST) only: a hedged report lookup sent to a non-owner could win the
+// race with a 404. It returns the winning exchange plus routing metadata;
+// a nil exchange body with err set means the fleet is exhausted and the
+// caller should degrade.
+func (c *Coordinator) upstream(ctx context.Context, hash, method, path string, body []byte) (ex exchange, failover, hedged bool, attempts int) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.RetryBudget)
 	defer cancel()
 	ownerIdx := c.owner(hash)
@@ -607,7 +609,13 @@ func (c *Coordinator) analyzeUpstream(ctx context.Context, hash string, body []b
 			c.tr.Add("coord/failover", 1)
 			failover = true
 		}
-		ex, hedgeWon := c.sendHedged(ctx, target, ownerIdx, http.MethodPost, "/v1/analyze", body)
+		var ex exchange
+		var hedgeWon bool
+		if method == http.MethodPost {
+			ex, hedgeWon = c.sendHedged(ctx, target, ownerIdx, method, path, body)
+		} else {
+			ex = c.send(ctx, target, method, path, body)
+		}
 		attempts++
 		if hedgeWon {
 			c.cHedgeWins.Add(1)
@@ -638,18 +646,10 @@ func (c *Coordinator) analyzeUpstream(ctx context.Context, hash string, body []b
 	return last, failover, hedged, attempts
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
 func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	c.cAnalyze.Add(1)
 	if c.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, AnalyzeResponse{
+		server.WriteJSON(w, http.StatusServiceUnavailable, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{Status: "error", Error: "coordinator is draining"},
 		})
 		return
@@ -657,7 +657,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	maxBody := c.cfg.MaxBodyBytes
 	if r.ContentLength > maxBody {
 		c.cParseErrors.Add(1)
-		writeJSON(w, http.StatusRequestEntityTooLarge, AnalyzeResponse{
+		server.WriteJSON(w, http.StatusRequestEntityTooLarge, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{Status: "error",
 				Error: fmt.Sprintf("body exceeds %d byte limit", maxBody)},
 		})
@@ -671,7 +671,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, code, AnalyzeResponse{
+		server.WriteJSON(w, code, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{Status: "error", Error: err.Error()},
 		})
 		return
@@ -687,13 +687,13 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		c.cParses.Add(1)
 		if key, _, err = c.memo.Resolve(sum, body); err != nil {
 			if errors.Is(err, server.ErrCanonicalPanic) {
-				writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{
+				server.WriteJSON(w, http.StatusInternalServerError, AnalyzeResponse{
 					AnalyzeResponse: server.AnalyzeResponse{Status: string(engine.StatusPanicked), Error: err.Error()},
 				})
 				return
 			}
 			c.cParseErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest, AnalyzeResponse{
+			server.WriteJSON(w, http.StatusBadRequest, AnalyzeResponse{
 				AnalyzeResponse: server.AnalyzeResponse{Status: "error", Error: "parse: " + err.Error()},
 			})
 			return
@@ -701,7 +701,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sp := c.tr.Start("coord/route")
-	ex, failover, hedged, attempts := c.analyzeUpstream(r.Context(), key.Hash, body)
+	ex, failover, hedged, attempts := c.upstream(r.Context(), key.Hash, http.MethodPost, "/v1/analyze", body)
 	sp.End()
 
 	if ex.body == nil { // fleet exhausted: degrade or refuse
@@ -824,7 +824,7 @@ func (c *Coordinator) stale(hash string) (json.RawMessage, bool) {
 func (c *Coordinator) serveDegraded(w http.ResponseWriter, hash string, cause error) {
 	if raw, ok := c.stale(hash); ok {
 		c.cDegraded.Add(1)
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
+		server.WriteJSON(w, http.StatusOK, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{
 				Hash: hash, Cache: "hit", Status: string(engine.StatusOK), Report: raw,
 			},
@@ -837,7 +837,7 @@ func (c *Coordinator) serveDegraded(w http.ResponseWriter, hash string, cause er
 	if cause != nil {
 		msg = cause.Error()
 	}
-	writeJSON(w, http.StatusBadGateway, AnalyzeResponse{
+	server.WriteJSON(w, http.StatusBadGateway, AnalyzeResponse{
 		AnalyzeResponse: server.AnalyzeResponse{Hash: hash, Status: "error",
 			Error: "all backends failed: " + msg},
 	})
@@ -852,42 +852,21 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		unknownReport(w, hash)
 		return
 	}
-	ownerIdx := c.owner(hash)
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RetryBudget)
-	defer cancel()
-	var last exchange
-	for attempt := 0; attempt < c.cfg.RetryAttempts; attempt++ {
-		target, fo := c.pick(ownerIdx, nil)
-		if target == nil {
-			break
-		}
-		if fo {
-			c.cFailovers.Add(1)
-			c.tr.Add("coord/failover", 1)
-		}
-		ex := c.send(ctx, target, http.MethodGet, "/v1/report/"+hash, nil)
-		if !ex.transient() {
-			if ex.code == http.StatusNotFound || ex.body == nil {
-				// The owner not knowing the hash is authoritative only if
-				// the journal cache agrees.
-				break
-			}
-			server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.field, fo, false, 0))
-			return
-		}
-		last = ex
-		c.cRetries.Add(1)
-		if err := SleepCtx(ctx, c.bo.Delay(attempt)); err != nil {
-			break
-		}
+	ex, failover, _, attempts := c.upstream(r.Context(), hash, http.MethodGet, "/v1/report/"+hash, nil)
+	if !ex.transient() && ex.body != nil && ex.code != http.StatusNotFound {
+		server.WriteEnvelope(w, ex.code, splice(ex.body, ex.b.field, failover, false, 0))
+		return
 	}
+	// A 404 is authoritative only if the journal cache agrees. The cached
+	// answer is degraded when a backend exchange failed: the loop retried,
+	// or its one exchange was transient.
 	if raw, ok := c.stale(hash); ok {
 		c.cDegraded.Add(1)
-		writeJSON(w, http.StatusOK, AnalyzeResponse{
+		server.WriteJSON(w, http.StatusOK, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{
 				Hash: hash, Cache: "hit", Status: string(engine.StatusOK), Report: raw,
 			},
-			Degraded: last.b != nil, // stale only when backends exist but failed
+			Degraded: attempts > 1 || (attempts == 1 && ex.transient()),
 		})
 		return
 	}
@@ -895,23 +874,23 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func unknownReport(w http.ResponseWriter, hash string) {
-	writeJSON(w, http.StatusNotFound, AnalyzeResponse{
+	server.WriteJSON(w, http.StatusNotFound, AnalyzeResponse{
 		AnalyzeResponse: server.AnalyzeResponse{Hash: hash, Status: "error", Error: "unknown report hash"},
 	})
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	for _, b := range c.backends {
 		if b.state.Load() != stOpen {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no live backend"})
+	server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no live backend"})
 }
 
 // ---- reissue ---------------------------------------------------------
@@ -939,7 +918,7 @@ func (c *Coordinator) reissueOne(ctx context.Context, ent journal.Entry) {
 		return // a garbled journal line is not worth a request
 	}
 	src := []byte(ent.Net)
-	ex, _, _, _ := c.analyzeUpstream(ctx, ent.Hash, src)
+	ex, _, _, _ := c.upstream(ctx, ent.Hash, http.MethodPost, "/v1/analyze", src)
 	if ex.body == nil {
 		return // fleet still down; the record stays pending in the journal
 	}
@@ -1040,5 +1019,5 @@ func (c *Coordinator) StatsReport() StatsReport {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.StatsReport())
+	server.WriteJSON(w, http.StatusOK, c.StatsReport())
 }

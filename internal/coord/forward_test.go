@@ -62,6 +62,43 @@ func TestReportLookupRefusesMalformedHash(t *testing.T) {
 	}
 }
 
+// TestReportLookupHonoursRetryAfter: a report lookup runs the analyze
+// path's upstream loop, so a 503 with Retry-After is retried after at
+// least the hinted wait, under a coord/retry span, and the answer is
+// relayed with its backend and without an attempt count.
+func TestReportLookupHonoursRetryAfter(t *testing.T) {
+	hash := strings.Repeat("ab", 32)
+	envelope := server.AnalyzeResponse{Hash: hash, Cache: "hit", Status: "ok", Report: json.RawMessage(`{"name":"stub"}`)}
+	var lookups atomic.Int32
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+			return
+		}
+		if lookups.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			server.WriteJSON(w, http.StatusServiceUnavailable, server.AnalyzeResponse{Status: "error", Error: "server is draining"})
+			return
+		}
+		server.WriteJSON(w, http.StatusOK, envelope)
+	}))
+	defer stub.Close()
+	c, front := bootCoord(t, fastConfig(stub.URL))
+
+	t0 := time.Now()
+	got := roundTrip(t, http.MethodGet, front.URL+"/v1/report/"+hash, nil, false)
+	if d := time.Since(t0); d < time.Second {
+		t.Errorf("lookup retried after %v, inside the 1 s Retry-After", d)
+	}
+	if want := encodeRef(AnalyzeResponse{AnalyzeResponse: envelope, Backend: stub.URL}); got.code != http.StatusOK || !bytes.Equal(got.body, want) {
+		t.Fatalf("lookup after a retry: %d %s, want 200 %s", got.code, got.body, want)
+	}
+	rep := c.StatsReport()
+	if p, ok := rep.Trace.Phase("coord/retry"); rep.Requests.Retries != 1 || !ok || p.Count != 1 {
+		t.Fatalf("retries %d, coord/retry span %+v", rep.Requests.Retries, p)
+	}
+}
+
 // requestCounts reads the two memo counters of a backend and a
 // coordinator.
 func requestCounts(bs *server.Server, c *Coordinator) (backendHits, backendParses, coordHits, coordParses int64) {

@@ -139,7 +139,7 @@ type errReader struct{ err error }
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // hitEnvelope is the complete body of a store hit, built once when the
-// report is stored, at its exact size: what writeJSON writes for the
+// report is stored, at its exact size: what WriteJSON writes for the
 // hit response.
 func hitEnvelope(hash string, shard int, report []byte) []byte {
 	var buf bytes.Buffer

@@ -324,7 +324,9 @@ type StatsReport struct {
 
 // ---- handlers --------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response body, with HTML escaping off:
+// the encoding of every envelope either door builds.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -360,7 +362,7 @@ func statusCode(st engine.JobStatus) int {
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.reqAnalyze.Add(1)
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, AnalyzeResponse{Status: "error", Error: "server is draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, AnalyzeResponse{Status: "error", Error: "server is draining"})
 		return
 	}
 	maxBody := s.cfg.MaxBodyBytes
@@ -373,7 +375,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// truncated line before the limit error surfaces).
 	if r.ContentLength > maxBody {
 		s.reqParseErrors.Add(1)
-		writeJSON(w, http.StatusRequestEntityTooLarge, AnalyzeResponse{
+		WriteJSON(w, http.StatusRequestEntityTooLarge, AnalyzeResponse{
 			Status: "error",
 			Error:  fmt.Sprintf("body exceeds %d byte limit", maxBody),
 		})
@@ -397,7 +399,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.reqParses.Add(1)
 		if key, n, err = s.memo.Resolve(sum, body); err != nil {
 			if errors.Is(err, ErrCanonicalPanic) {
-				writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{Status: string(engine.StatusPanicked), Error: err.Error()})
+				WriteJSON(w, http.StatusInternalServerError, AnalyzeResponse{Status: string(engine.StatusPanicked), Error: err.Error()})
 				return
 			}
 			s.refuseParse(w, err)
@@ -411,7 +413,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// without consuming a window slot.
 	if reason, ok := sh.eng.QuarantineReason(hash); ok {
 		s.rejQuarantine.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, AnalyzeResponse{
+		WriteJSON(w, http.StatusUnprocessableEntity, AnalyzeResponse{
 			Hash: hash, Shard: sh.id,
 			Status: string(engine.StatusQuarantined),
 			Error:  reason,
@@ -445,7 +447,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.rejWindow.Add(1)
 		sec := s.retryAfterSec()
 		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		writeJSON(w, http.StatusTooManyRequests, AnalyzeResponse{
+		WriteJSON(w, http.StatusTooManyRequests, AnalyzeResponse{
 			Hash: hash, Shard: sh.id,
 			Status:        "error",
 			Error:         fmt.Sprintf("shard %d submit window (%d) is full", sh.id, cap(sh.slots)),
@@ -489,7 +491,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		sh.journal.Record(ent)
 	})
 	if err != nil { // only ErrEngineClosed: raced a shutdown
-		writeJSON(w, http.StatusServiceUnavailable, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: err.Error()})
 		return
 	}
 
@@ -499,7 +501,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		raw, rawErr = json.Marshal(res.Report)
 	}
 	if rawErr != nil {
-		writeJSON(w, http.StatusInternalServerError, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: rawErr.Error()})
+		WriteJSON(w, http.StatusInternalServerError, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: rawErr.Error()})
 		return
 	}
 	if res.Status == engine.StatusOK {
@@ -515,7 +517,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
 	}
-	writeJSON(w, statusCode(res.Status), resp)
+	WriteJSON(w, statusCode(res.Status), resp)
 }
 
 // refuseParse answers a body that failed to parse: 413 when the read
@@ -527,7 +529,7 @@ func (s *Server) refuseParse(w http.ResponseWriter, err error) {
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, code, AnalyzeResponse{Status: "error", Error: "parse: " + err.Error()})
+	WriteJSON(w, code, AnalyzeResponse{Status: "error", Error: "parse: " + err.Error()})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -541,7 +543,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ok {
 		s.lookupMisses.Add(1)
-		writeJSON(w, http.StatusNotFound, AnalyzeResponse{
+		WriteJSON(w, http.StatusNotFound, AnalyzeResponse{
 			Hash: hash, Shard: sh.id,
 			Status: "error", Error: "unknown report hash",
 		})
@@ -551,7 +553,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatsReport())
+	WriteJSON(w, http.StatusOK, s.StatsReport())
 }
 
 // StatsReport assembles the /v1/stats document: request counters,
@@ -611,13 +613,13 @@ func (s *Server) StatsReport() StatsReport {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
