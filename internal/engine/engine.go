@@ -387,50 +387,33 @@ func (e *Engine) AnalyzeEach(nets []*petri.Net, onDone func(i int, r Result)) er
 // generation — through the cache and returns the bundle. Schedules come
 // from the content-addressed schedule layer; the generated program is
 // rebuilt from them (code generation is linear and name-dependent, so its
-// output is not content-addressed).
-func (e *Engine) Synthesize(n *petri.Net) (*Synthesis, error) {
-	var syn *Synthesis
-	var err error
-	if rerr := e.run(func() { syn, err = e.synthesize(n) }); rerr != nil {
+// output is not content-addressed). The job runs under Analyze's guard:
+// canonical form, quarantine check, per-attempt deadline, fault hook, one
+// retry of a transient failure, and quarantine after a panic.
+func (e *Engine) Synthesize(n *petri.Net) (syn *Synthesis, err error) {
+	rerr := e.run(func() {
+		e.counters.Jobs.Add(1)
+		tr := trace.New()
+		syn, _, _, err = guard(e, n, tr, func(ctx context.Context, cf *petri.CanonicalForm, _ bool) (*Synthesis, error) {
+			return e.synthesize(ctx, n, cf, tr)
+		})
+		e.tracer.Merge(tr)
+	})
+	if rerr != nil {
 		return nil, rerr
 	}
 	return syn, err
 }
 
-func (e *Engine) synthesize(n *petri.Net) (syn *Synthesis, err error) {
-	e.counters.Jobs.Add(1)
-	tr := trace.New()
-	defer e.tracer.Merge(tr)
-	// Synthesis gets the same worker-level guard rails as analysis: a
-	// recovered panic quarantines the hash, a deadline cancels the solve.
-	var cf *petri.CanonicalForm
-	defer func() {
-		if r := recover(); r != nil {
-			e.counters.Panics.Add(1)
-			tr.Add("engine/panic", 1)
-			err = fmt.Errorf("%w: %v", ErrJobPanicked, r)
-			if cf != nil {
-				e.Quarantine(cf.Hash, err.Error())
-			}
-			syn = nil
-		}
-	}()
-	ctx, cancel := e.jobContext()
-	defer cancel()
-	sp := tr.Start("petri/canonical")
-	cf = n.CanonicalForm()
-	sp.End()
-	if reason, ok := e.quarantine.Load(cf.Hash); ok {
-		e.counters.QuarantineSkips.Add(1)
-		return nil, fmt.Errorf("%w: %s (%s)", ErrQuarantined, cf.Hash, reason.(string))
-	}
+// synthesize is Synthesize's job body.
+func (e *Engine) synthesize(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer) (*Synthesis, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
 	// The schedule is reached as analyzeTraced reaches it, T-semiflows
 	// first, so a net that has none fails here with its report's
 	// schedule_error.
-	sp = tr.Start("invariant/tsemiflows")
+	sp := tr.Start("invariant/tsemiflows")
 	tis, canonTIs, terr := e.tSemiflows(n, cf, tr)
 	sp.End()
 	sp = tr.Start("core/solve")
@@ -438,7 +421,6 @@ func (e *Engine) synthesize(n *petri.Net) (syn *Synthesis, err error) {
 	sp.End()
 	if err != nil {
 		if cerr := ctxCause(ctx); cerr != nil {
-			e.counters.Timeouts.Add(1)
 			return nil, cerr
 		}
 		return nil, err
@@ -779,70 +761,88 @@ func minimalReport(n *petri.Net, cf *petri.CanonicalForm) *NetReport {
 	}
 }
 
-// analyzeJob runs one fully guarded analysis job on a worker goroutine:
-// canonicalise, refuse quarantined hashes, then attempt the analysis
-// under the per-job deadline with panic recovery and the retry-once
-// policy. It never panics and never blocks past the deadline by more
-// than one pipeline checkpoint.
+// analyzeJob runs one guarded analysis job on a worker goroutine and
+// builds its Result: a job that never produced a report (refused, or
+// failed before the body ran) reports what identifies the net.
 func (e *Engine) analyzeJob(n *petri.Net) Result {
 	e.counters.Jobs.Add(1)
 	t0 := time.Now()
 	tr := trace.New()
-	res := e.analyzeGuarded(n, tr)
-	res.Elapsed = time.Since(t0)
-	e.tracer.Merge(tr)
-	res.Trace = tr.Report()
+	rep, cf, status, err := guard(e, n, tr, func(ctx context.Context, cf *petri.CanonicalForm, final bool) (*NetReport, error) {
+		return e.analyzeTraced(ctx, n, cf, tr, final)
+	})
+	switch {
+	case rep != nil:
+	case cf != nil:
+		rep = minimalReport(n, cf)
+	default: // canonicalisation panicked: there is no hash
+		rep = &NetReport{Name: n.Name()}
+	}
+	res := Result{Report: rep, Elapsed: time.Since(t0), Trace: tr.Report(), Status: status, Err: err}
+	e.tracer.MergeReport(res.Trace)
 	return res
 }
 
-func (e *Engine) analyzeGuarded(n *petri.Net, tr *trace.Tracer) Result {
-	cf, err := e.canonical(n, tr)
+// guard runs a job body under the engine's job guard: canonicalise,
+// refuse quarantined hashes, then attempt the body under the per-attempt
+// deadline, after Config.FaultHook (tests only), with panics recovered
+// and the retry-once policy for transient failures. It returns the last
+// attempt's output (zero if the body never returned), the canonical form
+// (nil if canonicalisation panicked), the job's status and its typed
+// error. It never panics and never blocks past the deadline by more than
+// one pipeline checkpoint. final tells the body whether its attempt is
+// the last.
+func guard[T any](e *Engine, n *petri.Net, tr *trace.Tracer, body func(ctx context.Context, cf *petri.CanonicalForm, final bool) (T, error)) (out T, cf *petri.CanonicalForm, status JobStatus, err error) {
+	cf, err = e.canonical(n, tr)
 	if err != nil {
 		// Canonicalisation itself panicked: there is no hash to
 		// quarantine, but the job still returns typed instead of killing
 		// the worker.
 		e.counters.Panics.Add(1)
 		tr.Add("engine/panic", 1)
-		return Result{Report: &NetReport{Name: n.Name()}, Status: StatusPanicked, Err: err}
+		return out, nil, StatusPanicked, err
 	}
 	if reason, ok := e.quarantine.Load(cf.Hash); ok {
 		e.counters.QuarantineSkips.Add(1)
 		tr.Add("engine/quarantined", 1)
-		return Result{
-			Report: minimalReport(n, cf),
-			Status: StatusQuarantined,
-			Err:    fmt.Errorf("%w: %s (%s)", ErrQuarantined, cf.Hash, reason.(string)),
-		}
+		return out, cf, StatusQuarantined, fmt.Errorf("%w: %s (%s)", ErrQuarantined, cf.Hash, reason.(string))
 	}
 
 	const attempts = 2
-	var rep *NetReport
-	var jobErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		final := attempt == attempts-1
 		ta := time.Now()
 		ctx, cancel := e.jobContext()
-		rep, jobErr = e.attempt(ctx, n, cf, tr, final, attempt)
+		out, err = func() (out T, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("%w: %v", ErrJobPanicked, r)
+				}
+			}()
+			if hook := e.cfg.FaultHook; hook != nil {
+				if err := hook(ctx, cf.Hash, attempt); err != nil {
+					return out, err
+				}
+			}
+			return body(ctx, cf, final)
+		}()
 		expired := ctx.Err() != nil
 		cancel()
-		if rep == nil {
-			rep = minimalReport(n, cf)
-		}
 		switch {
-		case errors.Is(jobErr, ErrJobPanicked):
+		case errors.Is(err, ErrJobPanicked):
 			// Quarantine the hash so one poisoned net cannot keep taking
-			// workers down; the panic itself was recovered in attempt().
-			e.Quarantine(cf.Hash, jobErr.Error())
+			// workers down; the panic itself was recovered above.
+			e.Quarantine(cf.Hash, err.Error())
 			e.counters.Panics.Add(1)
 			tr.Observe("engine/panic", time.Since(ta), true)
-			return Result{Report: rep, Status: StatusPanicked, Err: jobErr}
-		case jobErr != nil && expired:
+			return out, cf, StatusPanicked, err
+		case err != nil && expired:
 			// The job's own deadline fired: partial result, typed error.
 			e.counters.Timeouts.Add(1)
 			tr.Observe("engine/timeout", time.Since(ta), true)
-			return Result{Report: rep, Status: StatusTimeout, Err: jobErr}
-		case jobErr != nil && !final &&
-			(errors.Is(jobErr, core.ErrBudgetExceeded) || errors.Is(jobErr, ErrJobTimeout)):
+			return out, cf, StatusTimeout, err
+		case err != nil && !final &&
+			(errors.Is(err, core.ErrBudgetExceeded) || errors.Is(err, ErrJobTimeout)):
 			// Transient: a budget trip (possibly injected) or a
 			// singleflight leader's deadline observed from a waiter whose
 			// own deadline is intact. Retry once with backoff.
@@ -850,13 +850,13 @@ func (e *Engine) analyzeGuarded(n *petri.Net, tr *trace.Tracer) Result {
 			tr.Observe("engine/retry", retryBackoff, true)
 			time.Sleep(retryBackoff)
 			continue
-		case jobErr != nil:
-			return Result{Report: rep, Status: StatusError, Err: jobErr}
+		case err != nil:
+			return out, cf, StatusError, err
 		default:
-			return Result{Report: rep, Status: StatusOK}
+			return out, cf, StatusOK, nil
 		}
 	}
-	return Result{Report: rep, Status: StatusError, Err: jobErr}
+	return out, cf, StatusError, err
 }
 
 // canonical computes the net's canonical form under the job's
@@ -872,22 +872,6 @@ func (e *Engine) canonical(n *petri.Net, tr *trace.Tracer) (cf *petri.CanonicalF
 	cf = n.CanonicalForm()
 	sp.End()
 	return cf, nil
-}
-
-// attempt runs one analysis attempt: the fault hook (tests only), then
-// the traced analysis body, with panics recovered into ErrJobPanicked.
-func (e *Engine) attempt(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer, final bool, attempt int) (rep *NetReport, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", ErrJobPanicked, r)
-		}
-	}()
-	if e.cfg.FaultHook != nil {
-		if herr := e.cfg.FaultHook(ctx, cf.Hash, attempt); herr != nil {
-			return nil, herr
-		}
-	}
-	return e.analyzeTraced(ctx, n, cf, tr, final)
 }
 
 // analyzeTraced is the analysis body. The top-level spans below are

@@ -173,6 +173,34 @@ func TestEngineRetryTransient(t *testing.T) {
 	}
 }
 
+// TestSynthesizeRetryTransient checks Synthesize runs under Analyze's
+// job guard: a first attempt that trips an injected budget error is
+// retried once, and the program matches a clean engine's.
+func TestSynthesizeRetryTransient(t *testing.T) {
+	n := genNets(t, 300, 1)[0]
+	inj := &fault.EngineInjector{
+		Force: map[string]fault.JobFaultKind{n.CanonicalHash(): fault.FaultFlaky},
+	}
+	e := New(Config{Workers: 1, FaultHook: inj.Hook()})
+	defer e.Close()
+	syn, err := e.Synthesize(n)
+	if err != nil {
+		t.Fatalf("flaky net did not recover: %v", err)
+	}
+	clean := New(Config{Workers: 1})
+	defer clean.Close()
+	want, err := clean.Synthesize(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := syn.C(false), want.C(false); got != want {
+		t.Fatalf("retried program differs from the clean engine's:\n%s\nvs\n%s", got, want)
+	}
+	if s := e.Stats(); s.Retries != 1 {
+		t.Errorf("retries = %d, want 1", s.Retries)
+	}
+}
+
 // TestEnginePersistentFaultIsError checks a fault that survives the
 // retry surfaces as StatusError with the injected error intact.
 func TestEnginePersistentFaultIsError(t *testing.T) {

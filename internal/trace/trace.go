@@ -184,7 +184,16 @@ func (t *Tracer) Merge(other *Tracer) {
 		return
 	}
 	// Snapshot other first so the two locks never nest.
-	rep := other.Report()
+	t.MergeReport(other.Report())
+}
+
+// MergeReport folds a snapshot taken with Report into t, as Merge folds
+// the tracer it came from. A caller that keeps the snapshot (the engine
+// returns each job's) then takes it once.
+func (t *Tracer) MergeReport(rep *Report) {
+	if t == nil || rep == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, ps := range rep.Phases {
