@@ -43,19 +43,49 @@ cover:
 	go test -coverprofile=cover.out ./...
 	go tool cover -func=cover.out | tail -1
 
+# Every fuzz target in the repository, each run for FUZZTIME (CI runs
+# `make fuzz FUZZTIME=20s`). TestFuzzTargetsListed fails when a Fuzz
+# function is missing here.
+FUZZTIME ?= 30s
+FUZZ = go test -fuzztime=$(FUZZTIME) -fuzz
 fuzz:
-	go test -fuzz='FuzzParse$$' -fuzztime=30s ./internal/petri/
-	go test -fuzz='FuzzParsePN$$' -fuzztime=30s ./internal/petri/
-	go test -fuzz='FuzzBuilderMatchesReference$$' -fuzztime=30s ./internal/petri/
-	go test -fuzz='FuzzScheduleReplay$$' -fuzztime=30s ./internal/sim/
-	go test -fuzz='FuzzMarginEarlyStop$$' -fuzztime=30s ./internal/sim/
-	go test -fuzz='FuzzFarkasLadder$$' -fuzztime=30s ./internal/linalg/
-	go test -fuzz='FuzzRestrictTInvariants$$' -fuzztime=30s ./internal/invariant/
-	go test -fuzz='FuzzCheckReductionKeptSets$$' -fuzztime=30s ./internal/core/
-	go test -fuzz='FuzzWeaklyHard$$' -fuzztime=30s ./internal/timing/
-	go test -fuzz='FuzzEnvelopeSplice$$' -fuzztime=30s ./internal/coord/
-	go test -fuzz='FuzzSchedCodec$$' -fuzztime=30s ./internal/engine/
-	go test -fuzz='FuzzExportJSON$$' -fuzztime=30s ./internal/core/
+	$(FUZZ)='FuzzParse$$' ./internal/petri/
+	$(FUZZ)='FuzzParsePN$$' ./internal/petri/
+# Differential fuzz of net construction: random Builder operations
+# (repeated arcs, overflowing weights, markings, interleaved Build
+# calls) must give the map-based reference builder's nets.
+	$(FUZZ)='FuzzBuilderMatchesReference$$' ./internal/petri/
+# The firing rule on random nets and firing scripts: no panic, markings
+# stay non-negative, and Fire errors exactly when Enabled is false.
+	$(FUZZ)='FuzzFiring$$' ./internal/petri/
+	$(FUZZ)='FuzzScheduleReplay$$' ./internal/sim/
+# Differential fuzz of the margin search: probes that stop at their
+# first violating window must report what full-length probes report.
+	$(FUZZ)='FuzzMarginEarlyStop$$' ./internal/sim/
+# Differential fuzz of the exact-arithmetic ladder: the int64 tier
+# must reproduce the big.Int reference or refuse.
+	$(FUZZ)='FuzzFarkasLadder$$' ./internal/linalg/
+# Differential fuzz of the incremental semiflow restriction: whenever
+# it claims exactness it must match the from-scratch Farkas reference.
+	$(FUZZ)='FuzzRestrictTInvariants$$' ./internal/invariant/
+# Differential fuzz of the kept-set Definition 3.5 sweep: every
+# distinct reduction of a generated net must be restriction-exact, and
+# restricting the parent's semiflows must match Farkas on each subnet.
+	$(FUZZ)='FuzzCheckReductionKeptSets$$' ./internal/core/
+# Differential fuzz of the weakly-hard (m,k) monitor: the O(1)
+# sliding-window automaton must agree with the brute-force oracle.
+	$(FUZZ)='FuzzWeaklyHard$$' ./internal/timing/
+# Differential fuzz of the coordinator's byte-level replies: a backend
+# envelope with the routing fields spliced in must equal the encoder's
+# output for the coordinator's envelope.
+	$(FUZZ)='FuzzEnvelopeSplice$$' ./internal/coord/
+# Fuzz of the schedule-cache codec: decoding never panics, and every
+# payload it accepts re-encodes to one that decodes the same.
+	$(FUZZ)='FuzzSchedCodec$$' ./internal/engine/
+# Differential fuzz of the schedule export's name-sorted entries: they
+# must marshal as the maps they replace, with and without HTML
+# escaping, and decode any JSON exactly as the map type does.
+	$(FUZZ)='FuzzExportJSON$$' ./internal/core/
 
 examples:
 	go run ./examples/quickstart
