@@ -421,6 +421,51 @@ func TestServiceDrain(t *testing.T) {
 	}
 }
 
+// TestServiceJournalsReplyBytes posts distinct nets concurrently to a
+// journaling service: each miss's one encoding of its report is the
+// journalled report and the reply's, byte for byte.
+func TestServiceJournalsReplyBytes(t *testing.T) {
+	dir := t.TempDir()
+	// A wide submit window keeps admission control out of the picture.
+	s, ts := newTestServer(t, Config{Shards: 2, JournalDir: dir, Engine: engine.Config{Workers: 2, SubmitWindow: 64}})
+	var srcs []string
+	for seed := uint64(60); len(srcs) < 8; seed++ {
+		srcs = append(srcs, petri.Format(netgen.RandomSchedulablePipeline(seed, netgen.DefaultConfig())))
+	}
+	replies := make([]AnalyzeResponse, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/analyze", "text/plain", strings.NewReader(src))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&replies[i]); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("net %d: status %d, decode error %v", i, resp.StatusCode, err)
+			}
+		}()
+	}
+	wg.Wait()
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := journal.Read(fmtShardJournal(dir, 0), fmtShardJournal(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range replies {
+		ent, ok := entries[r.Hash]
+		if !ok || ent.Status != string(engine.StatusOK) || !bytes.Equal(ent.Report, r.Report) {
+			t.Errorf("net %d: journalled %+v, replied %s", i, ent, r.Report)
+		}
+	}
+}
+
 // TestServiceShardRouting pins the router: a hash routes to the shard
 // named by its hex prefix, deterministically, for any shard count.
 func TestServiceShardRouting(t *testing.T) {
