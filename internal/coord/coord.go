@@ -39,7 +39,8 @@
 //     routing fields appended; it is decoded only where a field is
 //     needed: the first 200 of a hash, which fills the
 //     deflate-compressed stale cache and journals the report bytes once,
-//     and the timeouts and panics the journal keeps.
+//     and a timeout or panic, which the journal keeps while the cache
+//     lacks the hash's report.
 //
 // See docs/SERVICE.md ("The multi-host coordinator") for the topology
 // and the failure-mode table.
@@ -708,7 +709,7 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		c.serveDegraded(w, key.Hash, ex.err)
 		return
 	}
-	c.journalOutcome(key.Hash, key.Name, ex.code, ex.body, body)
+	c.journalFailure(key.Hash, key.Name, ex.code, ex.body, body)
 	if ex.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(int(ex.retryAfter/time.Second)))
 	}
@@ -717,48 +718,30 @@ func (c *Coordinator) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// A writer that cannot flush sends the reply when the handler
 		// returns; either way the cache fill does not delay it long.
 		_ = http.NewResponseController(w).Flush()
-		c.remember(key.Hash, ex.body)
+		c.remember(key.Hash, key.Name, ex.body)
 	}
 }
 
-// journalOutcome records an analyze outcome in the coordinator journal:
-// a hash's first report (a 200 while the stale cache does not hold the
-// hash, the condition remember fills it under), every timeout (504) and
-// every panic, one kind of 500. It decodes the backend's envelope only
-// and journals the report as the backend sent it. Reissueable outcomes
-// keep the net source, exactly like the backends' own journals.
-func (c *Coordinator) journalOutcome(hash, name string, code int, body, src []byte) {
-	if c.jw == nil {
-		return
-	}
-	switch code {
-	case http.StatusOK:
-		if c.cached(hash) {
-			return // a later 200 repeats the journalled report's bytes
-		}
-	case http.StatusGatewayTimeout, http.StatusInternalServerError:
-	default:
+// journalFailure records a reissueable outcome, a timeout (504) or a
+// panic (one kind of 500), in the coordinator journal with its net
+// source, exactly like the backends' own journals. A hash the stale
+// cache holds is skipped: its report is known, so a reissue is useless,
+// and a failure line after the report would win the boot fold and drop
+// the report from the cache.
+func (c *Coordinator) journalFailure(hash, name string, code int, body, src []byte) {
+	if c.jw == nil || (code != http.StatusGatewayTimeout && code != http.StatusInternalServerError) {
 		return // refusals (parse, quarantine, window) are not ours to journal
 	}
-	env := new(server.AnalyzeResponse)
-	if err := json.Unmarshal(body, env); err != nil {
+	var env server.AnalyzeResponse
+	if json.Unmarshal(body, &env) != nil ||
+		(env.Status != string(engine.StatusTimeout) && env.Status != string(engine.StatusPanicked)) {
 		return
 	}
-	ent := journal.Entry{
-		Hash:   hash,
-		Source: "coord:" + name,
-		Status: env.Status,
-		Error:  env.Error,
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.cache[hash]; !ok {
+		c.jw.Record(journal.Entry{Hash: hash, Source: "coord:" + name, Status: env.Status, Error: env.Error, Net: string(src)})
 	}
-	switch env.Status {
-	case string(engine.StatusOK):
-		ent.Report = env.Report
-	case string(engine.StatusTimeout), string(engine.StatusPanicked):
-		ent.Net = string(src)
-	default:
-		return
-	}
-	c.jw.Record(ent)
 }
 
 // staleLevel is the stale cache's deflate level: an entry is written
@@ -791,19 +774,23 @@ func (c *Coordinator) cached(hash string) bool {
 	return ok
 }
 
-// remember fills the stale cache from a hash's first 200: content
-// addressing makes every later answer identical.
-func (c *Coordinator) remember(hash string, body []byte) {
+// remember fills the stale cache from a hash's first 200 and journals
+// that report as the backend sent it: content addressing makes every
+// later answer identical, so the journal grows with distinct nets, not
+// with traffic. It reports whether the body carried a report.
+func (c *Coordinator) remember(hash, name string, body []byte) bool {
 	var env server.AnalyzeResponse
 	if json.Unmarshal(body, &env) != nil || env.Status != string(engine.StatusOK) || len(env.Report) == 0 {
-		return
+		return false
 	}
 	z := deflate(env.Report)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.cache[hash]; !ok {
 		c.cache[hash] = z
+		c.jw.Record(journal.Entry{Hash: hash, Source: "coord:" + name, Status: env.Status, Report: env.Report})
 	}
+	return true
 }
 
 // stale inflates a hash's cached report.
@@ -922,11 +909,8 @@ func (c *Coordinator) reissueOne(ctx context.Context, ent journal.Entry) {
 	if ex.body == nil {
 		return // fleet still down; the record stays pending in the journal
 	}
-	var env server.AnalyzeResponse
-	if json.Unmarshal(ex.body, &env) == nil && env.Status == string(engine.StatusOK) {
+	if c.remember(ent.Hash, n.Name(), ex.body) {
 		c.cReissues.Add(1)
-		c.journalOutcome(ent.Hash, n.Name(), ex.code, ex.body, src)
-		c.remember(ent.Hash, ex.body)
 	}
 }
 

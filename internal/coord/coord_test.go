@@ -251,6 +251,8 @@ func TestCoordDegradedStaleServing(t *testing.T) {
 	if code != http.StatusOK || live.Status != "ok" {
 		t.Fatalf("live analyze: code=%d env=%+v", code, live)
 	}
+	// The first 200 fills the stale cache after its reply is sent.
+	waitStats(t, c, "stale cache filled", func(r StatsReport) bool { return r.CachedReports == 1 })
 
 	b0.Close()
 	// The request path itself opens the breaker; no need to wait for
@@ -422,6 +424,57 @@ func TestCoordJournalsFirstReportOnce(t *testing.T) {
 	}
 	if ent.Status != string(engine.StatusOK) || !bytes.Equal(ent.Report, first.Report) {
 		t.Fatalf("journalled entry differs from the relayed report: %s", lines[0])
+	}
+}
+
+// TestCoordJournalKeepsReportPastTimeout: a timeout relayed for a hash
+// whose report the coordinator already holds is not journalled, so after
+// a 200, a 504 and another 200 the next boot's fold still has the report
+// and serves it, degraded, with the backend down.
+func TestCoordJournalKeepsReportPastTimeout(t *testing.T) {
+	var timingOut atomic.Bool
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/readyz":
+			fmt.Fprint(w, `{"status":"ready"}`)
+		case timingOut.Load():
+			w.WriteHeader(http.StatusGatewayTimeout)
+			fmt.Fprint(w, `{"hash":"h","status":"timeout","error":"analysis timed out"}`)
+		default:
+			fmt.Fprint(w, `{"hash":"h","status":"ok","report":{"name":"stub"}}`)
+		}
+	}))
+	defer stub.Close()
+	cfg := fastConfig(stub.URL)
+	cfg.Journal = filepath.Join(t.TempDir(), "coord.jsonl")
+	c, front := bootCoord(t, cfg)
+	src := petri.Format(figures.Figure5())
+
+	code, live := postCoord(t, front.URL, src)
+	if code != http.StatusOK {
+		t.Fatalf("first post: code=%d env=%+v", code, live)
+	}
+	waitStats(t, c, "stale cache filled", func(r StatsReport) bool { return r.CachedReports == 1 })
+	timingOut.Store(true)
+	if code, env := postCoord(t, front.URL, src); code != http.StatusGatewayTimeout {
+		t.Fatalf("forced timeout: code=%d env=%+v", code, env)
+	}
+	timingOut.Store(false)
+	waitStats(t, c, "breaker closed", func(r StatsReport) bool { return r.Backends[0].State == "closed" })
+	if code, env := postCoord(t, front.URL, src); code != http.StatusOK {
+		t.Fatalf("post after the timeout: code=%d env=%+v", code, env)
+	}
+	front.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stub.Close()
+
+	cfg.Backends = []string{deadURL(t)}
+	_, front = bootCoord(t, cfg)
+	code, env := postCoord(t, front.URL, src)
+	if code != http.StatusOK || !env.Degraded || !bytes.Equal(env.Report, live.Report) {
+		t.Fatalf("after a reboot with the backend down: code=%d env=%+v", code, env)
 	}
 }
 
