@@ -462,15 +462,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var raw []byte
 	var rawErr error
 	err = sh.eng.AnalyzeEach([]*petri.Net{n}, func(_ int, r engine.Result) {
+		// The one encoding of the report serves the journal, the store
+		// and the reply. Journal inside the engine callback:
+		// Engine.Close waits for it, so a drain never loses a completed
+		// job's record.
 		res = r
-		if sh.journal == nil {
-			return
-		}
-		// Journal inside the engine callback: Engine.Close waits for it,
-		// so a drain never loses a completed job's record. The one
-		// encoding of the report serves the journal, the store and the
-		// reply.
-		if raw, rawErr = json.Marshal(r.Report); rawErr != nil {
+		if raw, rawErr = json.Marshal(r.Report); rawErr != nil || sh.journal == nil {
 			return
 		}
 		ent := journal.Entry{
@@ -495,11 +492,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Without a journal the report is marshalled here, off the engine's
-	// worker and its callback lock.
-	if raw == nil && rawErr == nil {
-		raw, rawErr = json.Marshal(res.Report)
-	}
 	if rawErr != nil {
 		WriteJSON(w, http.StatusInternalServerError, AnalyzeResponse{Hash: hash, Shard: sh.id, Status: "error", Error: rawErr.Error()})
 		return
