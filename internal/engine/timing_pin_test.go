@@ -43,10 +43,12 @@ func timingPinNets(t *testing.T) ([]string, map[string]*petri.Net) {
 
 // TestTimingReportsPinned pins the timing pass's output bytes: one
 // SHA-256 of the TimingReport JSON per net ("-" for a net without one)
-// in three settings. "kinds" searches all four overload kinds at their
-// default ceilings, "ceiling3" caps every search at 3, and "deadline1"
-// configures a one-cycle deadline, so every level 0 fails and its
-// verdict is the reported Fail. Regenerate with -update.
+// in five settings. "mk" is qssd -mk 9,10 and "margin" is qssd -mk 9,10
+// -margin, which perfbench's margin workload also runs. "kinds" searches
+// all four overload kinds at their default ceilings, "ceiling3" caps
+// every search at 3, and "deadline1" configures a one-cycle deadline, so
+// every level 0 fails and its verdict is the reported Fail. Regenerate
+// with -update.
 func TestTimingReportsPinned(t *testing.T) {
 	labels, nets := timingPinNets(t)
 	mk := timing.Constraint{M: 9, K: 10}
@@ -55,6 +57,8 @@ func TestTimingReportsPinned(t *testing.T) {
 		name string
 		opts TimingOptions
 	}{
+		{"mk", TimingOptions{MK: mk}},
+		{"margin", TimingOptions{MK: mk, Margin: true}},
 		{"kinds", TimingOptions{MK: mk, Margin: true, MarginKinds: kinds}},
 		{"ceiling3", TimingOptions{MK: mk, Margin: true, MarginKinds: kinds, MarginCeiling: 3}},
 		{"deadline1", TimingOptions{MK: mk, Deadline: 1, Margin: true, MarginKinds: kinds}},
