@@ -845,15 +845,16 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A 404 is authoritative only if the journal cache agrees. The cached
-	// answer is degraded when a backend exchange failed: the loop retried,
-	// or its one exchange was transient.
+	// answer is undegraded only when its one exchange was a live
+	// backend's 404: a retry, a transient exchange or no exchange at all
+	// (every breaker open) means no backend could answer.
 	if raw, ok := c.stale(hash); ok {
 		c.cDegraded.Add(1)
 		server.WriteJSON(w, http.StatusOK, AnalyzeResponse{
 			AnalyzeResponse: server.AnalyzeResponse{
 				Hash: hash, Cache: "hit", Status: string(engine.StatusOK), Report: raw,
 			},
-			Degraded: attempts > 1 || (attempts == 1 && ex.transient()),
+			Degraded: attempts != 1 || ex.err != nil || ex.code != http.StatusNotFound,
 		})
 		return
 	}

@@ -314,15 +314,22 @@ func TestCoordBootFoldsBackendJournals(t *testing.T) {
 	if !bytes.Equal(env.Report, direct.Report) {
 		t.Fatal("journal-backed answer diverged from the original report")
 	}
-	// GET /v1/report falls back to the folded cache too.
+	// GET /v1/report falls back to the folded cache too, and is as
+	// degraded as the analyze: with the only breaker open no backend is
+	// asked at all.
+	waitStats(t, c, "breaker open", func(r StatsReport) bool { return r.Backends[0].State == "open" })
 	r2, err := http.Get(front.URL + "/v1/report/" + direct.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(r2.Body)
 	r2.Body.Close()
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("report lookup from folded journal: %d %s", r2.StatusCode, body)
+	var lookup AnalyzeResponse
+	if r2.StatusCode != http.StatusOK || json.Unmarshal(body, &lookup) != nil || !lookup.Degraded {
+		t.Fatalf("report lookup from folded journal with the breaker open: %d %s", r2.StatusCode, body)
+	}
+	if !bytes.Equal(lookup.Report, direct.Report) {
+		t.Fatal("journal-backed lookup diverged from the original report")
 	}
 	// The fold is durable: the merged coordinator journal holds the entry.
 	ents, err := journal.Read(cfg.Journal)
