@@ -43,10 +43,10 @@ type flight struct {
 	err  error
 }
 
+// cacheCapacity bounds every engine's cache: entries across all layers.
+const cacheCapacity = 4096
+
 func newCache(capacity int, counters *stats.Counters, tracer *trace.Tracer) *cache {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &cache{
 		capacity: capacity,
 		entries:  make(map[string]*list.Element),

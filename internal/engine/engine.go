@@ -1,7 +1,7 @@
 // Package engine is the concurrent QSS analysis engine: a long-running,
 // goroutine-safe front end over internal/core that shards a stream of nets
 // across a bounded worker pool and memoises the expensive intermediates —
-// minimal T- and P-semiflows and complete schedules — in a
+// minimal T-semiflows, complete schedules and timing verdicts — in a
 // content-addressed cache keyed by the canonical structural hash of each
 // net (petri.CanonicalForm).
 //
@@ -55,22 +55,19 @@ var ErrJobPanicked = errors.New("engine: job panicked")
 var ErrQuarantined = errors.New("engine: net is quarantined")
 
 // Config tunes the engine. The zero value is usable: GOMAXPROCS workers,
-// a 4096-entry cache, default solver options, a 2×workers submission
-// window, no deadline, no fault injection.
+// default solver options, a 2×workers submission window, no deadline, no
+// fault injection. Every engine's cache holds 4096 entries, LRU.
 type Config struct {
 	// Workers is the analysis worker-pool size (≤ 0 → GOMAXPROCS). The
 	// pool is the pipeline's only parallelism: each job runs on one
 	// worker goroutine, schedulability sweep included.
 	Workers int
-	// CacheCapacity bounds the content-addressed cache (entries across
-	// all layers; ≤ 0 → 4096). Eviction is LRU.
-	CacheCapacity int
 	// Core is the solver configuration applied to every job.
 	Core core.Options
 	// Timing, when enabled (Timing.MK set), appends a weakly-hard
 	// timing-safety verdict — and optionally overload margins — to every
 	// schedulable net's report (NetReport.Timing). Cached per canonical
-	// hash and option set, like every other analysis layer.
+	// hash, like every other analysis layer.
 	Timing TimingOptions
 
 	// SubmitWindow bounds how many AnalyzeEach/AnalyzeBatch jobs may be
@@ -183,7 +180,7 @@ func New(cfg Config) *Engine {
 		start:   time.Now(),
 		jobs:    make(chan job),
 	}
-	e.cache = newCache(cfg.CacheCapacity, &e.counters, e.tracer)
+	e.cache = newCache(cacheCapacity, &e.counters, e.tracer)
 	for i := 0; i < workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -713,25 +710,6 @@ func (e *Engine) tSemiflows(n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tra
 	return local, canon, nil
 }
 
-// pSemiflows returns the net's minimal P-semiflows, in the net's own
-// order, through the psemi: layer, which stores them in canonical order.
-func (e *Engine) pSemiflows(n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer) (local []invariant.PInvariant, err error) {
-	v, err := e.cache.getOrCompute("psemi:"+cf.Hash, func() (any, error) {
-		var err error
-		if local, err = invariant.PInvariants(n, invariant.Options{MaxRows: e.cfg.Core.MaxRows, Trace: tr}); err != nil {
-			return nil, err
-		}
-		return invariant.RelabelPInvariants(local, cf.PlacePos), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if local == nil { // a hit: this call did not compute them
-		local = invariant.RelabelPInvariants(v.([]invariant.PInvariant), cf.PlaceAt)
-	}
-	return local, nil
-}
-
 // ---- analysis --------------------------------------------------------
 
 // ctxCause returns nil while ctx is live and an error wrapping
@@ -905,9 +883,9 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		return rep, cerr
 	}
 
-	// Each semiflow set is looked up once and handed down: the T-semiflows
-	// to the twin's sweep and the task partition, the P-semiflows to the
-	// structural bounds. A failed enumeration fails those stages too.
+	// The T-semiflows are looked up once and handed down to the twin's
+	// sweep and the task partition; the P-semiflows, enumerated on n, to
+	// the structural bounds. A failed enumeration fails those stages too.
 	sp = tr.Start("invariant/tsemiflows")
 	tis, canonTIs, terr := e.tSemiflows(n, cf, tr)
 	if terr != nil {
@@ -918,7 +896,7 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 	}
 	sp.End()
 	sp = tr.Start("invariant/psemiflows")
-	pis, perr := e.pSemiflows(n, cf, tr)
+	pis, perr := invariant.PInvariants(n, invariant.Options{MaxRows: e.cfg.Core.MaxRows, Trace: tr})
 	if perr != nil {
 		fail("p-semiflows", perr)
 	} else {

@@ -318,8 +318,9 @@ func TestEngineSharesAcrossRenamedNets(t *testing.T) {
 // TestEngineCacheEviction checks a tiny cache still yields correct,
 // deterministic results (entries are recomputed after eviction).
 func TestEngineCacheEviction(t *testing.T) {
-	small := New(Config{Workers: 2, CacheCapacity: 2})
+	small := New(Config{Workers: 2})
 	defer small.Close()
+	small.cache = newCache(2, &small.counters, small.tracer) // before any job reads it
 	big := New(Config{Workers: 2})
 	defer big.Close()
 	for _, n := range corpus()[:12] {

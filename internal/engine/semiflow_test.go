@@ -38,11 +38,14 @@ func lookups(e *Engine) map[string]map[string]int64 {
 	return out
 }
 
-// TestEngineSemiflowLookupsOnce checks that a job looks each semiflow set
-// up once and hands it down. A cold Analyze of a fresh schedulable net
-// makes one lookup, a miss, in each of the tsemi, psemi and sched layers
-// and none in any other; Synthesize afterwards re-reads only tsemi and
-// sched, both hits.
+// TestEngineSemiflowLookupsOnce checks that a job makes one lookup per
+// cache layer. A cold Analyze of a fresh schedulable net makes one, a
+// miss, in each of the tsemi and sched layers and none in any other;
+// Synthesize afterwards re-reads both, hits. With the timing pass on, a
+// cold Analyze makes one timing miss besides, three lookups in all, and
+// a shuffled twin then hits each layer once and gets its report from
+// the cache byte for byte: what a fresh engine computes for the twin,
+// with the original's timing report.
 func TestEngineSemiflowLookupsOnce(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Close()
@@ -50,9 +53,7 @@ func TestEngineSemiflowLookupsOnce(t *testing.T) {
 	if rep := analyze(t, e, n); !rep.Schedulable {
 		t.Fatalf("%s must be schedulable: %s", n.Name(), rep.ScheduleError)
 	}
-	want := map[string]map[string]int64{
-		"tsemi": {"miss": 1}, "psemi": {"miss": 1}, "sched": {"miss": 1},
-	}
+	want := map[string]map[string]int64{"tsemi": {"miss": 1}, "sched": {"miss": 1}}
 	if got := lookups(e); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cold Analyze made lookups %v, want %v", got, want)
 	}
@@ -63,51 +64,64 @@ func TestEngineSemiflowLookupsOnce(t *testing.T) {
 	if got := lookups(e); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Synthesize the lookups are %v, want %v", got, want)
 	}
+
+	timed := New(timingConfig(1))
+	defer timed.Close()
+	rep := analyze(t, timed, n)
+	if rep.Timing == nil || len(rep.Timing.Margins) == 0 {
+		t.Fatalf("%s has no timing report with margins: %+v", n.Name(), rep.Timing)
+	}
+	want = map[string]map[string]int64{"tsemi": {"miss": 1}, "sched": {"miss": 1}, "timing": {"miss": 1}}
+	if got := lookups(timed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cold timed Analyze made lookups %v, want %v", got, want)
+	}
+	tw := twinHashedAlike(t, n)
+	twinRep := analyze(t, timed, tw)
+	want["tsemi"]["hit"], want["sched"]["hit"], want["timing"]["hit"] = 1, 1, 1
+	if got := lookups(timed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the twin's Analyze the lookups are %v, want %v", got, want)
+	}
+	fresh := New(timingConfig(1))
+	defer fresh.Close()
+	if got, cold := reportJSON(t, twinRep), reportJSON(t, analyze(t, fresh, tw)); got != cold {
+		t.Fatalf("twin's report from the cache differs from its cold report:\n%s\nvs\n%s", got, cold)
+	}
+	if got, orig := timingJSON(t, twinRep), timingJSON(t, rep); got != orig {
+		t.Fatalf("twin's timing report differs from the original's:\n%s\nvs\n%s", got, orig)
+	}
 }
 
-// dual swaps n's places and transitions and turns each arc around, so its
-// incidence matrix is the transpose of n's: its P-semiflows are n's
-// T-semiflows.
-func dual(n *petri.Net) *petri.Net {
-	b := petri.NewBuilder(n.Name() + "_dual")
-	ps := make([]petri.Place, n.NumTransitions())
-	for t := range ps {
-		ps[t] = b.Place(n.TransitionName(petri.Transition(t)))
-	}
-	ts := make([]petri.Transition, n.NumPlaces())
-	for p := range ts {
-		ts[p] = b.Transition(n.PlaceName(petri.Place(p)))
-	}
-	for _, a := range n.Arcs() {
-		if a.FromKind == petri.PlaceNode {
-			b.WeightedArc(ps[a.To], ts[a.From], a.Weight)
-		} else {
-			b.WeightedArcTP(ts[a.To], ps[a.From], a.Weight)
+// twinHashedAlike returns a shuffled twin of n with n's canonical hash.
+// The canonical form breaks colour ties by local index, so some shuffles
+// hash differently; it tries a few.
+func twinHashedAlike(t *testing.T, n *petri.Net) *petri.Net {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		if tw := shuffled(n, rng); tw.CanonicalHash() == n.CanonicalHash() {
+			return tw
 		}
 	}
-	return b.Build()
+	t.Fatalf("no shuffled twin of %s hashed like it", n.Name())
+	return nil
 }
 
-// TestEngineSemiflowHitsMatchTwin checks the semiflow layers' hit path:
+// TestEngineSemiflowHitsMatchTwin checks the tsemi layer's hit path:
 // after a cold analysis of each corpus net, a renamed twin with shuffled
-// declarations and arcs reads both semiflow sets from the cache, and what
+// declarations and arcs reads its T-semiflows from the cache, and what
 // it reads is what the enumeration returns on that twin — in the twin's
 // order for the report, in canonical order for the twin's sweep. Twins
 // that hash differently (the canonical form breaks colour ties by local
-// index) cannot hit and are skipped. The corpus nets have source
-// transitions and so no P-semiflows; their duals have some.
+// index) cannot hit and are skipped.
 func TestEngineSemiflowHitsMatchTwin(t *testing.T) {
 	nets := corpus()
 	for seed := uint64(0); seed < 50; seed++ {
 		nets = append(nets, netgen.RandomNet(seed, netgen.DefaultConfig()))
 	}
-	for _, n := range nets {
-		nets = append(nets, dual(n))
-	}
 	e := New(Config{Workers: 1})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(1))
-	checked, withP := 0, 0
+	checked := 0
 	for _, n := range nets {
 		if rep := analyze(t, e, n); len(rep.Errors) > 0 {
 			t.Fatalf("%s: %v", n.Name(), rep.Errors)
@@ -122,15 +136,8 @@ func TestEngineSemiflowHitsMatchTwin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s twin: %v", n.Name(), err)
 		}
-		pis, err := e.pSemiflows(tw, cf, nil)
-		if err != nil {
-			t.Fatalf("%s twin: %v", n.Name(), err)
-		}
-		after := lookups(e)
-		for _, layer := range []string{"tsemi", "psemi"} {
-			if after[layer]["hit"] != before[layer]["hit"]+1 {
-				t.Fatalf("%s twin: the %s lookup missed", n.Name(), layer)
-			}
+		if after := lookups(e); after["tsemi"]["hit"] != before["tsemi"]["hit"]+1 {
+			t.Fatalf("%s twin: the tsemi lookup missed", n.Name())
 		}
 		wantT, err := invariant.TInvariants(tw, invariant.Options{})
 		if err != nil {
@@ -140,23 +147,16 @@ func TestEngineSemiflowHitsMatchTwin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantP, err := invariant.PInvariants(tw, invariant.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(local, wantT) || !reflect.DeepEqual(canon, wantCanon) || !reflect.DeepEqual(pis, wantP) {
-			t.Fatalf("%s twin: hit-path semiflows differ from the twin's own:\nT %v\nwant %v\ncanonical %v\nwant %v\nP %v\nwant %v",
-				n.Name(), local, wantT, canon, wantCanon, pis, wantP)
+		if !reflect.DeepEqual(local, wantT) || !reflect.DeepEqual(canon, wantCanon) {
+			t.Fatalf("%s twin: hit-path T-semiflows differ from the twin's own:\n%v\nwant %v\ncanonical %v\nwant %v",
+				n.Name(), local, wantT, canon, wantCanon)
 		}
 		checked++
-		if len(pis) > 1 {
-			withP++
-		}
 	}
-	if checked < len(nets)/2 || withP < 20 {
-		t.Fatalf("only %d of %d twins hashed like their nets, %d of them with several P-semiflows", checked, len(nets), withP)
+	if checked < len(nets)/2 {
+		t.Fatalf("only %d of %d twins hashed like their nets", checked, len(nets))
 	}
-	t.Logf("%d of %d twins read their semiflows from the cache, %d with several P-semiflows", checked, len(nets), withP)
+	t.Logf("%d of %d twins read their T-semiflows from the cache", checked, len(nets))
 }
 
 // errorGoldenNets are the nets of TestEngineErrorGolden: the figures in

@@ -17,47 +17,30 @@ import (
 // TimingOptions configures the engine's weakly-hard timing-safety pass:
 // every schedulable net's synthesised program is driven against a
 // canonical periodic workload and its deadline hit/miss stream checked
-// against the (m,k) constraint; optionally the overload margin (the
-// harshest fault-injector intensity the constraint survives) is searched
-// per overload kind. The zero value disables the pass.
+// against the (m,k) constraint at the calibrated deadline,
+// sim.DefaultDeadlineFactor x the fault-free worst response; optionally
+// the overload margin (the harshest fault-injector intensity the
+// constraint survives) is searched for the burst and overrun kinds at
+// sim's per-kind ceilings. The workload has 32 events per source, and
+// choices and injectors draw from seed 1. The zero value disables the
+// pass.
 type TimingOptions struct {
 	// MK is the weakly-hard constraint; disabled (zero) turns the whole
 	// pass off.
 	MK timing.Constraint
-	// Deadline is the per-event response budget in cycles; 0 calibrates
-	// per net to sim.DefaultDeadlineFactor x the fault-free worst
-	// response.
-	Deadline int64
-	// EventsPerSource sizes the synthetic workload (default 32): source
-	// i (in canonical order) emits that many events with period 2i+3 and
-	// phase i, mirroring qss -verify-bounds.
-	EventsPerSource int
-	// Seed drives choice resolution and the margin injectors (default 1).
-	Seed uint64
-	// Margin turns on the overload-margin search over MarginKinds
-	// (default burst and overrun).
-	Margin        bool
-	MarginKinds   []sim.OverloadKind
-	MarginCeiling int
+	// Margin turns on the overload-margin search.
+	Margin bool
 }
+
+// The timing pass's fixed workload: events per source, and the seed of
+// choice resolution and of the margin injectors.
+const (
+	timingEventsPerSource = 32
+	timingSeed            = 1
+)
 
 // Enabled reports whether the timing pass runs.
 func (o TimingOptions) Enabled() bool { return o.MK.Enabled() }
-
-// normalized applies the documented defaults, so cache keys built from
-// the options are stable however the caller spelled them.
-func (o TimingOptions) normalized() TimingOptions {
-	if o.EventsPerSource <= 0 {
-		o.EventsPerSource = 32
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Margin && len(o.MarginKinds) == 0 {
-		o.MarginKinds = []sim.OverloadKind{sim.OverloadBurst, sim.OverloadOverrun}
-	}
-	return o
-}
 
 // TimingReport is the per-net outcome of the timing pass, attached to
 // NetReport.Timing. Like every other report field it is decoded from a
@@ -66,8 +49,8 @@ func (o TimingOptions) normalized() TimingOptions {
 // net-local identifiers.
 type TimingReport struct {
 	// MK restates the constraint ("(m,k)"); Deadline is the per-event
-	// budget actually used (configured, or calibrated from the
-	// fault-free run); EventsPerSource and Seed restate the workload.
+	// budget calibrated from the fault-free run; EventsPerSource and Seed
+	// restate the workload.
 	MK              string `json:"mk"`
 	Deadline        int64  `json:"deadline"`
 	EventsPerSource int    `json:"events_per_source"`
@@ -75,40 +58,21 @@ type TimingReport struct {
 	// Verdict is the nominal run's weakly-hard verdict.
 	Verdict *timing.Verdict `json:"verdict"`
 	// Margins, when the margin search ran, hold one graceful-degradation
-	// frontier per overload kind, in MarginKinds order.
+	// frontier per overload kind: burst, then overrun.
 	Margins []*sim.OverloadMargin `json:"margins,omitempty"`
 }
 
-// timingCacheVersion tags the timing layer's payload format (JSON of
-// TimingReport / sim.OverloadMargin). Part of the key, like schedKey.
-const timingCacheVersion = 1
-
-// timingParams renders the option fields that shape a verdict, for keys.
-func timingParams(o TimingOptions) string {
-	return fmt.Sprintf("%d-%d:d%d:e%d:s%d", o.MK.M, o.MK.K, o.Deadline, o.EventsPerSource, o.Seed)
-}
-
-// timingVerdictKey is the cache key of a net's nominal timing verdict.
-func timingVerdictKey(hash string, o TimingOptions) string {
-	return fmt.Sprintf("timing:v%d:%s:%s", timingCacheVersion, timingParams(o), hash)
-}
-
-// timingMarginKey is the cache key of one overload kind's margin search.
-func timingMarginKey(hash string, o TimingOptions, kind sim.OverloadKind) string {
-	return fmt.Sprintf("timing:v%d:margin:%s:c%d:%s:%s", timingCacheVersion, kind, o.MarginCeiling, timingParams(o), hash)
-}
-
 // timingWorkload builds the canonical periodic workload: sources ordered
-// by canonical position, source i firing EventsPerSource times with
+// by canonical position, source i firing timingEventsPerSource times with
 // period 2i+3 from phase i. Isomorphic nets get corresponding streams.
-func timingWorkload(n *petri.Net, cf *petri.CanonicalForm, o TimingOptions) []rtos.Event {
+func timingWorkload(n *petri.Net, cf *petri.CanonicalForm) []rtos.Event {
 	sources := append([]petri.Transition(nil), n.SourceTransitions()...)
 	sort.Slice(sources, func(a, b int) bool {
 		return cf.TransPos[sources[a]] < cf.TransPos[sources[b]]
 	})
 	streams := make([][]rtos.Event, len(sources))
 	for i, src := range sources {
-		streams[i] = rtos.Periodic(src, int64(2*i+3), int64(i), o.EventsPerSource)
+		streams[i] = rtos.Periodic(src, int64(2*i+3), int64(i), timingEventsPerSource)
 	}
 	return rtos.Merge(streams...)
 }
@@ -188,66 +152,45 @@ func (cr *canonResolver) extend(p petri.Place, k int) {
 	cr.targets[p] = targets
 }
 
-// timingPass runs the whole pass for one schedulable net: nominal
-// verdict under the "timing/monitor" span, then (when configured) the
-// margin searches under "timing/margin". Both go through the cache; the
-// report is decoded from the stored payload on hit and miss alike.
+// timingPass runs the whole pass for one schedulable net through the
+// timing: layer, one entry per net: a miss generates the program and
+// runs the canonical workload once, fault-free, under the
+// "timing/monitor" span, reads the calibrated deadline and the verdict
+// off that run, then (when configured) searches each margin from it
+// under "timing/margin". The engine's timing options are fixed for its
+// lifetime, so the key carries none. The report is decoded from the
+// stored payload on hit and miss alike, so no report shares memory with
+// the cache.
 func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.Schedule, tp *core.TaskPartition, tr *trace.Tracer) (*TimingReport, error) {
-	opts := e.cfg.Timing.normalized()
-
-	// The nominal run is only needed on cache misses; memoise it, and
-	// the program it runs, per job so a verdict miss and several margin
-	// misses simulate the fault-free workload once.
-	var nominal *sim.Nominal
-	getNominal := func() (*sim.Nominal, error) {
-		if nominal != nil {
-			return nominal, nil
-		}
-		prog, err := codegen.Generate(sched, tp)
+	opts := e.cfg.Timing
+	v, err := e.cache.getOrCompute("timing:"+cf.Hash, func() (any, error) {
+		sp := tr.Start("timing/monitor")
+		trep, nom, err := timingVerdict(n, cf, sched, tp, opts.MK)
+		sp.End()
 		if err != nil {
 			return nil, err
 		}
-		choices := newCanonResolver(n, cf, opts.Seed)
-		nominal = sim.RunNominal(prog, timingWorkload(n, cf, opts), rtos.DefaultCostModel(), sim.MarginConfig{
-			MK:      opts.MK,
-			Seed:    opts.Seed,
-			Ceiling: opts.MarginCeiling,
-			Robust:  sim.RobustConfig{CyclesPerTick: 1},
-			Hooks:   func() sim.Hooks { return sim.Hooks{Resolver: choices.resolver()} },
-		})
-		return nominal, nil
-	}
-
-	sp := tr.Start("timing/monitor")
-	v, err := e.cache.getOrCompute(timingVerdictKey(cf.Hash, opts), func() (any, error) {
-		nom, err := getNominal()
-		if err != nil {
-			return nil, err
-		}
-		deadline := opts.Deadline
-		if deadline == 0 {
-			if deadline, err = nom.Deadline(sim.DefaultDeadlineFactor); err != nil {
-				return nil, err
+		if opts.Margin {
+			sp = tr.Start("timing/margin")
+			defer sp.End()
+			for _, kind := range []sim.OverloadKind{sim.OverloadBurst, sim.OverloadOverrun} {
+				om, err := nom.SearchMargin(kind, trep.Deadline)
+				if err != nil {
+					return nil, err
+				}
+				tr.Add("timing/probes", int64(om.Result.Probes))
+				tr.Add("timing/probe_stops", int64(om.ProbeStops))
+				tr.Add("timing/probe_events", om.ProbeEvents)
+				trep.Margins = append(trep.Margins, om)
 			}
 		}
-		verdict, err := nom.Verdict(deadline)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := json.Marshal(&TimingReport{
-			MK:              opts.MK.String(),
-			Deadline:        deadline,
-			EventsPerSource: opts.EventsPerSource,
-			Seed:            opts.Seed,
-			Verdict:         verdict,
-		})
+		enc, err := json.Marshal(trep)
 		if err != nil {
 			return nil, err
 		}
 		tr.Add("cache/timing/bytes", int64(len(enc)))
 		return enc, nil
 	})
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -255,36 +198,38 @@ func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.S
 	if err := json.Unmarshal(v.([]byte), trep); err != nil {
 		return nil, fmt.Errorf("engine: timing payload: %w", err)
 	}
-
-	if !opts.Margin {
-		return trep, nil
-	}
-	sp = tr.Start("timing/margin")
-	defer sp.End()
-	for _, kind := range opts.MarginKinds {
-		kind := kind
-		v, err := e.cache.getOrCompute(timingMarginKey(cf.Hash, opts, kind), func() (any, error) {
-			nom, err := getNominal()
-			if err != nil {
-				return nil, err
-			}
-			om, err := nom.SearchMargin(kind, trep.Deadline)
-			if err != nil {
-				return nil, err
-			}
-			tr.Add("timing/probes", int64(om.Result.Probes))
-			tr.Add("timing/probe_stops", int64(om.ProbeStops))
-			tr.Add("timing/probe_events", om.ProbeEvents)
-			return json.Marshal(om)
-		})
-		if err != nil {
-			return nil, err
-		}
-		om := &sim.OverloadMargin{}
-		if err := json.Unmarshal(v.([]byte), om); err != nil {
-			return nil, fmt.Errorf("engine: margin payload: %w", err)
-		}
-		trep.Margins = append(trep.Margins, om)
-	}
 	return trep, nil
+}
+
+// timingVerdict generates the net's program, runs the canonical
+// workload once, fault-free, and judges that run against the (m,k)
+// constraint at the calibrated deadline. The run is returned for the
+// margin searches, whose level 0 it is.
+func timingVerdict(n *petri.Net, cf *petri.CanonicalForm, sched *core.Schedule, tp *core.TaskPartition, mk timing.Constraint) (*TimingReport, *sim.Nominal, error) {
+	prog, err := codegen.Generate(sched, tp)
+	if err != nil {
+		return nil, nil, err
+	}
+	choices := newCanonResolver(n, cf, timingSeed)
+	nom := sim.RunNominal(prog, timingWorkload(n, cf), rtos.DefaultCostModel(), sim.MarginConfig{
+		MK:     mk,
+		Seed:   timingSeed,
+		Robust: sim.RobustConfig{CyclesPerTick: 1},
+		Hooks:  func() sim.Hooks { return sim.Hooks{Resolver: choices.resolver()} },
+	})
+	deadline, err := nom.Deadline(sim.DefaultDeadlineFactor)
+	if err != nil {
+		return nil, nil, err
+	}
+	verdict, err := nom.Verdict(deadline)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &TimingReport{
+		MK:              mk.String(),
+		Deadline:        deadline,
+		EventsPerSource: timingEventsPerSource,
+		Seed:            timingSeed,
+		Verdict:         verdict,
+	}, nom, nil
 }

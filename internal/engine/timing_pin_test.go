@@ -13,7 +13,6 @@ import (
 	"fcpn/internal/modem"
 	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
-	"fcpn/internal/sim"
 	"fcpn/internal/timing"
 )
 
@@ -43,25 +42,18 @@ func timingPinNets(t *testing.T) ([]string, map[string]*petri.Net) {
 
 // TestTimingReportsPinned pins the timing pass's output bytes: one
 // SHA-256 of the TimingReport JSON per net ("-" for a net without one)
-// in five settings. "mk" is qssd -mk 9,10 and "margin" is qssd -mk 9,10
-// -margin, which perfbench's margin workload also runs. "kinds" searches
-// all four overload kinds at their default ceilings, "ceiling3" caps
-// every search at 3, and "deadline1" configures a one-cycle deadline, so
-// every level 0 fails and its verdict is the reported Fail. Regenerate
-// with -update.
+// in the two settings qssd runs: "mk" is qssd -mk 9,10 and "margin" is
+// qssd -mk 9,10 -margin, which perfbench's margin workload also runs.
+// Regenerate with -update.
 func TestTimingReportsPinned(t *testing.T) {
 	labels, nets := timingPinNets(t)
 	mk := timing.Constraint{M: 9, K: 10}
-	kinds := []sim.OverloadKind{sim.OverloadBurst, sim.OverloadJitter, sim.OverloadDrop, sim.OverloadOverrun}
 	settings := []struct {
 		name string
 		opts TimingOptions
 	}{
 		{"mk", TimingOptions{MK: mk}},
 		{"margin", TimingOptions{MK: mk, Margin: true}},
-		{"kinds", TimingOptions{MK: mk, Margin: true, MarginKinds: kinds}},
-		{"ceiling3", TimingOptions{MK: mk, Margin: true, MarginKinds: kinds, MarginCeiling: 3}},
-		{"deadline1", TimingOptions{MK: mk, Deadline: 1, Margin: true, MarginKinds: kinds}},
 	}
 	var buf bytes.Buffer
 	for _, s := range settings {

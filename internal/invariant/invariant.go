@@ -242,19 +242,6 @@ func RelabelTInvariants[I ~int](tis []TInvariant, pos []I) []TInvariant {
 	return out
 }
 
-// RelabelPInvariants is RelabelTInvariants for P-semiflows: place pos[p]
-// of the target net is place p of the net they were computed on, and the
-// result is what PInvariants returns on the target net.
-func RelabelPInvariants[I ~int](pis []PInvariant, pos []I) []PInvariant {
-	out := make([]PInvariant, len(pis))
-	buf := make([]int, len(pis)*len(pos))
-	for i, pi := range pis {
-		out[i] = PInvariant{Weights: permute(&buf, pi.Weights, pos)}
-	}
-	sort.Slice(out, func(i, j int) bool { return lessInts(out[i].Weights, out[j].Weights) })
-	return out
-}
-
 // permute moves entry k of v to index pos[k] of a vector cut from the
 // front of *buf.
 func permute[I ~int](buf *[]int, v []int, pos []I) []int {

@@ -36,13 +36,12 @@ func dual(n *petri.Net) *petri.Net {
 	return b.Build()
 }
 
-// TestRelabelMatchesCanonicalTwin pins the contract the engine's semiflow
-// layers rest on: relabelling a net's minimal semiflows onto its canonical
-// twin gives exactly what the enumeration returns on the twin, order
-// included, and relabelling the twin's back gives the net's. The corpus is
-// the figures, the ATM server and modem models, and netgen seeds 0–499 of
-// both generators. These nets all have source transitions and so no
-// P-semiflows; their duals carry the P half of the check.
+// TestRelabelMatchesCanonicalTwin pins the contract the engine's tsemi
+// layer rests on: relabelling a net's minimal T-semiflows onto its
+// canonical twin gives exactly what the enumeration returns on the twin,
+// order included, and relabelling the twin's back gives the net's. The
+// corpus is the figures, the ATM server and modem models, netgen seeds
+// 0–499 of both generators, and the duals of all of them.
 func TestRelabelMatchesCanonicalTwin(t *testing.T) {
 	nets := map[string]*petri.Net{"atm": atm.New().Net}
 	for name, n := range figures.All() {
@@ -57,7 +56,7 @@ func TestRelabelMatchesCanonicalTwin(t *testing.T) {
 		nets[fmt.Sprintf("pipeline-%d", seed)] = netgen.RandomSchedulablePipeline(seed, netgen.DefaultConfig())
 		nets[fmt.Sprintf("random-%d", seed)] = netgen.RandomNet(seed, netgen.DefaultConfig())
 	}
-	reordered := [2]int{} // nets whose T- resp. P-semiflows change order
+	reordered := 0 // nets whose T-semiflows change order
 	for name, orig := range nets {
 		for _, n := range []*petri.Net{orig, dual(orig)} {
 			cf, twin := n.CanonicalForm(), n.CanonicalNet()
@@ -75,41 +74,25 @@ func TestRelabelMatchesCanonicalTwin(t *testing.T) {
 			if got := invariant.RelabelTInvariants(twinTIs, cf.TransAt); !reflect.DeepEqual(got, tis) {
 				t.Fatalf("%s (%s): the twin's T-semiflows relabelled back\n%v\ndiffer from the net's\n%v", n.Name(), name, got, tis)
 			}
-			pis, err := invariant.PInvariants(n, invariant.Options{})
-			if err != nil {
-				t.Fatalf("%s: %v", n.Name(), err)
-			}
-			twinPIs, err := invariant.PInvariants(twin, invariant.Options{})
-			if err != nil {
-				t.Fatalf("%s twin: %v", n.Name(), err)
-			}
-			if got := invariant.RelabelPInvariants(pis, cf.PlacePos); !reflect.DeepEqual(got, twinPIs) {
-				t.Fatalf("%s (%s): P-semiflows relabelled onto the twin\n%v\ndiffer from the twin's\n%v", n.Name(), name, got, twinPIs)
-			}
-			if got := invariant.RelabelPInvariants(twinPIs, cf.PlaceAt); !reflect.DeepEqual(got, pis) {
-				t.Fatalf("%s (%s): the twin's P-semiflows relabelled back\n%v\ndiffer from the net's\n%v", n.Name(), name, got, pis)
-			}
-			if !sameOrder(tis, twinTIs, func(ti invariant.TInvariant) []int { return ti.Counts }, cf.TransPos) {
-				reordered[0]++
-			}
-			if !sameOrder(pis, twinPIs, func(pi invariant.PInvariant) []int { return pi.Weights }, cf.PlacePos) {
-				reordered[1]++
+			if !sameOrder(tis, twinTIs, cf.TransPos) {
+				reordered++
 			}
 		}
 	}
-	// The sort inside the relabelling must be exercised on both sides.
-	if reordered[0] < 100 || reordered[1] < 100 {
-		t.Fatalf("only %d nets reorder their T-semiflows and %d their P-semiflows under relabelling", reordered[0], reordered[1])
+	// The sort inside the relabelling must be exercised.
+	if reordered < 100 {
+		t.Fatalf("only %d nets reorder their T-semiflows under relabelling", reordered)
 	}
-	t.Logf("%d nets and their duals: %d reorder their T-semiflows, %d their P-semiflows", len(nets), reordered[0], reordered[1])
+	t.Logf("%d nets and their duals: %d reorder their T-semiflows", len(nets), reordered)
 }
 
-// sameOrder reports whether the i-th semiflow of vs, relabelled by pos,
-// is the i-th of twin's for every i: whether relabelling kept the order.
-func sameOrder[V any](vs, twin []V, vec func(V) []int, pos []int) bool {
-	for i, v := range vs {
-		for k, x := range vec(v) {
-			if vec(twin[i])[pos[k]] != x {
+// sameOrder reports whether the i-th T-semiflow of tis, relabelled by
+// pos, is the i-th of twin's for every i: whether relabelling kept the
+// order.
+func sameOrder(tis, twin []invariant.TInvariant, pos []int) bool {
+	for i, ti := range tis {
+		for k, x := range ti.Counts {
+			if twin[i].Counts[pos[k]] != x {
 				return false
 			}
 		}
@@ -159,31 +142,6 @@ func TestTInvariantsCachedMatchesCold(t *testing.T) {
 	}
 	if len(cold) == 0 {
 		t.Fatalf("%s has no T-semiflows to compare", n.Name())
-	}
-}
-
-// TestPInvariantsCachedMatchesCold is TestTInvariantsCachedMatchesCold
-// for P-semiflows.
-func TestPInvariantsCachedMatchesCold(t *testing.T) {
-	n := weightedLoop(nil)
-	cf := n.CanonicalForm()
-	cold, err := invariant.PInvariants(n, invariant.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := invariant.PInvariants(n.CanonicalNet(), invariant.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := invariant.RelabelPInvariants(cold, cf.PlacePos)
-	if !reflect.DeepEqual(stored, twin) {
-		t.Fatalf("stored P-semiflows %v differ from the canonical twin's %v", stored, twin)
-	}
-	if hit := invariant.RelabelPInvariants(stored, cf.PlaceAt); !reflect.DeepEqual(hit, cold) {
-		t.Fatalf("P-semiflows read back %v differ from cold %v", hit, cold)
-	}
-	if len(cold) == 0 {
-		t.Fatalf("%s has no P-semiflows to compare", n.Name())
 	}
 }
 
