@@ -43,9 +43,9 @@ func lookups(e *Engine) map[string]map[string]int64 {
 // miss, in each of the tsemi and sched layers and none in any other;
 // Synthesize afterwards re-reads both, hits. With the timing pass on, a
 // cold Analyze makes one timing miss besides, three lookups in all, and
-// a shuffled twin then hits each layer once and gets its report from
-// the cache byte for byte: what a fresh engine computes for the twin,
-// with the original's timing report.
+// a shuffled twin then hits each layer once, runs neither timing span
+// and gets its report from the cache byte for byte: what a fresh engine
+// computes for the twin, with the original's timing report.
 func TestEngineSemiflowLookupsOnce(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Close()
@@ -80,6 +80,14 @@ func TestEngineSemiflowLookupsOnce(t *testing.T) {
 	want["tsemi"]["hit"], want["sched"]["hit"], want["timing"]["hit"] = 1, 1, 1
 	if got := lookups(timed); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the twin's Analyze the lookups are %v, want %v", got, want)
+	}
+	spans := map[string]int64{}
+	for _, ph := range timed.Stats().Trace.Phases {
+		spans[ph.Name] = ph.Count
+	}
+	if spans["timing/monitor"] != 1 || spans["timing/margin"] != 1 {
+		t.Fatalf("timing/monitor ran %d times and timing/margin %d, want once each: the twin's hit runs neither",
+			spans["timing/monitor"], spans["timing/margin"])
 	}
 	fresh := New(timingConfig(1))
 	defer fresh.Close()
