@@ -92,8 +92,8 @@ func pinPost(t *testing.T, base, src string) int {
 
 // faultHook times out the job of slow (it waits for its deadline) and
 // panics in the job of poison.
-func faultHook(slow, poison string) func(context.Context, string, int) error {
-	return func(ctx context.Context, hash string, _ int) error {
+func faultHook(slow, poison string) func(context.Context, string) error {
+	return func(ctx context.Context, hash string) error {
 		switch hash {
 		case slow:
 			<-ctx.Done()

@@ -204,8 +204,8 @@ type (
 	// bounded worker pool and a content-addressed result cache; create
 	// with NewEngine, Close when done.
 	Engine = engine.Engine
-	// EngineConfig tunes an Engine (workers, cache capacity, solver
-	// options); the zero value is usable.
+	// EngineConfig tunes an Engine (workers, solver and timing options,
+	// submission window, job deadline); the zero value is usable.
 	EngineConfig = engine.Config
 	// NetReport is the engine's deterministic per-net analysis report.
 	NetReport = engine.NetReport

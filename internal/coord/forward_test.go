@@ -172,7 +172,7 @@ func TestBodyMemoKeepsQuarantine(t *testing.T) {
 	poison := figures.Figure7().CanonicalHash()
 	bs, b := bootBackend(t, server.Config{Engine: engine.Config{
 		Workers: 1,
-		FaultHook: func(ctx context.Context, hash string, attempt int) error {
+		FaultHook: func(ctx context.Context, hash string) error {
 			if hash == poison {
 				panic("memo poison")
 			}
@@ -201,7 +201,7 @@ func TestBodyMemoReparsesUnstored(t *testing.T) {
 	var failed atomic.Bool
 	bs, b := bootBackend(t, server.Config{Engine: engine.Config{
 		Workers: 1,
-		FaultHook: func(ctx context.Context, hash string, attempt int) error {
+		FaultHook: func(ctx context.Context, hash string) error {
 			if hash == target && failed.CompareAndSwap(false, true) {
 				return errors.New("first run fails")
 			}

@@ -123,7 +123,7 @@ func TestResponseBytesPinned(t *testing.T) {
 	poisoned := map[string]bool{hashOf(poison1): true, hashOf(poison2): true}
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	hook := func(ctx context.Context, hash string, attempt int) error {
+	hook := func(ctx context.Context, hash string) error {
 		switch {
 		case poisoned[hash]:
 			panic(panicMsg)

@@ -36,12 +36,12 @@ const (
 // ClassifyStatus buckets an HTTP status from a qssd backend.
 // Transient: 429 (admission window full — the host is alive and says
 // when to come back), 502 (an intermediary, not the engine), 503
-// (draining for restart), 504 (per-request deadline; the engine's own
-// retry-on-budget-trip may clear it on a quieter host). Terminal: 400
-// (malformed net), 404 (unknown report hash), 413 (oversize body), 422
+// (draining for restart), 504 (per-request deadline; another host, or
+// a quieter one, may finish the job in time). Terminal: 400 (malformed
+// net), 404 (unknown report hash), 413 (oversize body), 422
 // (quarantined — every host would refuse the same canonical hash), 500
-// (the engine already panicked, retried and quarantined; a resubmit
-// gets the 422). Everything else 2xx-adjacent is OK.
+// (the engine already panicked and quarantined; a resubmit gets the
+// 422). Everything else 2xx-adjacent is OK.
 func ClassifyStatus(code int) FaultClass {
 	switch code {
 	case http.StatusTooManyRequests, http.StatusBadGateway,

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"fmt"
 	"strings"
 	"sync"
 
@@ -17,8 +16,10 @@ import (
 // shareable across every net with the same canonical structure.
 //
 // A singleflight map collapses concurrent computations of the same key:
-// the first goroutine computes, the rest wait and share the result. The
-// leader's lookup counts as a miss, each follower's as a hit.
+// the first goroutine computes, the rest wait and share its value. A
+// flight shares nothing else: when the leader fails, its waiters look the
+// key up again and one of them computes it. Each lookup counts: a leader's
+// as a miss, a waiter's as a hit.
 type cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -37,10 +38,11 @@ type cacheEntry struct {
 	val any
 }
 
+// flight is one computation in progress. val is set, before done closes,
+// only when the computation succeeded.
 type flight struct {
 	done chan struct{}
 	val  any
-	err  error
 }
 
 // cacheCapacity bounds every engine's cache: entries across all layers.
@@ -87,9 +89,12 @@ func (c *cache) put(key string, val any) {
 	}
 }
 
-// getOrCompute returns the cached value for key or computes it exactly
-// once across concurrent callers. Errors are returned to every waiter and
-// never cached.
+// getOrCompute returns the cached value for key or computes it, with at
+// most one computation of a key running at a time. A waiter whose leader
+// failed, by an error or a panic, goes back through the lookup and, if no
+// other flight is running by then, computes the key itself: a caller's
+// error always comes from its own compute. compute must return a non-nil
+// value when it succeeds. Errors are never cached.
 func (c *cache) getOrCompute(key string, compute func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -101,12 +106,16 @@ func (c *cache) getOrCompute(key string, compute func() (any, error)) (any, erro
 		return v, nil
 	}
 	if f, ok := c.inflight[key]; ok {
-		// A concurrent computation is underway; share its outcome.
+		// A concurrent computation is underway; share its value, or look
+		// again if it failed.
 		c.counters.CacheHits.Add(1)
 		c.count(key, "wait")
 		c.mu.Unlock()
 		<-f.done
-		return f.val, f.err
+		if f.val == nil {
+			return c.getOrCompute(key, compute)
+		}
+		return f.val, nil
 	}
 	c.counters.CacheMisses.Add(1)
 	c.count(key, "miss")
@@ -114,29 +123,21 @@ func (c *cache) getOrCompute(key string, compute func() (any, error)) (any, erro
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	// A panic in compute must not strand the flight: waiters would block
-	// on done forever and every future lookup of the key would join them.
-	// Convert the panic into an error for the waiters, release the
-	// flight, then re-raise for the leader's own recovery (the engine's
-	// per-job quarantine).
+	// Release the flight however compute ends: after a panic its waiters
+	// would otherwise block on done forever, and every later lookup of the
+	// key would join them. The panic itself goes on to the leader's own
+	// recovery (the engine's job guard).
 	defer func() {
-		if r := recover(); r != nil {
-			f.err = fmt.Errorf("engine: computing %s panicked: %v", key, r)
-			close(f.done)
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			panic(r)
-		}
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(f.done)
 	}()
-	f.val, f.err = compute()
-	close(f.done)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	if f.err == nil {
-		c.put(key, f.val)
+	v, err := compute()
+	if err != nil {
+		return nil, err
 	}
-	return f.val, f.err
+	c.put(key, v)
+	f.val = v
+	return v, nil
 }

@@ -80,13 +80,12 @@ type Config struct {
 	// deadline is cancelled at the pipeline's next checkpoint and
 	// returns its partial report with a typed ErrJobTimeout.
 	JobTimeout time.Duration
-	// FaultHook, when non-nil, runs at the start of every job attempt
-	// with the job's canonical hash and attempt number (0 = first). It
-	// may panic, sleep, or return an error, which the engine treats
-	// exactly like an analysis failure — the injection point for
-	// fault.EngineInjector in the robustness tests. Never set in
-	// production.
-	FaultHook func(ctx context.Context, hash string, attempt int) error
+	// FaultHook, when non-nil, runs at the start of every job with the
+	// job's canonical hash. It may panic, sleep, or return an error,
+	// which the engine treats exactly like an analysis failure — the
+	// injection point for fault.EngineInjector in the robustness tests.
+	// Never set in production.
+	FaultHook func(ctx context.Context, hash string) error
 }
 
 // Engine is the long-running analysis service. Create with New, share
@@ -155,8 +154,8 @@ type Result struct {
 	Elapsed time.Duration
 	// Trace is the job's per-phase breakdown; its non-detail phases sum
 	// to Elapsed modulo scheduling glue. Failure modes appear as
-	// "engine/timeout", "engine/panic" and "engine/retry" detail phases
-	// plus matching counters.
+	// "engine/timeout" and "engine/panic" detail phases, and a refusal
+	// as the "engine/quarantined" counter.
 	Trace *trace.Report
 	// Status classifies the job's ending; Err is the typed job-level
 	// error for every status but StatusOK (errors.Is-testable against
@@ -251,11 +250,7 @@ func (e *Engine) SubmitWindow() int {
 	return 2 * e.workers
 }
 
-// retryBackoff is the wait before the single retry of a transiently
-// failed job (one wrapping core.ErrBudgetExceeded or ErrJobTimeout).
-const retryBackoff = time.Millisecond
-
-// jobContext returns the per-attempt context: deadline-bound with
+// jobContext returns the job's context: deadline-bound with
 // ErrJobTimeout as the cancellation cause when Config.JobTimeout is set.
 func (e *Engine) jobContext() (context.Context, context.CancelFunc) {
 	if e.cfg.JobTimeout <= 0 {
@@ -384,14 +379,14 @@ func (e *Engine) AnalyzeEach(nets []*petri.Net, onDone func(i int, r Result)) er
 // generation — through the cache and returns the bundle. Schedules come
 // from the content-addressed schedule layer; the generated program is
 // rebuilt from them (code generation is linear and name-dependent, so its
-// output is not content-addressed). The job runs under Analyze's guard:
-// canonical form, quarantine check, per-attempt deadline, fault hook, one
-// retry of a transient failure, and quarantine after a panic.
+// output is not content-addressed). The job runs once, under Analyze's
+// guard: canonical form, quarantine check, deadline, fault hook, and
+// quarantine after a panic.
 func (e *Engine) Synthesize(n *petri.Net) (syn *Synthesis, err error) {
 	rerr := e.run(func() {
 		e.counters.Jobs.Add(1)
 		tr := trace.New()
-		syn, _, _, err = guard(e, n, tr, func(ctx context.Context, cf *petri.CanonicalForm, _ bool) (*Synthesis, error) {
+		syn, _, _, err = guard(e, n, tr, func(ctx context.Context, cf *petri.CanonicalForm) (*Synthesis, error) {
 			return e.synthesize(ctx, n, cf, tr)
 		})
 		e.tracer.Merge(tr)
@@ -456,8 +451,8 @@ func (e *Engine) synthesize(ctx context.Context, n *petri.Net, cf *petri.Canonic
 //
 // Hit and miss alike rebuild the returned Schedule from the decoded
 // payload, which is what makes warm results byte-identical to cold ones.
-// Failures are never cached: they come back as a *solveError, which
-// carries the enumeration's outcome to every singleflight waiter.
+// Failures are never cached or shared: the job that computed one gets a
+// *solveError carrying its own enumeration's outcome.
 func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, canonTIs []invariant.TInvariant, tr *trace.Tracer) (*core.Schedule, error) {
 	v, err := e.cache.getOrCompute(schedKey(cf.Hash), func() (any, error) {
 		sp := tr.StartDetail("core/reduce")
@@ -479,7 +474,7 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 			s, err = core.SolveReductions(twin, mapReductionsToTwin(cf, twin, reds), opt)
 		}
 		if err != nil {
-			return nil, &solveError{err: err, reds: canonicalSets(cf, reds), redsErr: rerr}
+			return nil, &solveError{err: err, reds: reds, redsErr: rerr}
 		}
 		enc := encodeSchedule(cachedSequences(s))
 		tr.Add("cache/sched/bytes", int64(len(enc)))
@@ -497,41 +492,16 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 
 // solveError is a failed schedule computation. It unwraps to the failure
 // and carries the distinct-reduction enumeration's outcome for the
-// report: the kept-transition sets in canonical positions, or the
-// enumeration's own error.
+// report: the reductions of the job's own net, or the enumeration's own
+// error.
 type solveError struct {
 	err     error
-	reds    [][]int
+	reds    []*core.Reduction
 	redsErr error
 }
 
 func (e *solveError) Error() string { return e.err.Error() }
 func (e *solveError) Unwrap() error { return e.err }
-
-// canonicalSets lists each reduction's kept transitions as canonical
-// positions.
-func canonicalSets(cf *petri.CanonicalForm, reds []*core.Reduction) [][]int {
-	sets := make([][]int, len(reds))
-	for i, r := range reds {
-		for _, t := range r.KeptTransitions() {
-			sets[i] = append(sets[i], cf.TransPos[t])
-		}
-	}
-	return sets
-}
-
-// localSets maps the carried kept-transition sets into the index space of
-// the net whose canonical form is cf.
-func (e *solveError) localSets(cf *petri.CanonicalForm) [][]petri.Transition {
-	sets := make([][]petri.Transition, len(e.reds))
-	for i, set := range e.reds {
-		sets[i] = make([]petri.Transition, len(set))
-		for j, pos := range set {
-			sets[i][j] = cf.TransAt[pos]
-		}
-	}
-	return sets
-}
 
 // cachedSequences is the payload of a schedule solved on the canonical
 // twin, whose transition indices are canonical positions: each cycle's
@@ -746,8 +716,8 @@ func (e *Engine) analyzeJob(n *petri.Net) Result {
 	e.counters.Jobs.Add(1)
 	t0 := time.Now()
 	tr := trace.New()
-	rep, cf, status, err := guard(e, n, tr, func(ctx context.Context, cf *petri.CanonicalForm, final bool) (*NetReport, error) {
-		return e.analyzeTraced(ctx, n, cf, tr, final)
+	rep, cf, status, err := guard(e, n, tr, func(ctx context.Context, cf *petri.CanonicalForm) (*NetReport, error) {
+		return e.analyzeTraced(ctx, n, cf, tr)
 	})
 	switch {
 	case rep != nil:
@@ -762,15 +732,13 @@ func (e *Engine) analyzeJob(n *petri.Net) Result {
 }
 
 // guard runs a job body under the engine's job guard: canonicalise,
-// refuse quarantined hashes, then attempt the body under the per-attempt
-// deadline, after Config.FaultHook (tests only), with panics recovered
-// and the retry-once policy for transient failures. It returns the last
-// attempt's output (zero if the body never returned), the canonical form
-// (nil if canonicalisation panicked), the job's status and its typed
-// error. It never panics and never blocks past the deadline by more than
-// one pipeline checkpoint. final tells the body whether its attempt is
-// the last.
-func guard[T any](e *Engine, n *petri.Net, tr *trace.Tracer, body func(ctx context.Context, cf *petri.CanonicalForm, final bool) (T, error)) (out T, cf *petri.CanonicalForm, status JobStatus, err error) {
+// refuse quarantined hashes, then run the body once under the job's
+// deadline, after Config.FaultHook (tests only), with panics recovered.
+// It returns the body's output (zero if the body never returned), the
+// canonical form (nil if canonicalisation panicked), the job's status and
+// its typed error. It never panics and never blocks past the deadline by
+// more than one pipeline checkpoint.
+func guard[T any](e *Engine, n *petri.Net, tr *trace.Tracer, body func(ctx context.Context, cf *petri.CanonicalForm) (T, error)) (out T, cf *petri.CanonicalForm, status JobStatus, err error) {
 	cf, err = e.canonical(n, tr)
 	if err != nil {
 		// Canonicalisation itself panicked: there is no hash to
@@ -786,55 +754,40 @@ func guard[T any](e *Engine, n *petri.Net, tr *trace.Tracer, body func(ctx conte
 		return out, cf, StatusQuarantined, fmt.Errorf("%w: %s (%s)", ErrQuarantined, cf.Hash, reason.(string))
 	}
 
-	const attempts = 2
-	for attempt := 0; attempt < attempts; attempt++ {
-		final := attempt == attempts-1
-		ta := time.Now()
-		ctx, cancel := e.jobContext()
-		out, err = func() (out T, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("%w: %v", ErrJobPanicked, r)
-				}
-			}()
-			if hook := e.cfg.FaultHook; hook != nil {
-				if err := hook(ctx, cf.Hash, attempt); err != nil {
-					return out, err
-				}
+	t0 := time.Now()
+	ctx, cancel := e.jobContext()
+	out, err = func() (out T, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%w: %v", ErrJobPanicked, r)
 			}
-			return body(ctx, cf, final)
 		}()
-		expired := ctx.Err() != nil
-		cancel()
-		switch {
-		case errors.Is(err, ErrJobPanicked):
-			// Quarantine the hash so one poisoned net cannot keep taking
-			// workers down; the panic itself was recovered above.
-			e.Quarantine(cf.Hash, err.Error())
-			e.counters.Panics.Add(1)
-			tr.Observe("engine/panic", time.Since(ta), true)
-			return out, cf, StatusPanicked, err
-		case err != nil && expired:
-			// The job's own deadline fired: partial result, typed error.
-			e.counters.Timeouts.Add(1)
-			tr.Observe("engine/timeout", time.Since(ta), true)
-			return out, cf, StatusTimeout, err
-		case err != nil && !final &&
-			(errors.Is(err, core.ErrBudgetExceeded) || errors.Is(err, ErrJobTimeout)):
-			// Transient: a budget trip (possibly injected) or a
-			// singleflight leader's deadline observed from a waiter whose
-			// own deadline is intact. Retry once with backoff.
-			e.counters.Retries.Add(1)
-			tr.Observe("engine/retry", retryBackoff, true)
-			time.Sleep(retryBackoff)
-			continue
-		case err != nil:
-			return out, cf, StatusError, err
-		default:
-			return out, cf, StatusOK, nil
+		if hook := e.cfg.FaultHook; hook != nil {
+			if err := hook(ctx, cf.Hash); err != nil {
+				return out, err
+			}
 		}
+		return body(ctx, cf)
+	}()
+	expired := ctx.Err() != nil
+	cancel()
+	switch {
+	case errors.Is(err, ErrJobPanicked):
+		// Quarantine the hash so one poisoned net cannot keep taking
+		// workers down; the panic itself was recovered above.
+		e.Quarantine(cf.Hash, err.Error())
+		e.counters.Panics.Add(1)
+		tr.Observe("engine/panic", time.Since(t0), true)
+		return out, cf, StatusPanicked, err
+	case err != nil && expired:
+		// The job's own deadline fired: partial result, typed error.
+		e.counters.Timeouts.Add(1)
+		tr.Observe("engine/timeout", time.Since(t0), true)
+		return out, cf, StatusTimeout, err
+	case err != nil:
+		return out, cf, StatusError, err
 	}
-	return out, cf, StatusError, err
+	return out, cf, StatusOK, nil
 }
 
 // canonical computes the net's canonical form under the job's
@@ -858,10 +811,7 @@ func (e *Engine) canonical(n *petri.Net, tr *trace.Tracer) (cf *petri.CanonicalF
 // that sum against elapsed time per net). Cancellation is checked at
 // every stage boundary (and inside core's long loops via opt.Ctx); a
 // cancelled job returns the report built so far plus the cause error.
-// finalAttempt folds budget-typed schedule failures into the report's
-// ScheduleError (the real verdict); earlier attempts surface them as
-// errors so the caller's retry policy can run.
-func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer, finalAttempt bool) (*NetReport, error) {
+func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, tr *trace.Tracer) (*NetReport, error) {
 	sp := tr.Start("petri/classify")
 	rep := &NetReport{
 		Name:        n.Name(),
@@ -935,7 +885,7 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 	if err != nil {
 		var serr *solveError
 		if errors.As(err, &serr) && serr.redsErr == nil {
-			rep.Reductions = reductionNames(n, serr.localSets(cf))
+			rep.Reductions = reductionNames(n, serr.reds)
 		}
 		if cerr := ctxCause(ctx); cerr != nil {
 			// The deadline fired mid-enumeration or mid-sweep: surface the
@@ -944,11 +894,6 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		}
 		if serr != nil && serr.redsErr != nil {
 			fail("reductions", serr.redsErr)
-		}
-		if !finalAttempt && errors.Is(err, core.ErrBudgetExceeded) {
-			// Transient budget trip: hand it to the retry policy instead of
-			// recording a verdict that a second attempt might overturn.
-			return rep, err
 		}
 		rep.ScheduleError = err.Error()
 		return rep, nil
@@ -1022,15 +967,15 @@ func exportedReductions(ex *core.ScheduleExport) [][]string {
 	return sortReductions(out)
 }
 
-// reductionNames renders kept-transition sets as the report lists them:
-// each set name-sorted, the list sorted and free of repeats (under
-// KeepDuplicateReductions several cycles share one), so the report
-// serialises identically for isomorphic nets regardless of declaration
-// order.
-func reductionNames(n *petri.Net, sets [][]petri.Transition) [][]string {
-	out := make([][]string, len(sets))
-	for i, ts := range sets {
-		out[i] = sortedNames(n, ts)
+// reductionNames renders the reductions' kept-transition sets as the
+// report lists them: each set name-sorted, the list sorted and free of
+// repeats (under KeepDuplicateReductions several cycles share one), so the
+// report serialises identically for isomorphic nets regardless of
+// declaration order.
+func reductionNames(n *petri.Net, reds []*core.Reduction) [][]string {
+	out := make([][]string, len(reds))
+	for i, r := range reds {
+		out[i] = sortedNames(n, r.KeptTransitions())
 	}
 	return sortReductions(out)
 }

@@ -199,7 +199,7 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 			for _, r := range reds {
 				byKey[r.TransitionSetKey()] = r
 			}
-			keptSets := make([][]petri.Transition, len(syn.Schedule.Cycles))
+			cycleReds := make([]*core.Reduction, len(syn.Schedule.Cycles))
 			for i, c := range syn.Schedule.Cycles {
 				var fired []petri.Transition
 				for t, k := range c.Counts {
@@ -207,8 +207,8 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 						fired = append(fired, petri.Transition(t))
 					}
 				}
-				keptSets[i] = c.Reduction.KeptTransitions()
-				if kept := keptSets[i]; !slices.Equal(fired, kept) {
+				cycleReds[i] = c.Reduction
+				if kept := c.Reduction.KeptTransitions(); !slices.Equal(fired, kept) {
 					t.Fatalf("%s: cycle %d fires %v, its allocation keeps %v", n.Name(), i, n.SequenceNames(fired), n.SequenceNames(kept))
 				}
 				want, ok := byKey[c.Reduction.TransitionSetKey()]
@@ -221,7 +221,7 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 			}
 			// The report reads its reductions off the export, which is
 			// what it lists when they are the cycles' kept sets.
-			got, want := exportedReductions(syn.Schedule.Export()), reductionNames(n, keptSets)
+			got, want := exportedReductions(syn.Schedule.Export()), reductionNames(n, cycleReds)
 			if !slices.EqualFunc(got, want, slices.Equal) {
 				t.Fatalf("%s: reductions read off the export %v, kept sets %v", n.Name(), got, want)
 			}

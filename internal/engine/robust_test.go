@@ -1,15 +1,17 @@
 package engine
 
 // Robustness tests for the batch engine: per-job deadlines, panic
-// quarantine, retry-once, bounded submission windows, and submit/Close
-// races. Faults are injected deterministically through Config.FaultHook
+// quarantine, one run per job, bounded submission windows, and
+// submit/Close races. Faults are injected deterministically through Config.FaultHook
 // via fault.EngineInjector, never with ad-hoc sleeps in analysis code.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,71 +143,15 @@ func TestEngineFaultedCorpus(t *testing.T) {
 	}
 }
 
-// TestEngineRetryTransient checks the retry-once policy: a job whose
-// first attempt trips a (injected) budget error succeeds on the retry,
-// and the retry is visible in the counters and the job trace.
-func TestEngineRetryTransient(t *testing.T) {
-	n := genNets(t, 300, 1)[0]
-	inj := &fault.EngineInjector{
-		Force: map[string]fault.JobFaultKind{n.CanonicalHash(): fault.FaultFlaky},
-	}
-	e := New(Config{Workers: 2, FaultHook: inj.Hook()})
-	defer e.Close()
-
-	results, err := e.AnalyzeBatch([]*petri.Net{n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := results[0]
-	if r.Status != StatusOK || r.Err != nil {
-		t.Fatalf("flaky net did not recover: status=%s err=%v", r.Status, r.Err)
-	}
-	clean := New(Config{Workers: 2})
-	defer clean.Close()
-	if got, want := reportJSON(t, r.Report), reportJSON(t, analyze(t, clean, n)); got != want {
-		t.Fatalf("retried report differs from clean run:\n%s\nvs\n%s", got, want)
-	}
-	if s := e.Stats(); s.Retries != 1 {
-		t.Errorf("retries = %d, want 1", s.Retries)
-	}
-	if p, ok := r.Trace.Phase("engine/retry"); !ok || p.Count != 1 {
-		t.Errorf("job trace missing engine/retry phase: %+v", r.Trace)
-	}
-}
-
-// TestSynthesizeRetryTransient checks Synthesize runs under Analyze's
-// job guard: a first attempt that trips an injected budget error is
-// retried once, and the program matches a clean engine's.
-func TestSynthesizeRetryTransient(t *testing.T) {
-	n := genNets(t, 300, 1)[0]
-	inj := &fault.EngineInjector{
-		Force: map[string]fault.JobFaultKind{n.CanonicalHash(): fault.FaultFlaky},
-	}
-	e := New(Config{Workers: 1, FaultHook: inj.Hook()})
-	defer e.Close()
-	syn, err := e.Synthesize(n)
-	if err != nil {
-		t.Fatalf("flaky net did not recover: %v", err)
-	}
-	clean := New(Config{Workers: 1})
-	defer clean.Close()
-	want, err := clean.Synthesize(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := syn.C(false), want.C(false); got != want {
-		t.Fatalf("retried program differs from the clean engine's:\n%s\nvs\n%s", got, want)
-	}
-	if s := e.Stats(); s.Retries != 1 {
-		t.Errorf("retries = %d, want 1", s.Retries)
-	}
-}
-
-// TestEnginePersistentFaultIsError checks a fault that survives the
-// retry surfaces as StatusError with the injected error intact.
+// TestEnginePersistentFaultIsError checks that a job whose fault hook
+// fails ends with StatusError and the hook's error intact, from Analyze
+// and Synthesize alike, and that the engine runs each job once: the
+// budget trip the hook reports is not retried.
 func TestEnginePersistentFaultIsError(t *testing.T) {
 	n := genNets(t, 400, 1)[0]
-	hook := func(ctx context.Context, hash string, attempt int) error {
+	var calls atomic.Int64
+	hook := func(ctx context.Context, hash string) error {
+		calls.Add(1)
 		return fmt.Errorf("%w: persistent: %w", fault.ErrInjected, core.ErrBudgetExceeded)
 	}
 	e := New(Config{Workers: 1, FaultHook: hook})
@@ -218,8 +164,66 @@ func TestEnginePersistentFaultIsError(t *testing.T) {
 	if r.Status != StatusError || !errors.Is(r.Err, fault.ErrInjected) {
 		t.Fatalf("persistent fault: status=%s err=%v", r.Status, r.Err)
 	}
-	if s := e.Stats(); s.Retries != 1 {
-		t.Errorf("retries = %d, want 1 (retried once, then gave up)", s.Retries)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("Analyze ran the fault hook %d times, want 1", got)
+	}
+	syn, err := e.Synthesize(n)
+	if syn != nil || !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Synthesize under a persistent fault: bundle %v, err %v", syn, err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("Synthesize ran the fault hook %d times, want 1", got-1)
+	}
+}
+
+// TestEngineWaiterOutlivesLeaderDeadline submits netgen.ChoiceFan(12)
+// to a 2-worker engine with JobTimeout D and, 0.9·D later, an isomorphic
+// re-parse of it. D is half the net's cold analysis time, so the first
+// job's deadline fires mid-schedule while the second job waits on its
+// schedule flight. Each job's outcome must come from its own run: a
+// timeout or the net's schedule, never "ok" with the other job's
+// cancellation as its schedule_error.
+func TestEngineWaiterOutlivesLeaderDeadline(t *testing.T) {
+	src := petri.Format(netgen.ChoiceFan(12))
+	parse := func() *petri.Net {
+		n, err := petri.Parse(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	calib := New(Config{Workers: 1})
+	t0 := time.Now()
+	rep := analyze(t, calib, parse())
+	d := time.Since(t0) / 2
+	calib.Close()
+	if !rep.Schedulable {
+		t.Fatalf("ChoiceFan(12) is not schedulable: %s", rep.ScheduleError)
+	}
+
+	e := New(Config{Workers: 2, JobTimeout: d})
+	defer e.Close()
+	n, twin := parse(), parse()
+	first := make(chan []Result, 1)
+	go func() {
+		rs, err := e.AnalyzeBatch([]*petri.Net{n})
+		if err != nil {
+			t.Error(err)
+		}
+		first <- rs
+	}()
+	time.Sleep(d * 9 / 10)
+	second, err := e.AnalyzeBatch([]*petri.Net{twin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range append(<-first, second...) {
+		timedOut := r.Status == StatusTimeout && errors.Is(r.Err, ErrJobTimeout)
+		scheduled := r.Status == StatusOK && r.Report.Schedulable && r.Report.ScheduleError == ""
+		if !timedOut && !scheduled {
+			t.Errorf("D = %v, job %d: status %s, err %v, schedule_error %q; want its own timeout or the schedule",
+				d, i+1, r.Status, r.Err, r.Report.ScheduleError)
+		}
 	}
 }
 
@@ -236,7 +240,7 @@ func TestEngineBackpressureWindow(t *testing.T) {
 	e := New(Config{
 		Workers:      2,
 		SubmitWindow: window,
-		FaultHook: func(ctx context.Context, hash string, attempt int) error {
+		FaultHook: func(ctx context.Context, hash string) error {
 			time.Sleep(2 * time.Millisecond) // make jobs slow enough to pile up
 			return nil
 		},
@@ -308,8 +312,8 @@ func TestEngineSubmitCloseRace(t *testing.T) {
 	}
 }
 
-// TestEngineSoak runs a larger faulted corpus — background panic, slow
-// and flaky faults over ~40 nets with a tight deadline — twice through
+// TestEngineSoak runs a larger faulted corpus — background panic and
+// slow faults over ~40 nets with a tight deadline — twice through
 // one engine, then checks the engine is still fully usable. There are
 // no per-net assertions; the test exists to shake out deadlocks, races
 // (run with -race in CI) and stranded singleflights under sustained
@@ -320,7 +324,6 @@ func TestEngineSoak(t *testing.T) {
 		Seed:     2026,
 		PanicPct: 10,
 		SlowPct:  10,
-		FlakyPct: 20,
 		SlowFor:  time.Second,
 	}
 	e := New(Config{
@@ -344,8 +347,8 @@ func TestEngineSoak(t *testing.T) {
 			counts[r.Status]++
 		}
 	}
-	t.Logf("soak outcomes over 2 passes: %v, stats: panics=%d timeouts=%d retries=%d quarantine_skips=%d",
-		counts, e.Stats().Panics, e.Stats().Timeouts, e.Stats().Retries, e.Stats().QuarantineSkips)
+	t.Logf("soak outcomes over 2 passes: %v, stats: panics=%d timeouts=%d quarantine_skips=%d",
+		counts, e.Stats().Panics, e.Stats().Timeouts, e.Stats().QuarantineSkips)
 	if counts[StatusOK] == 0 {
 		t.Fatal("soak produced no successful jobs — fault rates are misconfigured")
 	}

@@ -35,12 +35,10 @@ type Counters struct {
 
 	// Failure-mode counters (see docs/ENGINE.md "Failure modes"):
 	// Timeouts counts jobs that hit their per-job deadline, Panics jobs
-	// whose worker recovered a panic, Retries transient-failure retries,
-	// QuarantineSkips jobs refused because their canonical hash was
-	// quarantined by an earlier panic.
+	// whose worker recovered a panic, QuarantineSkips jobs refused
+	// because their canonical hash was quarantined by an earlier panic.
 	Timeouts        atomic.Int64
 	Panics          atomic.Int64
-	Retries         atomic.Int64
 	QuarantineSkips atomic.Int64
 }
 
@@ -69,11 +67,10 @@ type Snapshot struct {
 	BusyWorkers    int64 `json:"busy_workers"`
 	Workers        int   `json:"workers"`
 
-	// Failure-mode counters: deadline trips, recovered panics,
-	// transient-failure retries, and quarantine refusals.
+	// Failure-mode counters: deadline trips, recovered panics and
+	// quarantine refusals.
 	Timeouts        int64 `json:"timeouts,omitempty"`
 	Panics          int64 `json:"panics,omitempty"`
-	Retries         int64 `json:"retries,omitempty"`
 	QuarantineSkips int64 `json:"quarantine_skips,omitempty"`
 	// Utilization is cumulative worker busy time divided by
 	// workers × wall time, in [0, 1] modulo sampling skew.
@@ -97,7 +94,6 @@ func (c *Counters) Snapshot(workers int, wallNanos int64) Snapshot {
 		Workers:         workers,
 		Timeouts:        c.Timeouts.Load(),
 		Panics:          c.Panics.Load(),
-		Retries:         c.Retries.Load(),
 		QuarantineSkips: c.QuarantineSkips.Load(),
 	}
 	if total := s.CacheHits + s.CacheMisses; total > 0 {

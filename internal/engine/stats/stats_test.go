@@ -22,7 +22,6 @@ func TestSnapshotJSONFieldNames(t *testing.T) {
 		"workers":          true,
 		"timeouts":         true,
 		"panics":           true,
-		"retries":          true,
 		"quarantine_skips": true,
 		"utilization":      true,
 		"trace":            true,
@@ -61,7 +60,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	c.BusyNanos.Store(4e9)
 	c.Timeouts.Store(1)
 	c.Panics.Store(2)
-	c.Retries.Store(3)
 	c.QuarantineSkips.Store(4)
 
 	snap := c.Snapshot(4, 2e9)

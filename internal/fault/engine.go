@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"fcpn/internal/core"
 )
 
 // This file is the engine-level injector: where fault.go perturbs RTOS
 // event streams, EngineInjector perturbs analysis *jobs* — panicking
-// workers, jobs that outlive their deadline, transient budget trips —
-// through the engine's Config.FaultHook. Decisions are a pure function
+// workers and jobs that outlive their deadline — through the engine's
+// Config.FaultHook. Decisions are a pure function
 // of (seed, canonical hash), so a faulted corpus run is reproducible
 // net-for-net, which is what lets the robustness tests assert that the
 // healthy nets' reports stay byte-identical to a fault-free run.
@@ -21,20 +19,17 @@ import (
 // tell an injected failure from a genuine one with errors.Is.
 var ErrInjected = errors.New("fault: injected")
 
-// JobFaultKind classifies what an EngineInjector does to one job attempt.
+// JobFaultKind classifies what an EngineInjector does to one job.
 type JobFaultKind int
 
 const (
-	// FaultNone leaves the attempt alone.
+	// FaultNone leaves the job alone.
 	FaultNone JobFaultKind = iota
 	// FaultPanic panics on the worker (exercises recovery + quarantine).
 	FaultPanic
 	// FaultSlow sleeps for SlowFor or until the job's deadline fires,
 	// whichever comes first (exercises per-job timeouts).
 	FaultSlow
-	// FaultFlaky fails the first attempt with an injected transient
-	// budget trip and lets retries through (exercises the retry policy).
-	FaultFlaky
 )
 
 // String names the kind for reports.
@@ -44,8 +39,6 @@ func (k JobFaultKind) String() string {
 		return "panic"
 	case FaultSlow:
 		return "slow"
-	case FaultFlaky:
-		return "flaky"
 	default:
 		return "none"
 	}
@@ -59,10 +52,10 @@ func (k JobFaultKind) String() string {
 type EngineInjector struct {
 	// Seed drives the per-hash percentage draws.
 	Seed uint64
-	// PanicPct / SlowPct / FlakyPct are the percentages of jobs (by
-	// hash) hit by each fault. Draws are made in that order from one
-	// per-hash generator, so the classes are disjoint in practice.
-	PanicPct, SlowPct, FlakyPct int
+	// PanicPct / SlowPct are the percentages of jobs (by hash) hit by
+	// each fault. Draws are made in that order from one per-hash
+	// generator, so the classes are disjoint in practice.
+	PanicPct, SlowPct int
 	// SlowFor is how long FaultSlow sleeps (default 50ms).
 	SlowFor time.Duration
 	// Force pins canonical hashes to fault kinds, overriding the draws.
@@ -74,7 +67,7 @@ func (inj *EngineInjector) Kind(hash string) JobFaultKind {
 	if k, ok := inj.Force[hash]; ok {
 		return k
 	}
-	if inj.PanicPct <= 0 && inj.SlowPct <= 0 && inj.FlakyPct <= 0 {
+	if inj.PanicPct <= 0 && inj.SlowPct <= 0 {
 		return FaultNone
 	}
 	r := NewRand(inj.Seed ^ hashSeed(hash))
@@ -84,21 +77,17 @@ func (inj *EngineInjector) Kind(hash string) JobFaultKind {
 	if r.Pct() < inj.SlowPct {
 		return FaultSlow
 	}
-	if r.Pct() < inj.FlakyPct {
-		return FaultFlaky
-	}
 	return FaultNone
 }
 
-// Hook adapts the injector to engine.Config.FaultHook. Panic and slow
-// faults hit every attempt of a victim (panics quarantine, so there is
-// at most one; a slow job must not get faster on retry). Flaky faults
-// hit only attempt 0, so the engine's retry-once policy recovers them.
-func (inj *EngineInjector) Hook() func(ctx context.Context, hash string, attempt int) error {
-	return func(ctx context.Context, hash string, attempt int) error {
+// Hook adapts the injector to engine.Config.FaultHook. The fault depends
+// on the hash alone, so it hits every job of a victim; a panic
+// quarantines the hash, so a panic victim's job runs once.
+func (inj *EngineInjector) Hook() func(ctx context.Context, hash string) error {
+	return func(ctx context.Context, hash string) error {
 		switch inj.Kind(hash) {
 		case FaultPanic:
-			panic(fmt.Sprintf("fault: injected panic for %s (attempt %d)", hash, attempt))
+			panic(fmt.Sprintf("fault: injected panic for %s", hash))
 		case FaultSlow:
 			slow := inj.SlowFor
 			if slow <= 0 {
@@ -111,10 +100,6 @@ func (inj *EngineInjector) Hook() func(ctx context.Context, hash string, attempt
 				return nil
 			case <-ctx.Done():
 				return fmt.Errorf("%w: slow job cancelled: %w", ErrInjected, context.Cause(ctx))
-			}
-		case FaultFlaky:
-			if attempt == 0 {
-				return fmt.Errorf("%w: transient budget trip: %w", ErrInjected, core.ErrBudgetExceeded)
 			}
 		}
 		return nil

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"fcpn/internal/core"
 )
 
 func TestEngineInjectorZeroValue(t *testing.T) {
@@ -14,13 +12,13 @@ func TestEngineInjectorZeroValue(t *testing.T) {
 	if k := inj.Kind("deadbeef"); k != FaultNone {
 		t.Fatalf("zero injector assigned %v", k)
 	}
-	if err := inj.Hook()(context.Background(), "deadbeef", 0); err != nil {
+	if err := inj.Hook()(context.Background(), "deadbeef"); err != nil {
 		t.Fatalf("zero injector errored: %v", err)
 	}
 }
 
 func TestEngineInjectorDeterministic(t *testing.T) {
-	inj := &EngineInjector{Seed: 42, PanicPct: 20, SlowPct: 20, FlakyPct: 20}
+	inj := &EngineInjector{Seed: 42, PanicPct: 20, SlowPct: 20}
 	hashes := []string{"a1", "b2", "c3", "d4", "e5", "f6", "0123abcd"}
 	for _, h := range hashes {
 		k1, k2 := inj.Kind(h), inj.Kind(h)
@@ -30,7 +28,7 @@ func TestEngineInjectorDeterministic(t *testing.T) {
 	}
 	// A different seed must change at least one assignment across a
 	// reasonable sample (overwhelmingly likely; deterministic given seeds).
-	other := &EngineInjector{Seed: 43, PanicPct: 20, SlowPct: 20, FlakyPct: 20}
+	other := &EngineInjector{Seed: 43, PanicPct: 20, SlowPct: 20}
 	same := true
 	for _, h := range hashes {
 		if inj.Kind(h) != other.Kind(h) {
@@ -44,10 +42,13 @@ func TestEngineInjectorDeterministic(t *testing.T) {
 
 func TestEngineInjectorForce(t *testing.T) {
 	inj := &EngineInjector{Force: map[string]JobFaultKind{
-		"p": FaultPanic, "s": FaultSlow, "f": FaultFlaky,
+		"p": FaultPanic, "s": FaultSlow,
 	}}
 	if got := inj.Kind("p"); got != FaultPanic {
 		t.Fatalf("forced panic: got %v", got)
+	}
+	if got := inj.Kind("s"); got != FaultSlow {
+		t.Fatalf("forced slow: got %v", got)
 	}
 	hook := inj.Hook()
 
@@ -57,17 +58,8 @@ func TestEngineInjectorForce(t *testing.T) {
 				t.Errorf("FaultPanic hook did not panic")
 			}
 		}()
-		hook(context.Background(), "p", 0)
+		hook(context.Background(), "p")
 	}()
-
-	// Flaky: fails attempt 0 with a budget-typed error, passes attempt 1.
-	err := hook(context.Background(), "f", 0)
-	if !errors.Is(err, ErrInjected) || !errors.Is(err, core.ErrBudgetExceeded) {
-		t.Fatalf("flaky attempt 0: got %v, want ErrInjected wrapping ErrBudgetExceeded", err)
-	}
-	if err := hook(context.Background(), "f", 1); err != nil {
-		t.Fatalf("flaky attempt 1: got %v, want nil", err)
-	}
 }
 
 func TestEngineInjectorSlowHonoursContext(t *testing.T) {
@@ -79,7 +71,7 @@ func TestEngineInjectorSlowHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithTimeoutCause(context.Background(), 10*time.Millisecond, cause)
 	defer cancel()
 	start := time.Now()
-	err := inj.Hook()(ctx, "s", 0)
+	err := inj.Hook()(ctx, "s")
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("slow fault ignored cancellation (took %v)", elapsed)
 	}

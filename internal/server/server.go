@@ -591,7 +591,6 @@ func (s *Server) StatsReport() StatsReport {
 		t.Workers += snap.Workers
 		t.Timeouts += snap.Timeouts
 		t.Panics += snap.Panics
-		t.Retries += snap.Retries
 		t.QuarantineSkips += snap.QuarantineSkips
 		busyWeighted += snap.Utilization * float64(snap.Workers)
 	}

@@ -240,7 +240,7 @@ func TestServiceAdmissionControl(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: engine.Config{
 		Workers:      1,
 		SubmitWindow: 1,
-		FaultHook: func(ctx context.Context, hash string, attempt int) error {
+		FaultHook: func(ctx context.Context, hash string) error {
 			// Block exactly the first job so the window stays full while
 			// the test probes; later jobs run free. The send waits for the
 			// test's receive: on a loaded host the job can reach the engine
@@ -295,7 +295,7 @@ func TestServiceQuarantine(t *testing.T) {
 	poison := figures.Figure5().CanonicalHash()
 	_, ts := newTestServer(t, Config{Engine: engine.Config{
 		Workers: 1,
-		FaultHook: func(ctx context.Context, hash string, attempt int) error {
+		FaultHook: func(ctx context.Context, hash string) error {
 			if hash == poison {
 				panic("synthetic fault for test")
 			}
@@ -325,7 +325,7 @@ func TestServiceQuarantine(t *testing.T) {
 func TestServiceJournalWarmBoot(t *testing.T) {
 	dir := t.TempDir()
 	poison := figures.Figure2().CanonicalHash()
-	hook := func(ctx context.Context, hash string, attempt int) error {
+	hook := func(ctx context.Context, hash string) error {
 		if hash == poison {
 			panic("synthetic fault for test")
 		}

@@ -293,8 +293,8 @@ func (r *Report) TopTotalMS() float64 {
 }
 
 // Counter returns the named counter's value, or 0 when absent (including
-// on a nil report). Failure-mode counters like "engine/retry" are read
-// through this in tests and reports.
+// on a nil report). Failure-mode counters like "engine/quarantined" are
+// read through this in tests and reports.
 func (r *Report) Counter(name string) int64 {
 	if r == nil {
 		return 0
