@@ -87,6 +87,8 @@ fuzz:
 # escaping, and decode any JSON exactly as the map type does.
 	$(FUZZ)='FuzzExportJSON$$' ./internal/core/
 
+# Every example program (CI runs `make examples`). TestExamplesListed
+# fails when an examples/*/main.go is missing here.
 examples:
 	go run ./examples/quickstart
 	go run ./examples/multirate
@@ -94,6 +96,7 @@ examples:
 	go run ./examples/multitask
 	go run ./examples/protocol
 	go run ./examples/atmserver
+	go run ./examples/modem
 
 atmbench:
 	go run ./cmd/atmbench

@@ -69,3 +69,42 @@ func TestFuzzTargetsListed(t *testing.T) {
 		}
 	}
 }
+
+// TestExamplesListed checks that `make examples`, which CI runs, runs
+// every example program (each examples/<name>/main.go) and nothing else:
+// an example missing from the Makefile could stop working unnoticed.
+func TestExamplesListed(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := regexp.MustCompile(`(?m)^examples:\n((?:\t.*\n)*)`).FindSubmatch(mk)
+	if target == nil {
+		t.Fatal("the Makefile has no examples target")
+	}
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\tgo run \./examples/(\w+)$`).FindAllSubmatch(target[1], -1) {
+		listed[string(m[1])] = true
+	}
+	mains, err := filepath.Glob("examples/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, path := range mains {
+		found[filepath.Base(filepath.Dir(path))] = true
+	}
+	if len(found) == 0 {
+		t.Fatal("no examples/*/main.go found")
+	}
+	for name := range found {
+		if !listed[name] {
+			t.Errorf("examples/%s is missing from the Makefile's examples target", name)
+		}
+	}
+	for name := range listed {
+		if !found[name] {
+			t.Errorf("the Makefile's examples target runs examples/%s, which has no main.go", name)
+		}
+	}
+}
