@@ -72,15 +72,12 @@ func (c *cache) count(key, outcome string) {
 }
 
 // put stores val under key, evicting the least-recently-used entry past
-// capacity.
+// capacity. key is not stored: only a flight's leader calls put, and it
+// does so before releasing the flight, so no second leader for the key
+// can start until the entry is there.
 func (c *cache) put(key string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.lru.MoveToFront(el)
-		return
-	}
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
 	for len(c.entries) > c.capacity {
 		last := c.lru.Back()

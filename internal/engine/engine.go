@@ -140,7 +140,7 @@ const (
 	// already quarantined; Err wraps ErrQuarantined.
 	StatusQuarantined JobStatus = "quarantined"
 	// StatusError: a residual job-level failure that is none of the
-	// above (e.g. a persistent injected fault).
+	// above (e.g. an injected fault).
 	StatusError JobStatus = "error"
 )
 

@@ -2,8 +2,9 @@ package engine
 
 // Robustness tests for the batch engine: per-job deadlines, panic
 // quarantine, one run per job, bounded submission windows, and
-// submit/Close races. Faults are injected deterministically through Config.FaultHook
-// via fault.EngineInjector, never with ad-hoc sleeps in analysis code.
+// submit/Close races. Faults are injected deterministically through
+// Config.FaultHook via fault.EngineInjector, never with ad-hoc sleeps in
+// analysis code.
 
 import (
 	"context"

@@ -10,10 +10,10 @@ import (
 // This file is the engine-level injector: where fault.go perturbs RTOS
 // event streams, EngineInjector perturbs analysis *jobs* — panicking
 // workers and jobs that outlive their deadline — through the engine's
-// Config.FaultHook. Decisions are a pure function
-// of (seed, canonical hash), so a faulted corpus run is reproducible
-// net-for-net, which is what lets the robustness tests assert that the
-// healthy nets' reports stay byte-identical to a fault-free run.
+// Config.FaultHook. Decisions are a pure function of (seed, canonical
+// hash), so a faulted corpus run is reproducible net-for-net, which is
+// what lets the robustness tests assert that the healthy nets' reports
+// stay byte-identical to a fault-free run.
 
 // ErrInjected marks every error produced by EngineInjector, so tests can
 // tell an injected failure from a genuine one with errors.Is.
