@@ -42,8 +42,9 @@ type lookup struct {
 // compute waits until a second lookup has joined its flight and then ends
 // with fail. The join is read off the "cache/k/wait" counter, which the
 // waiter records before it blocks, so no timing decides the interleaving.
-// It returns the cache, its tracer and the leader's outcome once the
-// waiter's lookup has ended too; the waiter's value must be "waiter".
+// The waiter's own compute returns "waiter", and the test fails unless
+// that is what its lookup ends with. It returns the cache, its tracer and
+// the leader's outcome.
 func leaderFailsAfterWaiterJoins(t *testing.T, fail func() (any, error)) (*cache, *trace.Tracer, lookup) {
 	t.Helper()
 	tr := trace.New()
