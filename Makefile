@@ -79,9 +79,6 @@ fuzz:
 # envelope with the routing fields spliced in must equal the encoder's
 # output for the coordinator's envelope.
 	$(FUZZ)='FuzzEnvelopeSplice$$' ./internal/coord/
-# Fuzz of the schedule-cache codec: decoding never panics, and every
-# payload it accepts re-encodes to one that decodes the same.
-	$(FUZZ)='FuzzSchedCodec$$' ./internal/engine/
 # Differential fuzz of the schedule export's name-sorted entries: they
 # must marshal as the maps they replace, with and without HTML
 # escaping, and decode any JSON exactly as the map type does.

@@ -104,7 +104,7 @@ func BenchmarkMapReductionsToTwin(b *testing.B) {
 }
 
 // BenchmarkRebuildSchedule measures the rebuild of a schedule from its
-// decoded canonical sequences, the step every sched: hit and miss ends
+// packed canonical positions, the step every sched: hit and miss ends
 // with.
 func BenchmarkRebuildSchedule(b *testing.B) {
 	for _, x := range handoffNets(b) {
@@ -113,11 +113,11 @@ func BenchmarkRebuildSchedule(b *testing.B) {
 		if err != nil {
 			b.Fatalf("%s: %v", x.name, err)
 		}
-		seqs := cachedSequences(s)
+		p := packSchedule(x.net.NumTransitions(), s.Cycles)
 		b.Run(x.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := rebuildSchedule(x.net, cf, seqs); err != nil {
+				if _, err := rebuildSchedule(x.net, cf, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -62,7 +62,9 @@ type Config struct {
 	// pool is the pipeline's only parallelism: each job runs on one
 	// worker goroutine, schedulability sweep included.
 	Workers int
-	// Core is the solver configuration applied to every job.
+	// Core is the solver configuration applied to every job, except its
+	// Trace and Ctx: each job replaces them with its own tracer and its
+	// own context, which carries the JobTimeout deadline.
 	Core core.Options
 	// Timing, when enabled (Timing.MK set), appends a weakly-hard
 	// timing-safety verdict — and optionally overload margins — to every
@@ -449,12 +451,12 @@ func (e *Engine) synthesize(ctx context.Context, n *petri.Net, cf *petri.Canonic
 // alone. Under KeepDuplicateReductions the twin is solved by core.Solve,
 // the reference sweep, instead.
 //
-// Hit and miss alike rebuild the returned Schedule from the decoded
+// Hit and miss alike rebuild the returned Schedule from the packed
 // payload, which is what makes warm results byte-identical to cold ones.
 // Failures are never cached or shared: the job that computed one gets a
 // *solveError carrying its own enumeration's outcome.
 func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.CanonicalForm, canonTIs []invariant.TInvariant, tr *trace.Tracer) (*core.Schedule, error) {
-	v, err := e.cache.getOrCompute(schedKey(cf.Hash), func() (any, error) {
+	v, err := e.cache.getOrCompute("sched:"+cf.Hash, func() (any, error) {
 		sp := tr.StartDetail("core/reduce")
 		reds, rerr := core.EnumerateDistinctReductionsCtx(ctx, n, e.cfg.Core.MaxAllocations)
 		sp.End()
@@ -476,18 +478,14 @@ func (e *Engine) schedule(ctx context.Context, n *petri.Net, cf *petri.Canonical
 		if err != nil {
 			return nil, &solveError{err: err, reds: reds, redsErr: rerr}
 		}
-		enc := encodeSchedule(cachedSequences(s))
-		tr.Add("cache/sched/bytes", int64(len(enc)))
-		return enc, nil
+		p := packSchedule(n.NumTransitions(), s.Cycles)
+		tr.Add("cache/sched/bytes", int64(len(p.pos)))
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	seqs, err := decodeSchedule(v.([]byte))
-	if err != nil {
-		return nil, err
-	}
-	return rebuildSchedule(n, cf, seqs)
+	return rebuildSchedule(n, cf, v.(*schedPayload))
 }
 
 // solveError is a failed schedule computation. It unwraps to the failure
@@ -503,26 +501,6 @@ type solveError struct {
 func (e *solveError) Error() string { return e.err.Error() }
 func (e *solveError) Unwrap() error { return e.err }
 
-// cachedSequences is the payload of a schedule solved on the canonical
-// twin, whose transition indices are canonical positions: each cycle's
-// firing sequence, cycles sorted lexicographically.
-func cachedSequences(s *core.Schedule) [][]int {
-	steps := 0
-	for _, cyc := range s.Cycles {
-		steps += len(cyc.Sequence)
-	}
-	buf := make([]int, steps)
-	seqs := make([][]int, len(s.Cycles))
-	for i, cyc := range s.Cycles {
-		seqs[i], buf = buf[:len(cyc.Sequence):len(cyc.Sequence)], buf[len(cyc.Sequence):]
-		for j, t := range cyc.Sequence {
-			seqs[i][j] = int(t)
-		}
-	}
-	slices.SortFunc(seqs, slices.Compare)
-	return seqs
-}
-
 // rebuildSchedule maps canonical firing sequences into n's index space and
 // reads each cycle's allocation off its sequence: a cycle fires exactly
 // the transitions its reduction keeps, so at a choice whose place the
@@ -534,11 +512,11 @@ func cachedSequences(s *core.Schedule) [][]int {
 // a rebuilt cycle's kept sets, so the reduction algorithm runs only if a
 // caller asks for them.
 //
-// One pass over each sequence fills its count vector and its choices,
-// through a transition→cluster table, and the schedule's sequences,
-// count vectors, choices, allocations and cycles each come from one
-// backing array.
-func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, seqs [][]int) (*core.Schedule, error) {
+// One pass over each cycle's positions, read in place, fills its
+// sequence, count vector and choices, through a transition→cluster
+// table, and the schedule's sequences, count vectors, choices,
+// allocations and cycles each come from one backing array.
+func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, p *schedPayload) (*core.Schedule, error) {
 	clusters := n.FreeChoiceSets()
 	count, saturated := core.CountAllocationsSat(n)
 	nT, nC := n.NumTransitions(), len(clusters)
@@ -551,29 +529,26 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, seqs [][]int) (*core
 			clusterOf[t] = i
 		}
 	}
-	steps := 0
-	for _, cseq := range seqs {
-		steps += len(cseq)
-	}
-	seqBuf := make([]petri.Transition, steps)
-	countBuf := make([]int, len(seqs)*nT)
-	chosenBuf := make([]petri.Transition, len(seqs)*nC)
-	allocs := make([]core.Allocation, len(seqs))
+	nCycles := len(p.ends)
+	seqBuf := make([]petri.Transition, len(p.pos)/p.width)
+	countBuf := make([]int, nCycles*nT)
+	chosenBuf := make([]petri.Transition, nCycles*nC)
+	allocs := make([]core.Allocation, nCycles)
 	sched := &core.Schedule{
 		Net:                      n,
-		Cycles:                   make([]core.Cycle, len(seqs)),
+		Cycles:                   make([]core.Cycle, nCycles),
 		AllocationCount:          count,
 		AllocationCountSaturated: saturated,
 	}
 	// alternatives[k] counts the alternatives of cluster k the cycle fires.
 	alternatives := make([]int, nC)
-	for i, cseq := range seqs {
-		var seq []petri.Transition
-		seq, seqBuf = seqBuf[:len(cseq):len(cseq)], seqBuf[len(cseq):]
+	start := 0
+	for i, end := range p.ends {
+		seq := seqBuf[start:end:end]
 		counts := countBuf[i*nT : (i+1)*nT : (i+1)*nT]
 		chosen := chosenBuf[i*nC : (i+1)*nC : (i+1)*nC]
-		for j, pos := range cseq {
-			t := cf.TransAt[pos]
+		for j := range seq {
+			t := cf.TransAt[p.at(start+j)]
 			seq[j] = t
 			counts[t]++
 			if k := clusterOf[t]; k >= 0 && counts[t] == 1 {
@@ -598,6 +573,7 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, seqs [][]int) (*core
 			Counts:    counts,
 			Reduction: core.LazyReduction(n, &allocs[i]),
 		}
+		start = end
 	}
 	return sched, nil
 }
@@ -724,7 +700,10 @@ func (e *Engine) analyzeJob(n *petri.Net) Result {
 	case cf != nil:
 		rep = minimalReport(n, cf)
 	default: // canonicalisation panicked: there is no hash
-		rep = &NetReport{Name: n.Name()}
+		rep = &NetReport{}
+		if n != nil {
+			rep.Name = n.Name()
+		}
 	}
 	res := Result{Report: rep, Elapsed: time.Since(t0), Trace: tr.Report(), Status: status, Err: err}
 	e.tracer.MergeReport(res.Trace)
@@ -739,13 +718,14 @@ func (e *Engine) analyzeJob(n *petri.Net) Result {
 // its typed error. It never panics and never blocks past the deadline by
 // more than one pipeline checkpoint.
 func guard[T any](e *Engine, n *petri.Net, tr *trace.Tracer, body func(ctx context.Context, cf *petri.CanonicalForm) (T, error)) (out T, cf *petri.CanonicalForm, status JobStatus, err error) {
+	t0 := time.Now()
 	cf, err = e.canonical(n, tr)
 	if err != nil {
 		// Canonicalisation itself panicked: there is no hash to
 		// quarantine, but the job still returns typed instead of killing
 		// the worker.
 		e.counters.Panics.Add(1)
-		tr.Add("engine/panic", 1)
+		tr.Observe("engine/panic", time.Since(t0), true)
 		return out, nil, StatusPanicked, err
 	}
 	if reason, ok := e.quarantine.Load(cf.Hash); ok {
@@ -754,7 +734,7 @@ func guard[T any](e *Engine, n *petri.Net, tr *trace.Tracer, body func(ctx conte
 		return out, cf, StatusQuarantined, fmt.Errorf("%w: %s (%s)", ErrQuarantined, cf.Hash, reason.(string))
 	}
 
-	t0 := time.Now()
+	t0 = time.Now()
 	ctx, cancel := e.jobContext()
 	out, err = func() (out T, err error) {
 		defer func() {

@@ -168,6 +168,51 @@ func TestEngineCallOrderInvariant(t *testing.T) {
 	}
 }
 
+// TestEngineKeepDuplicateReductions runs the engine's reference sweep,
+// core.Solve on the twin under Core.KeepDuplicateReductions, beside the
+// default sweep over the figures and netgen.RandomNet seeds 1–40: both
+// give the same verdict and reductions, a second Analyze repeats the
+// first byte for byte, and every cycle of the reference engine's
+// schedule is a finite complete cycle.
+func TestEngineKeepDuplicateReductions(t *testing.T) {
+	nets := corpus()[:len(figures.All())]
+	for seed := uint64(1); seed <= 40; seed++ {
+		nets = append(nets, netgen.RandomNet(seed, netgen.DefaultConfig()))
+	}
+	ref := New(Config{Workers: 1, Core: core.Options{KeepDuplicateReductions: true}})
+	defer ref.Close()
+	def := New(Config{Workers: 1})
+	defer def.Close()
+	schedulable := 0
+	for _, n := range nets {
+		rep, want := analyze(t, ref, n), analyze(t, def, n)
+		if rep.Schedulable != want.Schedulable || !slices.EqualFunc(rep.Reductions, want.Reductions, slices.Equal) {
+			t.Fatalf("%s: reference sweep gives schedulable %v with reductions %v, the default %v with %v",
+				n.Name(), rep.Schedulable, rep.Reductions, want.Schedulable, want.Reductions)
+		}
+		if got, first := reportJSON(t, analyze(t, ref, n)), reportJSON(t, rep); got != first {
+			t.Fatalf("%s: second Analyze differs from the first:\n%s\nvs\n%s", n.Name(), got, first)
+		}
+		if !rep.Schedulable {
+			continue
+		}
+		schedulable++
+		syn, err := ref.Synthesize(n)
+		if err != nil {
+			t.Fatalf("%s: %v", n.Name(), err)
+		}
+		for i, c := range syn.Schedule.Cycles {
+			if err := core.VerifyCompleteCycle(n, c.Sequence); err != nil {
+				t.Fatalf("%s: cycle %d: %v", n.Name(), i, err)
+			}
+		}
+	}
+	if schedulable == 0 {
+		t.Fatal("no schedulable net checked")
+	}
+	t.Logf("%d of %d nets schedulable", schedulable, len(nets))
+}
+
 // TestEngineAllocationsMatchEnumeration checks the allocations the engine
 // reads off cached firing sequences. Every cycle of a schedule, built cold
 // or read from the cache by a shuffled twin, keeps exactly the transitions
@@ -240,16 +285,16 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 func TestRebuildRejectsTwoAlternatives(t *testing.T) {
 	n := figures.Figure4()
 	cf := n.CanonicalForm()
-	pos := func(name string) int {
+	pos := func(name string) petri.Transition {
 		tr, _ := n.TransitionByName(name)
-		return cf.TransPos[tr]
+		return petri.Transition(cf.TransPos[tr])
 	}
-	good := []int{pos("t1"), pos("t2"), pos("t1"), pos("t2"), pos("t4")}
-	if _, err := rebuildSchedule(n, cf, [][]int{good}); err != nil {
+	good := core.Cycle{Sequence: []petri.Transition{pos("t1"), pos("t2"), pos("t1"), pos("t2"), pos("t4")}}
+	if _, err := rebuildSchedule(n, cf, packSchedule(n.NumTransitions(), []core.Cycle{good})); err != nil {
 		t.Fatalf("rebuild of a valid cycle: %v", err)
 	}
-	bad := []int{pos("t1"), pos("t2"), pos("t1"), pos("t3"), pos("t5"), pos("t5")}
-	_, err := rebuildSchedule(n, cf, [][]int{good, bad})
+	bad := core.Cycle{Sequence: []petri.Transition{pos("t1"), pos("t2"), pos("t1"), pos("t3"), pos("t5"), pos("t5")}}
+	_, err := rebuildSchedule(n, cf, packSchedule(n.NumTransitions(), []core.Cycle{good, bad}))
 	if want := `engine: cached cycle fires 2 alternatives of choice "p1" of net "figure4"`; err == nil || err.Error() != want {
 		t.Fatalf("rebuild of a cycle firing t2 and t3: err = %v, want %s", err, want)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"fcpn/internal/core"
 	"fcpn/internal/fault"
+	"fcpn/internal/figures"
 	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
 )
@@ -117,11 +118,8 @@ func TestEngineFaultedCorpus(t *testing.T) {
 	if s.QueueDepth != 0 {
 		t.Errorf("queue depth %d after batch drained", s.QueueDepth)
 	}
-	if got := s.Trace.Counter("engine/panic") + func() int64 {
-		p, _ := s.Trace.Phase("engine/panic")
-		return p.Count
-	}(); got == 0 {
-		t.Errorf("no engine/panic trace evidence recorded")
+	if p, _ := s.Trace.Phase("engine/panic"); p.Count != 1 {
+		t.Errorf("engine/panic phase recorded %d times, want 1", p.Count)
 	}
 
 	// Resubmitting the panicking net must be refused without running.
@@ -141,6 +139,38 @@ func TestEngineFaultedCorpus(t *testing.T) {
 	// Synthesize must refuse it too (same quarantine set).
 	if _, err := e.Synthesize(panicNet); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("Synthesize of quarantined net: err=%v", err)
+	}
+}
+
+// TestEngineNilNetPanics checks that a nil net costs its own job only:
+// canonicalising it panics, and the job ends panicked, with the
+// engine/panic detail phase in its trace, while the next net in the batch
+// and the engine's later jobs run as usual.
+func TestEngineNilNetPanics(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	results, err := e.AnalyzeBatch([]*petri.Net{nil, figures.Figure4()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[0]
+	if r.Status != StatusPanicked || !errors.Is(r.Err, ErrJobPanicked) {
+		t.Fatalf("nil net: status=%s err=%v", r.Status, r.Err)
+	}
+	if p, ok := r.Trace.Phase("engine/panic"); !ok || p.Count != 1 || !p.Detail {
+		t.Fatalf("nil net's trace has engine/panic %+v (found %v), want one detail phase", p, ok)
+	}
+	if r := results[1]; r.Status != StatusOK || !r.Report.Schedulable {
+		t.Fatalf("figure4 after the nil net: status=%s err=%v", r.Status, r.Err)
+	}
+	if _, err := e.Analyze(nil); !errors.Is(err, ErrJobPanicked) {
+		t.Fatalf("Analyze(nil): err=%v, want ErrJobPanicked", err)
+	}
+	if _, err := e.Synthesize(nil); !errors.Is(err, ErrJobPanicked) {
+		t.Fatalf("Synthesize(nil): err=%v, want ErrJobPanicked", err)
+	}
+	if rep := analyze(t, e, figures.Figure5()); !rep.Schedulable {
+		t.Fatalf("figure5 after the nil jobs: %s", rep.ScheduleError)
 	}
 }
 
