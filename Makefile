@@ -72,6 +72,10 @@ fuzz:
 # distinct reduction of a generated net must be restriction-exact, and
 # restricting the parent's semiflows must match Farkas on each subnet.
 	$(FUZZ)='FuzzCheckReductionKeptSets$$' ./internal/core/
+# Differential fuzz of the distinct-reduction search: on generated nets
+# it must find exactly the kept-transition sets that reducing every
+# T-allocation finds, each once, and CompareKept must order them.
+	$(FUZZ)='FuzzDistinctReductions$$' ./internal/core/
 # Differential fuzz of the weakly-hard (m,k) monitor: the O(1)
 # sliding-window automaton must agree with the brute-force oracle.
 	$(FUZZ)='FuzzWeaklyHard$$' ./internal/timing/

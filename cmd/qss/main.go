@@ -57,7 +57,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	showIR := fs.Bool("ir", false, "print the generated code's intermediate tree")
 	showTree := fs.Bool("tree", false, "print the schedule as a decision tree")
 	treeDot := fs.Bool("tree-dot", false, "print the decision tree as Graphviz dot")
-	maxAlloc := fs.Int("max-allocations", 0, "cap on T-allocations (0 = default)")
+	maxAlloc := fs.Int("max-allocations", 0, "cap on distinct T-reductions (0 = default)")
 	guards := fs.Bool("guards", false, "with -c: emit runtime overflow checks against the static buffer bounds")
 	verifyBounds := fs.Bool("verify-bounds", false, "replay the schedule under seeded fault scenarios and check buffer bounds")
 	scenarios := fs.Int("scenarios", 10, "with -verify-bounds: number of seeded fault scenarios")

@@ -110,9 +110,6 @@ type Config struct {
 	Seed uint64
 	// MaxBodyBytes bounds POST /v1/analyze bodies (≤ 0 → 1 MiB).
 	MaxBodyBytes int64
-	// Client overrides the backend HTTP client (tests); default has a
-	// 2-minute timeout.
-	Client *http.Client
 }
 
 // Breaker states.
@@ -216,14 +213,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:   cfg,
-		hc:    cfg.Client,
+		hc:    &http.Client{Timeout: 2 * time.Minute},
 		bo:    NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.Seed),
 		tr:    trace.New(),
 		start: time.Now(),
 		cache: map[string][]byte{},
-	}
-	if c.hc == nil {
-		c.hc = &http.Client{Timeout: 2 * time.Minute}
 	}
 	for _, u := range cfg.Backends {
 		u = strings.TrimRight(u, "/")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"fcpn/internal/petri"
@@ -124,8 +125,8 @@ func CountAllocationsSat(n *petri.Net) (count int, saturated bool) {
 // choice clusters whose choice place actually survives in the current
 // reduction — clusters cut away by an upstream decision contribute no new
 // reductions, which is why the ATM model's 2¹¹ allocations collapse to a
-// few dozen reduce calls. The search is output-sensitive:
-// O(distinct reductions × branching) Reduce invocations.
+// few dozen runs of the reduction algorithm. The search is
+// output-sensitive: O(distinct reductions × branching) runs.
 //
 // maxReductions caps the result (≤ 0 means Options' allocation default).
 func EnumerateDistinctReductions(n *petri.Net, maxReductions int) ([]*Reduction, error) {
@@ -133,7 +134,7 @@ func EnumerateDistinctReductions(n *petri.Net, maxReductions int) ([]*Reduction,
 }
 
 // EnumerateDistinctReductionsCtx is EnumerateDistinctReductions with a
-// cancellation context (nil never cancels), checked once per Reduce call
+// cancellation context (nil never cancels), checked once per search node
 // so a per-job deadline can interrupt an adversarial choice structure
 // mid-search.
 func EnumerateDistinctReductionsCtx(ctx context.Context, n *petri.Net, maxReductions int) ([]*Reduction, error) {
@@ -142,70 +143,61 @@ func EnumerateDistinctReductionsCtx(ctx context.Context, n *petri.Net, maxReduct
 	}
 	clusters := n.FreeChoiceSets()
 	var out []*Reduction
-	seen := map[string]bool{}
-	// One reducer serves the whole search: its scratch buffers (alive
-	// masks, producer counts, worklist) are reused across every reduce
-	// call, so the enumeration's cost per node is O(arcs) with no
-	// per-call allocation beyond the result.
+	seen := map[string]struct{}{}
+	var key []byte
+	// One reducer and one scratch T-allocation serve the whole search: a
+	// node only reads the reducer's alive masks, and only a leaf whose
+	// kept transitions are new gets an Allocation and a Reduction of its
+	// own.
 	rd := newReducer(n)
-
+	alloc := &Allocation{Clusters: clusters, Chosen: make([]petri.Transition, len(clusters))}
 	// assignment[i] = chosen alternative index for cluster i, -1 if the
-	// cluster has not been forced by the search yet (defaults to 0).
-	var explore func(assignment []int) error
-	explore = func(assignment []int) error {
+	// cluster has not been forced by the search yet (defaults to 0). A
+	// node sets the entry it branches on and resets it before returning.
+	assignment := make([]int, len(clusters))
+	for i := range assignment {
+		assignment[i] = -1
+	}
+	alive := func(p petri.Place) bool { return rd.aliveP[p] }
+	var explore func() error
+	explore = func() error {
 		if err := ctxErr(ctx); err != nil {
 			return fmt.Errorf("reduction enumeration interrupted after %d distinct reductions: %w", len(out), err)
 		}
-		chosen := make([]petri.Transition, len(clusters))
 		for i, c := range clusters {
-			alt := assignment[i]
-			if alt < 0 {
-				alt = 0
-			}
-			chosen[i] = c.Transitions[alt]
+			alloc.Chosen[i] = c.Transitions[max(assignment[i], 0)]
 		}
-		red := rd.reduce(&Allocation{Clusters: clusters, Chosen: chosen})
+		rd.run(alloc)
 		// Find the first unforced cluster whose choice place survives:
 		// its resolution genuinely matters, so branch on it.
 		for i, c := range clusters {
-			if assignment[i] >= 0 {
-				continue
-			}
-			kept := false
-			for _, p := range c.Places {
-				if red.KeepsPlace(p) {
-					kept = true
-					break
-				}
-			}
-			if !kept {
+			if assignment[i] >= 0 || !slices.ContainsFunc(c.Places, alive) {
 				continue
 			}
 			for alt := range c.Transitions {
-				next := append([]int(nil), assignment...)
-				next[i] = alt
-				if err := explore(next); err != nil {
+				assignment[i] = alt
+				if err := explore(); err != nil {
 					return err
 				}
 			}
+			assignment[i] = -1
 			return nil
 		}
 		// Fully determined: record if new.
-		key := red.TransitionSetKey()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, red)
-			if len(out) > maxReductions {
-				return fmt.Errorf("%w: more than %d distinct T-reductions", ErrTooManyAllocations, maxReductions)
-			}
+		keptT := rd.keptTransitions()
+		key = appendKeptKey(key[:0], keptT)
+		if _, dup := seen[string(key)]; dup {
+			return nil
+		}
+		seen[string(key)] = struct{}{}
+		leaf := &Allocation{Clusters: clusters, Chosen: slices.Clone(alloc.Chosen)}
+		out = append(out, rd.result(leaf, keptT))
+		if len(out) > maxReductions {
+			return fmt.Errorf("%w: more than %d distinct T-reductions", ErrTooManyAllocations, maxReductions)
 		}
 		return nil
 	}
-	initial := make([]int, len(clusters))
-	for i := range initial {
-		initial[i] = -1
-	}
-	if err := explore(initial); err != nil {
+	if err := explore(); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fcpn/internal/figures"
-	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
 )
 
@@ -48,23 +47,11 @@ func BenchmarkReduceSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rd := newReducer(n)
 		for _, a := range allocs {
-			rd.reduce(a)
+			rd.run(a)
 		}
 	}
 	// After the loop: ResetTimer deletes metrics reported before it.
 	b.ReportMetric(float64(len(allocs)), "allocations")
-}
-
-func BenchmarkEnumerateDistinctReductions(b *testing.B) {
-	n := netgen.RandomSchedulablePipeline(1234, netgen.Config{
-		MaxSources: 2, MaxDepth: 6, MaxBranch: 2, MaxWeight: 2,
-		ChoicePct: 60, MultiratePct: 20,
-	})
-	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateDistinctReductions(n, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkCheckReduction(b *testing.B) {

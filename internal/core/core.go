@@ -33,9 +33,11 @@ import (
 
 // Options tunes the solver. The zero value uses sensible defaults.
 type Options struct {
-	// MaxAllocations caps the number of enumerated T-allocations
-	// (default 65536). The count is exponential in the number of
-	// free-choice places; nets beyond the cap return ErrTooManyAllocations.
+	// MaxAllocations caps the number of distinct T-reductions the sweep
+	// enumerates (default 65536); under KeepDuplicateReductions it caps
+	// the T-allocations instead, whose count is exponential in the number
+	// of free-choice places. Nets beyond the cap return
+	// ErrTooManyAllocations.
 	MaxAllocations int
 	// MaxRows caps the Farkas semiflow enumeration (default from
 	// internal/invariant).
@@ -95,7 +97,8 @@ func (o Options) maxAllocations() int {
 const maxCycleLength = 1 << 20
 
 // ErrTooManyAllocations is returned when the choice structure exceeds
-// Options.MaxAllocations.
+// Options.MaxAllocations: more distinct T-reductions, or more
+// T-allocations under KeepDuplicateReductions, than the cap.
 var ErrTooManyAllocations = errors.New("core: too many T-allocations")
 
 // ErrBudgetExceeded is the typed cause for every structured step budget in

@@ -77,7 +77,7 @@ func TestDedupMatchesFromScratch(t *testing.T) {
 		// reducing every allocation finds, each once.
 		want := map[string]bool{}
 		for _, a := range allocs {
-			want[Reduce(n, a).TransitionSetKey()] = true
+			want[fmt.Sprint(Reduce(n, a).KeptTransitions())] = true
 		}
 		reds, err := EnumerateDistinctReductions(n, 0)
 		if err != nil {
@@ -85,7 +85,7 @@ func TestDedupMatchesFromScratch(t *testing.T) {
 		}
 		got := map[string]bool{}
 		for _, r := range reds {
-			got[r.TransitionSetKey()] = true
+			got[fmt.Sprint(r.KeptTransitions())] = true
 		}
 		if len(got) != len(reds) || !maps.Equal(got, want) {
 			t.Errorf("%s: distinct search found %d reductions (%d keys), reference %d keys",

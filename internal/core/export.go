@@ -194,7 +194,7 @@ func ImportSchedule(n *petri.Net, ex *ScheduleExport) (*Schedule, error) {
 			}
 		}
 		red := Reduce(n, alloc)
-		key := red.TransitionSetKey()
+		key := string(appendKeptKey(nil, red.keptT))
 		if seen[key] {
 			return nil, fmt.Errorf("core: cycle %d duplicates the T-reduction of an earlier cycle", ci)
 		}

@@ -10,8 +10,9 @@ import (
 	"fcpn/internal/petri"
 )
 
-// handoffNets is the corpus of the schedule hand-off benchmarks: the ATM
-// server (2,048 allocations), the modem, a heavy generated pipeline (4
+// handoffNets is the corpus of the schedule hand-off benchmarks and of
+// the distinct-reduction search's: the ATM server (2,048 allocations, 56
+// distinct T-reductions), the modem, a heavy generated pipeline (4
 // sources, depth 5) and netgen.ChoiceFan(10), whose 1,024 allocations are
 // 1,024 distinct T-reductions and so 1,024 cycles.
 func handoffNets(b *testing.B) []struct {
@@ -49,6 +50,21 @@ func BenchmarkScheduleExport(b *testing.B) {
 				_ = s.Export()
 			}
 			b.ReportMetric(float64(len(s.Cycles)), "cycles")
+		})
+	}
+}
+
+// BenchmarkEnumerateDistinctReductions measures the distinct-reduction
+// search, which every schedule computation starts with.
+func BenchmarkEnumerateDistinctReductions(b *testing.B) {
+	for _, x := range handoffNets(b) {
+		b.Run(x.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.EnumerateDistinctReductions(x.net, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

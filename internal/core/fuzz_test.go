@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"fcpn/internal/invariant"
@@ -58,6 +60,66 @@ func FuzzCheckReductionKeptSets(f *testing.F) {
 		got := distillOutcome(solveReductions(n, reds, Options{}, checkAids{parentTIs: parentTIs, haveParent: true}))
 		if got != want {
 			t.Fatalf("seed=%d gen=%d: kept-set sweep diverges from the reference:\n got: %s\nwant: %s", seed, gen, got, want)
+		}
+	})
+}
+
+// FuzzDistinctReductions holds the distinct-reduction search to the
+// allocation product on RandomNet nets with at most 4,096 allocations:
+// the search's reductions keep exactly the transition sets Reduce keeps
+// over every allocation, each once; each keeps what Reduce keeps under
+// its own allocation; and CompareKept is antisymmetric, returns 0 only
+// for equal sets, and sorts first the reduction that keeps the
+// lowest-indexed transition the other removes.
+func FuzzDistinctReductions(f *testing.F) {
+	f.Add(uint64(1))
+	f.Add(uint64(46))
+	f.Add(uint64(111))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		n := netgen.RandomNet(seed, netgen.DefaultConfig())
+		if n.Validate() != nil {
+			return
+		}
+		allocs, err := EnumerateAllocations(n, 4096)
+		if err != nil {
+			return
+		}
+		want := map[string]bool{}
+		for _, a := range allocs {
+			want[fmt.Sprint(Reduce(n, a).KeptTransitions())] = true
+		}
+		reds, err := EnumerateDistinctReductions(n, 0)
+		if err != nil {
+			t.Fatalf("seed=%d: %v", seed, err)
+		}
+		got := map[string]bool{}
+		for _, r := range reds {
+			key := fmt.Sprint(r.KeptTransitions())
+			if got[key] || !want[key] {
+				t.Fatalf("seed=%d: the search returns %v twice or no allocation keeps it", seed, r.KeptTransitionNames(n))
+			}
+			got[key] = true
+			ref := Reduce(n, r.Allocation)
+			if !slices.Equal(r.KeptTransitions(), ref.KeptTransitions()) || !slices.Equal(r.KeptPlaces(), ref.KeptPlaces()) ||
+				r.CompareKept(ref) != 0 {
+				t.Fatalf("seed=%d: the search keeps %v, Reduce under its allocation %v",
+					seed, r.KeptTransitionNames(n), ref.KeptTransitionNames(n))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed=%d: the search finds %d reductions, the allocation product %d", seed, len(got), len(want))
+		}
+		sorted := slices.Clone(reds)
+		slices.SortFunc(sorted, (*Reduction).CompareKept)
+		for i := 1; i < len(sorted); i++ {
+			a, b := sorted[i-1], sorted[i]
+			first := 0
+			for first < n.NumTransitions() && a.KeepsTransition(petri.Transition(first)) == b.KeepsTransition(petri.Transition(first)) {
+				first++
+			}
+			if a.CompareKept(b) != -1 || b.CompareKept(a) != 1 || !a.KeepsTransition(petri.Transition(first)) {
+				t.Fatalf("seed=%d: CompareKept sorts %v before %v", seed, a.KeptTransitionNames(n), b.KeptTransitionNames(n))
+			}
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strconv"
+	"encoding/binary"
 	"sync"
 
 	"fcpn/internal/petri"
@@ -12,11 +12,11 @@ import (
 // given T-allocation.
 //
 // The reduction is stored compactly as kept-node bitsets over the parent
-// net plus the removal log in (opcode, node) form. The Definition 3.5
-// check runs on the parent net over these bitsets; the induced subnet Net
-// — name lookups, string keys, arc lists — is materialised lazily by
-// Subnet(), for callers that print a reduction or run the from-scratch
-// reference check.
+// net, and its kept transitions identify it among the net's reductions
+// (CompareKept). The Definition 3.5 check runs on the parent net over
+// these bitsets; the induced subnet Net — name lookups, string keys, arc
+// lists — is materialised lazily by Subnet(), for callers that print a
+// reduction or run the from-scratch reference check.
 type Reduction struct {
 	// Allocation is the choice resolution this reduction corresponds to.
 	Allocation *Allocation
@@ -24,25 +24,19 @@ type Reduction struct {
 	net          *petri.Net
 	keptT, keptP petri.NodeSet
 	numT, numP   int
-	steps        []reduceStep
 
-	// lazy marks a reduction built without running the reduction
-	// algorithm (LazyReduction, Relabel). What its constructor left unset
-	// — the kept sets, the removal log — is read from ref, which is
-	// Reduce(net, Allocation) built on first use.
-	lazy    bool
+	// A LazyReduction leaves the kept sets nil; ref, Reduce(net,
+	// Allocation), holds them once an accessor needs them.
 	refOnce sync.Once
 	ref     *Reduction
 
 	subOnce sync.Once
 	sub     *petri.Subnet
-	keyOnce sync.Once
-	key     string
 }
 
 // reduceStep is one removal of the reduction algorithm in compact form;
-// Steps renders the human-readable strings on demand so the enumeration
-// hot loop never pays fmt/concat costs.
+// Steps renders the human-readable strings, so the enumeration's reducer
+// never pays fmt/concat costs.
 type reduceStep struct {
 	op   reduceOp
 	node int32
@@ -58,11 +52,11 @@ const (
 )
 
 // LazyReduction is Reduce(n, alloc) deferred: the reduction algorithm runs
-// when an accessor first needs the kept sets or the removal log. The
-// engine attaches one to every cycle it rebuilds from a cached schedule,
-// and nothing on its path reads them.
+// when an accessor first needs the kept sets. The engine attaches one to
+// every cycle it rebuilds from a cached schedule, and nothing on its path
+// reads them.
 func LazyReduction(n *petri.Net, alloc *Allocation) *Reduction {
-	return &Reduction{Allocation: alloc, net: n, lazy: true}
+	return &Reduction{Allocation: alloc, net: n}
 }
 
 // Relabel returns the T-reduction of net under alloc, where net is r's net
@@ -72,8 +66,7 @@ func LazyReduction(n *petri.Net, alloc *Allocation) *Reduction {
 // way. The reduction rules are monotone, so their fixpoint does not
 // depend on the order Reduce visits nodes in: the kept sets carry over
 // unchanged (TestRelabelMatchesReduce) and are relabelled in O(nodes)
-// without running Reduce. Steps, which lists removals in the order Reduce
-// visits them on net, runs Reduce on first use.
+// without running Reduce.
 func (r *Reduction) Relabel(net *petri.Net, alloc *Allocation, transPos, placePos []int) *Reduction {
 	src := r.kept()
 	out := &Reduction{
@@ -83,7 +76,6 @@ func (r *Reduction) Relabel(net *petri.Net, alloc *Allocation, transPos, placePo
 		keptP:      petri.NewNodeSet(net.NumPlaces()),
 		numT:       src.numT,
 		numP:       src.numP,
-		lazy:       true,
 	}
 	for t, pos := range transPos {
 		if src.keptT.Has(t) {
@@ -98,16 +90,6 @@ func (r *Reduction) Relabel(net *petri.Net, alloc *Allocation, transPos, placePo
 	return out
 }
 
-// reduced returns what Reduce(r's net, r.Allocation) returns: r itself,
-// unless r is lazy.
-func (r *Reduction) reduced() *Reduction {
-	if !r.lazy {
-		return r
-	}
-	r.refOnce.Do(func() { r.ref = Reduce(r.net, r.Allocation) })
-	return r.ref
-}
-
 // kept returns the reduction holding r's kept sets: r itself unless r is
 // a LazyReduction. The kept-set fields are written only by constructors,
 // so testing them needs no synchronisation.
@@ -115,7 +97,8 @@ func (r *Reduction) kept() *Reduction {
 	if r.keptT != nil {
 		return r
 	}
-	return r.reduced()
+	r.refOnce.Do(func() { r.ref = Reduce(r.net, r.Allocation) })
+	return r.ref
 }
 
 // name is the reduction's subnet name, "net/p1→t2, p5→t9", as diagnoses
@@ -135,11 +118,12 @@ func (r *Reduction) Subnet() *petri.Subnet {
 }
 
 // Steps renders the removal trace performed by the reduction algorithm, in
-// order (used to reproduce Figure 6).
+// order (used to reproduce Figure 6). It runs the algorithm again.
 func (r *Reduction) Steps() []string {
-	steps := r.reduced().steps
-	out := make([]string, len(steps))
-	for i, s := range steps {
+	rd := newReducer(r.net)
+	rd.run(r.Allocation)
+	out := make([]string, len(rd.steps))
+	for i, s := range rd.steps {
 		switch s.op {
 		case opRemovePlace:
 			out[i] = "remove " + r.net.PlaceName(petri.Place(s.node))
@@ -187,23 +171,31 @@ func (r *Reduction) KeptPlaces() []petri.Place {
 	return out
 }
 
-// TransitionSetKey returns the canonical key identifying the reduction by
-// its kept parent transition set — the same bytes as
-// petri.Subnet.TransitionSetKey, without materialising the subnet. Two
-// reductions with the same key are duplicates for scheduling purposes.
-func (r *Reduction) TransitionSetKey() string {
-	r.keyOnce.Do(func() {
-		k := r.kept()
-		key := make([]byte, 0, k.numT*3)
-		for t := 0; t < r.net.NumTransitions(); t++ {
-			if k.keptT.Has(t) {
-				key = strconv.AppendInt(key, int64(t), 10)
-				key = append(key, ',')
+// CompareKept orders two reductions of one net by their kept transitions:
+// the one that keeps the lowest-indexed transition the other removes
+// sorts first. It returns 0 only when both keep the same transitions, so
+// it orders a net's distinct reductions totally.
+func (r *Reduction) CompareKept(o *Reduction) int {
+	a, b := r.kept().keptT, o.kept().keptT
+	for i, w := range a {
+		if x := w ^ b[i]; x != 0 {
+			if w&(x&-x) != 0 {
+				return -1
 			}
+			return 1
 		}
-		r.key = string(key)
-	})
-	return r.key
+	}
+	return 0
+}
+
+// appendKeptKey appends the words of the kept-transition set keptT to
+// dst: as a string it is a map key that identifies a reduction among the
+// net's reductions.
+func appendKeptKey(dst []byte, keptT petri.NodeSet) []byte {
+	for _, w := range keptT {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
 }
 
 // KeptTransitionNames lists the surviving transitions by name, for tests.
@@ -241,17 +233,20 @@ func (r *Reduction) KeptPlaceNames(n *petri.Net) []string {
 //
 // The result is a set of disjoint conflict-free subnets, returned as a
 // single (possibly disconnected) subnet. Sweeps that reduce the same net
-// under many allocations should build one reducer and call its reduce
+// under many allocations should build one reducer and call its run
 // method to reuse the per-net scratch buffers.
 func Reduce(n *petri.Net, alloc *Allocation) *Reduction {
-	return newReducer(n).reduce(alloc)
+	rd := newReducer(n)
+	rd.run(alloc)
+	return rd.result(alloc, rd.keptTransitions())
 }
 
 // reducer holds the reusable per-net state of the reduction algorithm:
 // alive masks, incremental surviving-producer counts and the rule 2(d)
-// worklist. One reducer serves any number of sequential reduce calls on
-// its net, so the distinct-reduction enumeration's thousands of calls
-// allocate almost nothing.
+// worklist. One reducer serves any number of sequential runs on its net,
+// and a run allocates nothing once the buffers have grown, so the
+// distinct-reduction enumeration's thousands of runs allocate nothing
+// but the reductions it returns.
 type reducer struct {
 	n      *petri.Net
 	aliveT []bool
@@ -268,7 +263,11 @@ type reducer struct {
 	// draining the queue reaches the same fixpoint as chaotic iteration.
 	work   []petri.Place
 	inWork []bool
-	steps  []reduceStep
+	// inputs is a stack of snapshots of rule 2(c)'s input places; each
+	// removePlace frame pops what it pushed.
+	inputs []petri.Place
+	// steps is the last run's removal log, in order.
+	steps []reduceStep
 }
 
 func newReducer(n *petri.Net) *reducer {
@@ -287,8 +286,9 @@ func newReducer(n *petri.Net) *reducer {
 	return rd
 }
 
-func (rd *reducer) reduce(alloc *Allocation) *Reduction {
-	n := rd.n
+// run applies the reduction algorithm under alloc: afterwards aliveT and
+// aliveP mark the kept nodes and steps logs the removals.
+func (rd *reducer) run(alloc *Allocation) {
 	for i := range rd.aliveT {
 		rd.aliveT[i] = true
 	}
@@ -323,19 +323,28 @@ func (rd *reducer) reduce(alloc *Allocation) *Reduction {
 		}
 	}
 	rd.work = rd.work[:0]
+}
 
-	red := &Reduction{
-		Allocation: alloc,
-		net:        n,
-		keptT:      petri.NewNodeSet(n.NumTransitions()),
-		keptP:      petri.NewNodeSet(n.NumPlaces()),
-		steps:      append([]reduceStep(nil), rd.steps...),
-	}
+// keptTransitions returns the transitions the last run kept.
+func (rd *reducer) keptTransitions() petri.NodeSet {
+	keptT := petri.NewNodeSet(len(rd.aliveT))
 	for t, alive := range rd.aliveT {
 		if alive {
-			red.keptT.Add(t)
-			red.numT++
+			keptT.Add(t)
 		}
+	}
+	return keptT
+}
+
+// result is the reduction the last run computed under alloc, whose kept
+// transitions keptT are rd.keptTransitions().
+func (rd *reducer) result(alloc *Allocation, keptT petri.NodeSet) *Reduction {
+	red := &Reduction{
+		Allocation: alloc,
+		net:        rd.n,
+		keptT:      keptT,
+		keptP:      petri.NewNodeSet(len(rd.aliveP)),
+		numT:       keptT.Count(),
 	}
 	for p, alive := range rd.aliveP {
 		if alive {
@@ -407,16 +416,17 @@ func (rd *reducer) removePlace(p petri.Place) {
 		case allSources:
 			// Remove tj and every surviving (source) input place. The input
 			// list is snapshotted first because the removal cascades.
-			inputs := make([]petri.Place, 0, surviving)
+			base := len(rd.inputs)
 			for _, in := range rd.n.Pre(tj) {
 				if rd.aliveP[in.Place] {
-					inputs = append(inputs, in.Place)
+					rd.inputs = append(rd.inputs, in.Place)
 				}
 			}
 			rd.removeTransition(tj, opAllSourceInputs)
-			for _, in := range inputs {
-				rd.removePlace(in)
+			for i := base; i < base+surviving; i++ {
+				rd.removePlace(rd.inputs[i])
 			}
+			rd.inputs = rd.inputs[:base]
 		}
 	}
 }

@@ -581,9 +581,9 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, p *schedPayload) (*c
 // mapReductionsToTwin carries each distinct reduction over to the
 // canonical twin: the allocation translates through the canonical
 // permutation and the kept sets are relabelled (Reduction.Relabel), with
-// no second run of the reduction algorithm. Sorting by twin
-// transition-set key then makes the solver's input depend only on the
-// isomorphism class.
+// no second run of the reduction algorithm. Sorting by the twin's kept
+// transitions (Reduction.CompareKept) then makes the solver's input
+// depend only on the isomorphism class.
 //
 // Enumerating directly on the twin would also work, but the lazy
 // branching search's cost is sensitive to cluster index order, and the
@@ -605,11 +605,7 @@ func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.
 	}
 	chosenBuf := make([]petri.Transition, len(reds)*nC)
 	allocs := make([]core.Allocation, len(reds))
-	type keyed struct {
-		key string
-		red *core.Reduction
-	}
-	out := make([]keyed, len(reds))
+	out := make([]*core.Reduction, len(reds))
 	for i, r := range reds {
 		chosen := chosenBuf[i*nC : (i+1)*nC : (i+1)*nC]
 		for k, c := range clusters {
@@ -620,16 +616,11 @@ func mapReductionsToTwin(cf *petri.CanonicalForm, twin *petri.Net, reds []*core.
 			chosen[clusterOf[cf.PlacePos[cluster.Places[0]]]] = petri.Transition(cf.TransPos[la.Chosen[k]])
 		}
 		allocs[i] = core.Allocation{Clusters: clusters, Chosen: chosen}
-		tr := r.Relabel(twin, &allocs[i], cf.TransPos, cf.PlacePos)
-		out[i] = keyed{tr.TransitionSetKey(), tr}
+		out[i] = r.Relabel(twin, &allocs[i], cf.TransPos, cf.PlacePos)
 	}
-	// The keys are distinct (the reductions are), so the order is total.
-	slices.SortFunc(out, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	twinReds := make([]*core.Reduction, len(out))
-	for i, k := range out {
-		twinReds[i] = k.red
-	}
-	return twinReds
+	// The reductions are distinct, so the order is total.
+	slices.SortFunc(out, (*core.Reduction).CompareKept)
+	return out
 }
 
 // tSemiflows returns the net's minimal T-semiflows through the tsemi:

@@ -16,7 +16,6 @@ package fault
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"fcpn/internal/petri"
 	"fcpn/internal/rtos"
@@ -62,8 +61,6 @@ func (r *Rand) Pct() int { return r.Intn(100) }
 // Injector rewrites an event stream. Apply must not mutate its input and
 // must draw randomness only from r.
 type Injector interface {
-	// Name identifies the injector in reports ("burst", "drop", ...).
-	Name() string
 	// Apply returns the perturbed stream, time-ordered.
 	Apply(events []rtos.Event, r *Rand) []rtos.Event
 }
@@ -83,9 +80,6 @@ type Burst struct {
 	// Source restricts the injector to one event source (AnySource = all).
 	Source petri.Transition
 }
-
-// Name implements Injector.
-func (b Burst) Name() string { return "burst" }
 
 // Apply implements Injector.
 func (b Burst) Apply(events []rtos.Event, r *Rand) []rtos.Event {
@@ -116,9 +110,6 @@ type Duplicate struct {
 	Source petri.Transition
 }
 
-// Name implements Injector.
-func (d Duplicate) Name() string { return "duplicate" }
-
 // Apply implements Injector.
 func (d Duplicate) Apply(events []rtos.Event, r *Rand) []rtos.Event {
 	out := make([]rtos.Event, 0, len(events))
@@ -137,9 +128,6 @@ type Drop struct {
 	Pct    int
 	Source petri.Transition
 }
-
-// Name implements Injector.
-func (d Drop) Name() string { return "drop" }
 
 // Apply implements Injector.
 func (d Drop) Apply(events []rtos.Event, r *Rand) []rtos.Event {
@@ -161,9 +149,6 @@ type JitterTicks struct {
 	Window int64
 	Source petri.Transition
 }
-
-// Name implements Injector.
-func (j JitterTicks) Name() string { return "jitter-ticks" }
 
 // Apply implements Injector.
 func (j JitterTicks) Apply(events []rtos.Event, r *Rand) []rtos.Event {
@@ -203,18 +188,6 @@ func (s Scenario) Apply(events []rtos.Event) []rtos.Event {
 		out = inj.Apply(out, r)
 	}
 	return out
-}
-
-// Describe renders the injector chain ("burst+drop") for reports.
-func (s Scenario) Describe() string {
-	if len(s.Injectors) == 0 {
-		return "baseline"
-	}
-	names := make([]string, len(s.Injectors))
-	for i, inj := range s.Injectors {
-		names[i] = inj.Name()
-	}
-	return strings.Join(names, "+")
 }
 
 // BurstScenarios builds n seeded event-burst scenarios (the adversarial

@@ -83,9 +83,6 @@ func (p *Proxy) SetBehavior(b ProxyBehavior) {
 	p.behavior = b
 }
 
-// Clear disables all faults; the proxy passes traffic through.
-func (p *Proxy) Clear() { p.SetBehavior(ProxyBehavior{}) }
-
 // Injected snapshots the per-kind injected-fault tallies
 // ("drop"/"reset"/"5xx"/"torn"/"delay").
 func (p *Proxy) Injected() map[string]int64 {

@@ -258,28 +258,6 @@ func (n *Net) SinkTransitions() []Transition {
 	return out
 }
 
-// SourcePlaces returns the places with empty preset.
-func (n *Net) SourcePlaces() []Place {
-	var out []Place
-	for p := range n.placeIn {
-		if len(n.placeIn[p]) == 0 {
-			out = append(out, Place(p))
-		}
-	}
-	return out
-}
-
-// SinkPlaces returns the places with empty postset.
-func (n *Net) SinkPlaces() []Place {
-	var out []Place
-	for p := range n.placeOut {
-		if len(n.placeOut[p]) == 0 {
-			out = append(out, Place(p))
-		}
-	}
-	return out
-}
-
 // ChoicePlaces returns the places with more than one output transition
 // (called choices or conflicts in the paper).
 func (n *Net) ChoicePlaces() []Place {

@@ -262,18 +262,3 @@ func TestSubnetKeepsMarkingAndWeights(t *testing.T) {
 		t.Fatal("dropped consumer still present")
 	}
 }
-
-func TestTransitionSetKey(t *testing.T) {
-	n := buildFig3a()
-	t1, _ := n.TransitionByName("t1")
-	t2, _ := n.TransitionByName("t2")
-	s1 := n.InducedSubnet("a", []Transition{t2, t1}, nil)
-	s2 := n.InducedSubnet("b", []Transition{t1, t2}, nil)
-	if s1.TransitionSetKey() != s2.TransitionSetKey() {
-		t.Fatal("keys must be order independent")
-	}
-	s3 := n.InducedSubnet("c", []Transition{t1}, nil)
-	if s1.TransitionSetKey() == s3.TransitionSetKey() {
-		t.Fatal("different sets must have different keys")
-	}
-}

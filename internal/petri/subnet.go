@@ -1,10 +1,5 @@
 package petri
 
-import (
-	"sort"
-	"strconv"
-)
-
 // Subnet is a net induced by a subset of a parent net's nodes, together
 // with the index maps back to the parent. The QSS reduction algorithm
 // produces T-reductions as subnets so schedules can be reported in terms of
@@ -126,21 +121,4 @@ func (s *Subnet) MapSequenceToParent(seq []Transition) []Transition {
 		out[i] = s.ParentTransition[t]
 	}
 	return out
-}
-
-// TransitionSetKey returns a canonical key identifying the subnet by its
-// parent transition set; two reductions with the same key are duplicates
-// for scheduling purposes.
-func (s *Subnet) TransitionSetKey() string {
-	ids := make([]int, len(s.ParentTransition))
-	for i, t := range s.ParentTransition {
-		ids[i] = int(t)
-	}
-	sort.Ints(ids)
-	key := make([]byte, 0, len(ids)*3)
-	for _, id := range ids {
-		key = strconv.AppendInt(key, int64(id), 10)
-		key = append(key, ',')
-	}
-	return string(key)
 }
