@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -106,4 +107,55 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		}
 		t.Fatalf("%s has %d lines, this run %d", path, len(wl), len(gl))
 	}
+}
+
+// TestExplorePinned pins the trade-off exploration: per net and option
+// set (the defaults, and KeepDuplicateReductions with MaxAllocations
+// 1024), one SHA-256 of json.Marshal of the trade-off points Explore
+// returns, or the quoted error. The corpus is the figures, ATM, the modem
+// and netgen seeds 0–299 of both generators. Regenerate with -update.
+func TestExplorePinned(t *testing.T) {
+	m, err := modem.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]*petri.Net{
+		"atm":   atm.New().Net,
+		"modem": m.Net,
+	}
+	for name, n := range figures.All() {
+		nets[name] = n
+	}
+	for seed := uint64(0); seed < 300; seed++ {
+		nets[fmt.Sprintf("pipeline-%03d", seed)] = netgen.RandomSchedulablePipeline(seed, netgen.DefaultConfig())
+		nets[fmt.Sprintf("random-%03d", seed)] = netgen.RandomNet(seed, netgen.DefaultConfig())
+	}
+	labels := make([]string, 0, len(nets))
+	for label := range nets {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	optionSets := []struct {
+		name string
+		opt  core.Options
+	}{
+		{"default", core.Options{}},
+		{"keepdup", core.Options{KeepDuplicateReductions: true, MaxAllocations: 1024}},
+	}
+	var buf bytes.Buffer
+	for _, label := range labels {
+		for _, o := range optionSets {
+			pts, err := core.Explore(nets[label], o.opt)
+			if err != nil {
+				fmt.Fprintf(&buf, "%s %s %q\n", label, o.name, err.Error())
+				continue
+			}
+			b, err := json.Marshal(pts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, o.name, err)
+			}
+			fmt.Fprintf(&buf, "%s %s %x\n", label, o.name, sha256.Sum256(b))
+		}
+	}
+	checkGolden(t, "explore.golden", buf.Bytes())
 }

@@ -125,6 +125,32 @@ func BenchmarkRebuildSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleHandOff measures the whole hand-off of a cached
+// schedule to the report: rebuildSchedule, Schedule.Export and
+// exportedReductions, as every sched: hit and miss runs them. The three
+// share work between them, so only their sum compares across changes
+// that move work from one to another.
+func BenchmarkScheduleHandOff(b *testing.B) {
+	for _, x := range handoffNets(b) {
+		cf, twin, reds := twinReductions(b, x.net)
+		s, err := core.SolveReductions(twin, mapReductionsToTwin(cf, twin, reds), core.Options{})
+		if err != nil {
+			b.Fatalf("%s: %v", x.name, err)
+		}
+		p := packSchedule(x.net.NumTransitions(), s.Cycles)
+		b.Run(x.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sched, err := rebuildSchedule(x.net, cf, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = exportedReductions(sched.Export())
+			}
+		})
+	}
+}
+
 // BenchmarkReportMarshal measures json.Marshal of a schedulable net's
 // whole report.
 func BenchmarkReportMarshal(b *testing.B) {
