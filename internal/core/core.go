@@ -132,13 +132,13 @@ func (e *NotSchedulableError) Unwrap() error { return e.Report.Cause }
 // Cycle is one finite complete cycle of the valid schedule: a firing
 // sequence over the original net that starts and ends at the initial
 // marking and contains every transition of its T-reduction at least once.
+// Its firing-count vector f(σ) is Net.FiringCount(Sequence), and the
+// T-reduction it statically schedules is Reduce(Net, Allocation).
 type Cycle struct {
 	// Sequence is the firing order, in original-net transition indices.
 	Sequence []petri.Transition
-	// Counts is the firing-count vector f(σ) over the original net.
-	Counts []int
-	// Reduction is the T-reduction this cycle statically schedules.
-	Reduction *Reduction
+	// Allocation is the T-allocation whose reduction the cycle schedules.
+	Allocation *Allocation
 }
 
 // Schedule is a valid schedule (Definition 3.1/3.2): a complete set of
@@ -252,11 +252,7 @@ func solveReductions(n *petri.Net, reductions []*Reduction, opt Options, aids ch
 			}
 			return nil, &NotSchedulableError{Report: report}
 		}
-		sched.Cycles = append(sched.Cycles, Cycle{
-			Sequence:  report.Cycle,
-			Counts:    n.FiringCount(report.Cycle),
-			Reduction: red,
-		})
+		sched.Cycles = append(sched.Cycles, Cycle{Sequence: report.Cycle, Allocation: red.Allocation})
 		sched.Reports = append(sched.Reports, report)
 	}
 	return sched, nil

@@ -87,13 +87,13 @@ func TestFigure4Schedule(t *testing.T) {
 		"t3": {1, 0, 1, 0, 2},
 	}
 	for _, c := range s.Cycles {
-		chosen := n.TransitionName(c.Reduction.Allocation.Chosen[0])
+		chosen := n.TransitionName(c.Allocation.Chosen[0])
 		want, ok := wantCounts[chosen]
 		if !ok {
 			t.Fatalf("unexpected allocation %q", chosen)
 		}
-		if !reflect.DeepEqual(c.Counts, want) {
-			t.Fatalf("allocation %s: counts = %v, want %v", chosen, c.Counts, want)
+		if counts := n.FiringCount(c.Sequence); !reflect.DeepEqual(counts, want) {
+			t.Fatalf("allocation %s: counts = %v, want %v", chosen, counts, want)
 		}
 		if err := VerifyCompleteCycle(n, c.Sequence); err != nil {
 			t.Fatalf("cycle invalid: %v", err)
@@ -129,9 +129,9 @@ func TestFigure5Schedule(t *testing.T) {
 		"t3": {1, 0, 1, 0, 1, 1, 2, 1, 1},
 	}
 	for _, c := range s.Cycles {
-		chosen := n.TransitionName(c.Reduction.Allocation.Chosen[0])
-		if !reflect.DeepEqual(c.Counts, wantCounts[chosen]) {
-			t.Fatalf("allocation %s: counts = %v, want %v", chosen, c.Counts, wantCounts[chosen])
+		chosen := n.TransitionName(c.Allocation.Chosen[0])
+		if counts := n.FiringCount(c.Sequence); !reflect.DeepEqual(counts, wantCounts[chosen]) {
+			t.Fatalf("allocation %s: counts = %v, want %v", chosen, counts, wantCounts[chosen])
 		}
 		if err := VerifyCompleteCycle(n, c.Sequence); err != nil {
 			t.Fatalf("cycle invalid: %v", err)
@@ -186,7 +186,7 @@ func TestFigure5ReductionR1(t *testing.T) {
 	if got := r1.KeptPlaceNames(n); !reflect.DeepEqual(got, wantP) {
 		t.Fatalf("R1 places = %v, want %v", got, wantP)
 	}
-	if !r1.Subnet().Net.IsConflictFree() {
+	if !r1.Subnet().IsConflictFree() {
 		t.Fatal("T-reduction must be conflict-free")
 	}
 	// T-invariants of R1 (paper): (1,1,0,2,0,4,0,0,0) and
@@ -416,8 +416,8 @@ func TestFigure2StaticScheduleViaQSS(t *testing.T) {
 	if len(s.Cycles) != 1 {
 		t.Fatalf("cycles = %d", len(s.Cycles))
 	}
-	if want := []int{4, 2, 1}; !reflect.DeepEqual(s.Cycles[0].Counts, want) {
-		t.Fatalf("counts = %v, want %v", s.Cycles[0].Counts, want)
+	if counts, want := n.FiringCount(s.Cycles[0].Sequence), []int{4, 2, 1}; !reflect.DeepEqual(counts, want) {
+		t.Fatalf("counts = %v, want %v", counts, want)
 	}
 }
 
@@ -494,9 +494,10 @@ func TestThreeWayChoice(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, c := range s.Cycles {
+		counts := n.FiringCount(c.Sequence)
 		for _, nm := range []string{"x", "y", "z"} {
 			tr, _ := n.TransitionByName(nm)
-			if c.Counts[tr] == 1 {
+			if counts[tr] == 1 {
 				seen[nm] = true
 			}
 		}

@@ -151,14 +151,15 @@ func TestSolveCyclesAlwaysValidProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name(), err)
 		}
-		for _, c := range s.Cycles {
+		for i, c := range s.Cycles {
 			if err := VerifyCompleteCycle(n, c.Sequence); err != nil {
 				t.Fatalf("%s: %v", n.Name(), err)
 			}
 			// Every transition of the reduction occurs at least once
 			// (Theorem 3.1's requirement).
-			for _, pt := range c.Reduction.KeptTransitions() {
-				if c.Counts[pt] == 0 {
+			counts := n.FiringCount(c.Sequence)
+			for _, pt := range s.Reports[i].Reduction.KeptTransitions() {
+				if counts[pt] == 0 {
 					t.Fatalf("%s: transition %s of the reduction missing from cycle",
 						n.Name(), n.TransitionName(pt))
 				}

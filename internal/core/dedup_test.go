@@ -35,7 +35,7 @@ func distillOutcome(s *Schedule, err error) string {
 	for i, c := range s.Cycles {
 		r := s.Reports[i]
 		fmt.Fprintf(&sb, "cycle %v counts=%v inv=%v cover=%v\n",
-			s.Net.SequenceNames(c.Sequence), c.Counts, r.Invariants, r.CoveringCounts)
+			s.Net.SequenceNames(c.Sequence), s.Net.FiringCount(c.Sequence), r.Invariants, r.CoveringCounts)
 	}
 	return sb.String()
 }
@@ -58,7 +58,37 @@ func equivalenceCorpus(t *testing.T) map[string]*petri.Net {
 		}
 	}
 	nets["deadcycle"] = deadCycleNet()
+	nets["cutchoice"] = cutChoiceNet()
 	return nets
+}
+
+// cutChoiceNet is the smallest net on which the distinct-reduction
+// search reaches one kept set at two leaves. Choice place P (a or b) is
+// declared before choice place Q (u or v) and is fed only by u, so the
+// search branches on P first. Once Q picks v, u goes, P loses its only
+// producer and goes too, and both P-branches keep {src, v, w}: a
+// later-indexed choice cut the place of a choice already branched on,
+// and only the search's dedup keeps that reduction to one entry.
+func cutChoiceNet() *petri.Net {
+	b := petri.NewBuilder("cutchoice")
+	p := b.Place("P")
+	q := b.Place("Q")
+	s := b.Place("S")
+	src := b.Transition("src")
+	ta := b.Transition("a")
+	tb := b.Transition("b")
+	u := b.Transition("u")
+	v := b.Transition("v")
+	w := b.Transition("w")
+	b.ArcTP(src, q)
+	b.Arc(q, u)
+	b.Arc(q, v)
+	b.ArcTP(u, p)
+	b.Arc(p, ta)
+	b.Arc(p, tb)
+	b.ArcTP(v, s)
+	b.Arc(s, w)
+	return b.Build()
 }
 
 // TestDedupMatchesFromScratch holds Solve's sweep — the distinct-reduction

@@ -89,25 +89,17 @@ func Explore(n *petri.Net, opt Options) ([]TradeoffPoint, error) {
 			return nil, fmt.Errorf("core: explore %s: %w", strat, err)
 		}
 		sched := &Schedule{Net: n, AllocationCount: base.AllocationCount, AllocationCountSaturated: base.AllocationCountSaturated}
-		for _, c := range base.Cycles {
-			// Realise the cycle on n over its reduction's kept sets, as
-			// the sweep's check does.
-			kept := c.Reduction.KeptTransitions()
-			counts := make([]int, len(kept))
-			for i, t := range kept {
-				counts[i] = c.Counts[t]
-			}
+		for i, c := range base.Cycles {
+			// Realise the sweep's covering counts on n over the cycle's
+			// reduction's kept sets, as the sweep's check does.
+			rep := base.Reports[i]
 			cs := opt.Trace.StartDetail("core/cycle")
-			seq, err := findCompleteCycle(opt.Ctx, n, kept, c.Reduction.kept().keptP, counts, maxCycleLength, strat)
+			seq, err := findCompleteCycle(opt.Ctx, n, rep.Reduction.KeptTransitions(), rep.Reduction.keptP, rep.CoveringCounts, maxCycleLength, strat)
 			cs.End()
 			if err != nil {
 				return nil, fmt.Errorf("core: explore %s: %w", strat, err)
 			}
-			sched.Cycles = append(sched.Cycles, Cycle{
-				Sequence:  seq,
-				Counts:    c.Counts,
-				Reduction: c.Reduction,
-			})
+			sched.Cycles = append(sched.Cycles, Cycle{Sequence: seq, Allocation: c.Allocation})
 		}
 		bounds, err := sched.BufferBounds()
 		if err != nil {

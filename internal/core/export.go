@@ -41,7 +41,9 @@ type CycleExport struct {
 // are sorted by name once per call and the choice places once per
 // cluster list the cycles' allocations share, so each cycle costs
 // O(places + transitions) and every cycle's names, choices and counts
-// come from one backing array each.
+// come from one backing array each. A cycle's firing counts are tallied
+// off its sequence into one scratch vector, which the name-ordered read
+// of the counts empties for the next cycle.
 func (s *Schedule) Export() *ScheduleExport {
 	n := s.Net
 	out := &ScheduleExport{
@@ -52,15 +54,20 @@ func (s *Schedule) Export() *ScheduleExport {
 	if len(s.Cycles) == 0 {
 		return out
 	}
+	// Sizing pass: tally[t] is the last cycle, counted from 1, that fires
+	// t, so fired counts each cycle's distinct transitions once.
+	tally := make([]int, n.NumTransitions())
 	steps, fired := 0, 0
-	for _, c := range s.Cycles {
+	for i, c := range s.Cycles {
 		steps += len(c.Sequence)
-		for _, k := range c.Counts {
-			if k > 0 {
+		for _, t := range c.Sequence {
+			if tally[t] != i+1 {
+				tally[t] = i + 1
 				fired++
 			}
 		}
 	}
+	clear(tally)
 	byName := make([]petri.Transition, n.NumTransitions())
 	for t := range byName {
 		byName[t] = petri.Transition(t)
@@ -75,7 +82,7 @@ func (s *Schedule) Export() *ScheduleExport {
 	var choices Entries[string]
 	out.Cycles = make([]CycleExport, len(s.Cycles))
 	for i, c := range s.Cycles {
-		alloc := c.Reduction.Allocation
+		alloc := c.Allocation
 		if choices == nil || !sameClusters(alloc.Clusters, clusters) {
 			clusters = alloc.Clusters
 			places = choicePlaces(n, clusters)
@@ -90,12 +97,14 @@ func (s *Schedule) Export() *ScheduleExport {
 		start = len(seqNames)
 		for _, t := range c.Sequence {
 			seqNames = append(seqNames, n.TransitionName(t))
+			tally[t]++
 		}
 		ce.Sequence = seqNames[start:len(seqNames):len(seqNames)]
 		start = len(counts)
 		for _, t := range byName {
-			if k := c.Counts[t]; k > 0 {
+			if k := tally[t]; k > 0 {
 				counts = append(counts, Entry[int]{n.TransitionName(t), k})
+				tally[t] = 0
 			}
 		}
 		ce.Counts = counts[start:len(counts):len(counts)]
@@ -206,7 +215,7 @@ func ImportSchedule(n *petri.Net, ex *ScheduleExport) (*Schedule, error) {
 					ci, n.TransitionName(pt))
 			}
 		}
-		sched.Cycles = append(sched.Cycles, Cycle{Sequence: seq, Counts: counts, Reduction: red})
+		sched.Cycles = append(sched.Cycles, Cycle{Sequence: seq, Allocation: alloc})
 	}
 	// Coverage: one cycle per distinct T-reduction of the net.
 	want, err := EnumerateDistinctReductions(n, 0)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"fcpn/internal/petri"
 )
@@ -11,27 +10,18 @@ import (
 // obtained from the net by removing the part that is inactive under a
 // given T-allocation.
 //
-// The reduction is stored compactly as kept-node bitsets over the parent
+// A reduction is its allocation and its kept-node bitsets over the parent
 // net, and its kept transitions identify it among the net's reductions
 // (CompareKept). The Definition 3.5 check runs on the parent net over
-// these bitsets; the induced subnet Net — name lookups, string keys, arc
-// lists — is materialised lazily by Subnet(), for callers that print a
-// reduction or run the from-scratch reference check.
+// these bitsets; Subnet builds the induced subnet — name lookups, arc
+// lists — for callers that print a reduction or run the from-scratch
+// reference check.
 type Reduction struct {
 	// Allocation is the choice resolution this reduction corresponds to.
 	Allocation *Allocation
 
 	net          *petri.Net
 	keptT, keptP petri.NodeSet
-	numT, numP   int
-
-	// A LazyReduction leaves the kept sets nil; ref, Reduce(net,
-	// Allocation), holds them once an accessor needs them.
-	refOnce sync.Once
-	ref     *Reduction
-
-	subOnce sync.Once
-	sub     *petri.Subnet
 }
 
 // reduceStep is one removal of the reduction algorithm in compact form;
@@ -51,14 +41,6 @@ const (
 	opAllSourceInputs
 )
 
-// LazyReduction is Reduce(n, alloc) deferred: the reduction algorithm runs
-// when an accessor first needs the kept sets. The engine attaches one to
-// every cycle it rebuilds from a cached schedule, and nothing on its path
-// reads them.
-func LazyReduction(n *petri.Net, alloc *Allocation) *Reduction {
-	return &Reduction{Allocation: alloc, net: n}
-}
-
 // Relabel returns the T-reduction of net under alloc, where net is r's net
 // with every transition t renumbered transPos[t] and every place p
 // renumbered placePos[p] (a petri.CanonicalNet with its CanonicalForm's
@@ -68,37 +50,23 @@ func LazyReduction(n *petri.Net, alloc *Allocation) *Reduction {
 // unchanged (TestRelabelMatchesReduce) and are relabelled in O(nodes)
 // without running Reduce.
 func (r *Reduction) Relabel(net *petri.Net, alloc *Allocation, transPos, placePos []int) *Reduction {
-	src := r.kept()
 	out := &Reduction{
 		Allocation: alloc,
 		net:        net,
 		keptT:      petri.NewNodeSet(net.NumTransitions()),
 		keptP:      petri.NewNodeSet(net.NumPlaces()),
-		numT:       src.numT,
-		numP:       src.numP,
 	}
 	for t, pos := range transPos {
-		if src.keptT.Has(t) {
+		if r.keptT.Has(t) {
 			out.keptT.Add(pos)
 		}
 	}
 	for p, pos := range placePos {
-		if src.keptP.Has(p) {
+		if r.keptP.Has(p) {
 			out.keptP.Add(pos)
 		}
 	}
 	return out
-}
-
-// kept returns the reduction holding r's kept sets: r itself unless r is
-// a LazyReduction. The kept-set fields are written only by constructors,
-// so testing them needs no synchronisation.
-func (r *Reduction) kept() *Reduction {
-	if r.keptT != nil {
-		return r
-	}
-	r.refOnce.Do(func() { r.ref = Reduce(r.net, r.Allocation) })
-	return r.ref
 }
 
 // name is the reduction's subnet name, "net/p1→t2, p5→t9", as diagnoses
@@ -107,14 +75,11 @@ func (r *Reduction) name() string {
 	return r.net.Name() + "/" + r.Allocation.describe(r.net)
 }
 
-// Subnet materialises the induced conflict-free subnet with parent index
-// maps, computing it on first use and memoising it for the reduction's
-// lifetime (safe for concurrent use).
-func (r *Reduction) Subnet() *petri.Subnet {
-	r.subOnce.Do(func() {
-		r.sub = r.net.InducedSubnet(r.name(), r.KeptTransitions(), r.KeptPlaces())
-	})
-	return r.sub
+// Subnet builds the induced conflict-free subnet, named as diagnoses
+// print the reduction. Its transition i is KeptTransitions()[i] and its
+// place i is KeptPlaces()[i]. Each call builds it anew.
+func (r *Reduction) Subnet() *petri.Net {
+	return r.net.InducedSubnet(r.name(), r.KeptTransitions(), r.KeptPlaces())
 }
 
 // Steps renders the removal trace performed by the reduction algorithm, in
@@ -139,19 +104,18 @@ func (r *Reduction) Steps() []string {
 }
 
 // KeepsTransition reports whether parent transition t survives.
-func (r *Reduction) KeepsTransition(t petri.Transition) bool { return r.kept().keptT.Has(int(t)) }
+func (r *Reduction) KeepsTransition(t petri.Transition) bool { return r.keptT.Has(int(t)) }
 
 // KeepsPlace reports whether parent place p survives.
-func (r *Reduction) KeepsPlace(p petri.Place) bool { return r.kept().keptP.Has(int(p)) }
+func (r *Reduction) KeepsPlace(p petri.Place) bool { return r.keptP.Has(int(p)) }
 
 // KeptTransitions lists the surviving transitions in parent index order.
 // Position i of the list is transition i of the reduction (and of
 // Subnet()).
 func (r *Reduction) KeptTransitions() []petri.Transition {
-	k := r.kept()
-	out := make([]petri.Transition, 0, k.numT)
+	out := make([]petri.Transition, 0, r.keptT.Count())
 	for t := 0; t < r.net.NumTransitions(); t++ {
-		if k.keptT.Has(t) {
+		if r.keptT.Has(t) {
 			out = append(out, petri.Transition(t))
 		}
 	}
@@ -161,10 +125,9 @@ func (r *Reduction) KeptTransitions() []petri.Transition {
 // KeptPlaces lists the surviving places in parent index order. Position i
 // of the list is place i of the reduction (and of Subnet()).
 func (r *Reduction) KeptPlaces() []petri.Place {
-	k := r.kept()
-	out := make([]petri.Place, 0, k.numP)
+	out := make([]petri.Place, 0, r.keptP.Count())
 	for p := 0; p < r.net.NumPlaces(); p++ {
-		if k.keptP.Has(p) {
+		if r.keptP.Has(p) {
 			out = append(out, petri.Place(p))
 		}
 	}
@@ -176,7 +139,7 @@ func (r *Reduction) KeptPlaces() []petri.Place {
 // sorts first. It returns 0 only when both keep the same transitions, so
 // it orders a net's distinct reductions totally.
 func (r *Reduction) CompareKept(o *Reduction) int {
-	a, b := r.kept().keptT, o.kept().keptT
+	a, b := r.keptT, o.keptT
 	for i, w := range a {
 		if x := w ^ b[i]; x != 0 {
 			if w&(x&-x) != 0 {
@@ -200,7 +163,7 @@ func appendKeptKey(dst []byte, keptT petri.NodeSet) []byte {
 
 // KeptTransitionNames lists the surviving transitions by name, for tests.
 func (r *Reduction) KeptTransitionNames(n *petri.Net) []string {
-	out := make([]string, 0, r.kept().numT)
+	out := make([]string, 0, r.keptT.Count())
 	for _, t := range r.KeptTransitions() {
 		out = append(out, n.TransitionName(t))
 	}
@@ -209,7 +172,7 @@ func (r *Reduction) KeptTransitionNames(n *petri.Net) []string {
 
 // KeptPlaceNames lists the surviving places by name, for tests.
 func (r *Reduction) KeptPlaceNames(n *petri.Net) []string {
-	out := make([]string, 0, r.kept().numP)
+	out := make([]string, 0, r.keptP.Count())
 	for _, p := range r.KeptPlaces() {
 		out = append(out, n.PlaceName(p))
 	}
@@ -344,12 +307,10 @@ func (rd *reducer) result(alloc *Allocation, keptT petri.NodeSet) *Reduction {
 		net:        rd.n,
 		keptT:      keptT,
 		keptP:      petri.NewNodeSet(len(rd.aliveP)),
-		numT:       keptT.Count(),
 	}
 	for p, alive := range rd.aliveP {
 		if alive {
 			red.keptP.Add(p)
-			red.numP++
 		}
 	}
 	return red

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"testing"
 
@@ -165,8 +164,8 @@ func TestReduceMatchesReferenceAlgorithm(t *testing.T) {
 }
 
 func TestReductionLazyAccessorsMatchSubnet(t *testing.T) {
-	// Every bitset-backed accessor must agree with the materialised subnet
-	// it replaces in the hot paths.
+	// Every bitset-backed accessor must agree with the induced subnet it
+	// replaces in the hot paths: subnet node i is the i-th kept node.
 	for name, n := range equivalenceCorpus(t) {
 		reds, err := EnumerateDistinctReductions(n, 0)
 		if err != nil {
@@ -174,72 +173,32 @@ func TestReductionLazyAccessorsMatchSubnet(t *testing.T) {
 		}
 		for _, red := range reds {
 			sub := red.Subnet()
-			kept := red.KeptTransitions()
-			if len(kept) != len(sub.ParentTransition) {
-				t.Fatalf("%s: %d kept transitions, subnet has %d", name, len(kept), len(sub.ParentTransition))
+			if got, want := sub.Name(), red.name(); got != want {
+				t.Fatalf("%s: subnet name %q, want %q", name, got, want)
 			}
-			for i, pt := range sub.ParentTransition {
-				if kept[i] != pt {
-					t.Fatalf("%s: kept transition %d = %v, subnet parent %v", name, i, kept[i], pt)
+			kept := red.KeptTransitions()
+			if len(kept) != sub.NumTransitions() {
+				t.Fatalf("%s: %d kept transitions, subnet has %d", name, len(kept), sub.NumTransitions())
+			}
+			for i, pt := range kept {
+				if got, want := sub.TransitionName(petri.Transition(i)), n.TransitionName(pt); got != want {
+					t.Fatalf("%s: subnet transition %d = %s, kept transition %s", name, i, got, want)
+				}
+			}
+			keptP := red.KeptPlaces()
+			if len(keptP) != sub.NumPlaces() {
+				t.Fatalf("%s: %d kept places, subnet has %d", name, len(keptP), sub.NumPlaces())
+			}
+			for i, pp := range keptP {
+				if got, want := sub.PlaceName(petri.Place(i)), n.PlaceName(pp); got != want {
+					t.Fatalf("%s: subnet place %d = %s, kept place %s", name, i, got, want)
 				}
 			}
 			for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-				if _, ok := sub.FromParentPlace(p); ok != red.KeepsPlace(p) {
+				if _, ok := sub.PlaceByName(n.PlaceName(p)); ok != red.KeepsPlace(p) {
 					t.Fatalf("%s: KeepsPlace(%v)=%v, subnet says %v", name, p, red.KeepsPlace(p), ok)
 				}
 			}
-		}
-	}
-}
-
-func TestLazyReductionMatchesReduce(t *testing.T) {
-	// A LazyReduction runs the reduction algorithm only when an accessor
-	// needs it, and then every accessor returns what Reduce returns.
-	for name, n := range equivalenceCorpus(t) {
-		allocs, err := EnumerateAllocations(n, 4096)
-		if err != nil {
-			continue
-		}
-		for _, a := range allocs {
-			got, want := LazyReduction(n, a), Reduce(n, a)
-			if got.Subnet().Net.Name() != want.Subnet().Net.Name() {
-				t.Fatalf("%s: subnet name %q, want %q", name, got.Subnet().Net.Name(), want.Subnet().Net.Name())
-			}
-			if !slices.Equal(got.KeptTransitions(), want.KeptTransitions()) ||
-				!slices.Equal(got.KeptPlaces(), want.KeptPlaces()) ||
-				got.CompareKept(want) != 0 ||
-				!slices.Equal(got.Steps(), want.Steps()) {
-				t.Fatalf("%s: lazy reduction keeps %v, Reduce keeps %v", name, got.KeptTransitionNames(n), want.KeptTransitionNames(n))
-			}
-			for tr := petri.Transition(0); int(tr) < n.NumTransitions(); tr++ {
-				if got.KeepsTransition(tr) != want.KeepsTransition(tr) {
-					t.Fatalf("%s: KeepsTransition(%v) differs", name, tr)
-				}
-			}
-			for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-				if got.KeepsPlace(p) != want.KeepsPlace(p) {
-					t.Fatalf("%s: KeepsPlace(%v) differs", name, p)
-				}
-			}
-		}
-	}
-	// Exporting a schedule and sizing its buffers read only the
-	// allocation, so they leave lazy reductions unreduced.
-	n := figures.Figure5()
-	s, err := Solve(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range s.Cycles {
-		s.Cycles[i].Reduction = LazyReduction(n, c.Reduction.Allocation)
-	}
-	s.Export()
-	if _, err := s.Stats(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range s.Cycles {
-		if c.Reduction.ref != nil {
-			t.Fatal("exporting a schedule ran the reduction algorithm")
 		}
 	}
 }

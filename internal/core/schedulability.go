@@ -79,7 +79,7 @@ func reductionInvariants(red *Reduction, kept []petri.Transition, opt Options, a
 		opt.Trace.Add("core/semiflow/restricted", 1)
 		return invariant.RestrictToKept(aids.parentTIs, kept), nil
 	}
-	return invariant.TInvariants(red.Subnet().Net, invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace})
+	return invariant.TInvariants(red.Subnet(), invariant.Options{MaxRows: opt.MaxRows, Trace: opt.Trace})
 }
 
 // checkReduction is the Definition 3.5 check of one reduction, run on the
@@ -172,7 +172,7 @@ func checkReduction(n *petri.Net, red *Reduction, opt Options, aids checkAids) *
 	// (3) Deadlock-free simulation realising the covering counts and
 	// returning to the initial marking.
 	sp := opt.Trace.StartDetail("core/cycle")
-	seq, simErr := findCompleteCycle(opt.Ctx, n, kept, red.kept().keptP, report.CoveringCounts, maxCycleLength, StrategyRoundRobin)
+	seq, simErr := findCompleteCycle(opt.Ctx, n, kept, red.keptP, report.CoveringCounts, maxCycleLength, StrategyRoundRobin)
 	sp.End()
 	if simErr != nil {
 		report.FailReason = fmt.Sprintf("T-reduction %q deadlocks: %v", red.name(), simErr)

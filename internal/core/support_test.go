@@ -84,12 +84,12 @@ func TestCycleSupportDeterminesReduction(t *testing.T) {
 			}
 			for i, c := range s.Cycles {
 				var fired []petri.Transition
-				for tr, k := range c.Counts {
+				for tr, k := range n.FiringCount(c.Sequence) {
 					if k > 0 {
 						fired = append(fired, petri.Transition(tr))
 					}
 				}
-				if kept := c.Reduction.KeptTransitions(); !slices.Equal(fired, kept) {
+				if kept := s.Reports[i].Reduction.KeptTransitions(); !slices.Equal(fired, kept) {
 					t.Fatalf("%s: %+v: cycle %d fires %v, its reduction keeps %v",
 						n.Name(), opt, i, n.SequenceNames(fired), n.SequenceNames(kept))
 				}

@@ -507,20 +507,17 @@ func (e *solveError) Unwrap() error { return e.err }
 // reduction keeps exactly one alternative fires, and that is the choice;
 // at a choice the reduction removed none fires, and the choice is n's
 // first alternative, where the distinct-reduction search leaves it
-// (core's TestCycleSupportDeterminesReduction). Each cycle carries its
-// allocation as a core.LazyReduction: nothing on the engine's path reads
-// a rebuilt cycle's kept sets, so the reduction algorithm runs only if a
-// caller asks for them.
+// (core's TestCycleSupportDeterminesReduction).
 //
 // One pass over each cycle's positions, read in place, fills its
-// sequence, count vector and choices, through a transition→cluster
-// table, and the schedule's sequences, count vectors, choices,
-// allocations and cycles each come from one backing array.
+// sequence and choices through a transition→cluster table, and the
+// schedule's sequences, choices, allocations and cycles each come from
+// one backing array.
 func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, p *schedPayload) (*core.Schedule, error) {
 	clusters := n.FreeChoiceSets()
 	count, saturated := core.CountAllocationsSat(n)
-	nT, nC := n.NumTransitions(), len(clusters)
-	clusterOf := make([]int, nT)
+	nC := len(clusters)
+	clusterOf := make([]int, n.NumTransitions())
 	for t := range clusterOf {
 		clusterOf[t] = -1
 	}
@@ -531,7 +528,6 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, p *schedPayload) (*c
 	}
 	nCycles := len(p.ends)
 	seqBuf := make([]petri.Transition, len(p.pos)/p.width)
-	countBuf := make([]int, nCycles*nT)
 	chosenBuf := make([]petri.Transition, nCycles*nC)
 	allocs := make([]core.Allocation, nCycles)
 	sched := &core.Schedule{
@@ -540,39 +536,35 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, p *schedPayload) (*c
 		AllocationCount:          count,
 		AllocationCountSaturated: saturated,
 	}
-	// alternatives[k] counts the alternatives of cluster k the cycle fires.
-	alternatives := make([]int, nC)
+	// fired[k] says whether the cycle fires an alternative of cluster k,
+	// which is then chosen[k].
+	fired := make([]bool, nC)
 	start := 0
 	for i, end := range p.ends {
 		seq := seqBuf[start:end:end]
-		counts := countBuf[i*nT : (i+1)*nT : (i+1)*nT]
 		chosen := chosenBuf[i*nC : (i+1)*nC : (i+1)*nC]
 		for j := range seq {
 			t := cf.TransAt[p.at(start+j)]
 			seq[j] = t
-			counts[t]++
-			if k := clusterOf[t]; k >= 0 && counts[t] == 1 {
+			k := clusterOf[t]
+			switch {
+			case k < 0:
+			case !fired[k]:
+				fired[k] = true
 				chosen[k] = t
-				alternatives[k]++
+			case chosen[k] != t:
+				return nil, fmt.Errorf("engine: cached cycle fires 2 alternatives of choice %q of net %q",
+					n.PlaceName(clusters[k].Places[0]), n.Name())
 			}
 		}
 		for k, c := range clusters {
-			switch alternatives[k] {
-			case 0:
+			if !fired[k] {
 				chosen[k] = c.Transitions[0]
-			case 1:
-			default:
-				return nil, fmt.Errorf("engine: cached cycle fires %d alternatives of choice %q of net %q",
-					alternatives[k], n.PlaceName(c.Places[0]), n.Name())
 			}
-			alternatives[k] = 0
+			fired[k] = false
 		}
 		allocs[i] = core.Allocation{Clusters: clusters, Chosen: chosen}
-		sched.Cycles[i] = core.Cycle{
-			Sequence:  seq,
-			Counts:    counts,
-			Reduction: core.LazyReduction(n, &allocs[i]),
-		}
+		sched.Cycles[i] = core.Cycle{Sequence: seq, Allocation: &allocs[i]}
 		start = end
 	}
 	return sched, nil

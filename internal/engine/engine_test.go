@@ -243,21 +243,22 @@ func TestEngineAllocationsMatchEnumeration(t *testing.T) {
 			cycleReds := make([]*core.Reduction, len(syn.Schedule.Cycles))
 			for i, c := range syn.Schedule.Cycles {
 				var fired []petri.Transition
-				for t, k := range c.Counts {
+				for t, k := range n.FiringCount(c.Sequence) {
 					if k > 0 {
 						fired = append(fired, petri.Transition(t))
 					}
 				}
-				cycleReds[i] = c.Reduction
-				if kept := c.Reduction.KeptTransitions(); !slices.Equal(fired, kept) {
+				red := core.Reduce(n, c.Allocation)
+				cycleReds[i] = red
+				if kept := red.KeptTransitions(); !slices.Equal(fired, kept) {
 					t.Fatalf("%s: cycle %d fires %v, its allocation keeps %v", n.Name(), i, n.SequenceNames(fired), n.SequenceNames(kept))
 				}
-				j := slices.IndexFunc(reds, func(r *core.Reduction) bool { return r.CompareKept(c.Reduction) == 0 })
+				j := slices.IndexFunc(reds, func(r *core.Reduction) bool { return r.CompareKept(red) == 0 })
 				if j < 0 {
 					t.Fatalf("%s: cycle %d keeps %v, no distinct reduction does", n.Name(), i, n.SequenceNames(fired))
 				}
 				want := reds[j]
-				if got := c.Reduction.Allocation.Chosen; !slices.Equal(got, want.Allocation.Chosen) {
+				if got := c.Allocation.Chosen; !slices.Equal(got, want.Allocation.Chosen) {
 					t.Fatalf("%s: cycle %d chooses %v, the enumeration %v", n.Name(), i, n.SequenceNames(got), n.SequenceNames(want.Allocation.Chosen))
 				}
 			}

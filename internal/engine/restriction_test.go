@@ -150,7 +150,7 @@ func TestRelabelMatchesReduce(t *testing.T) {
 					!slices.Equal(r.KeptPlaces(), want.KeptPlaces()) ||
 					r.CompareKept(want) != 0 ||
 					!slices.Equal(r.Steps(), want.Steps()) ||
-					r.Subnet().Net.Name() != want.Subnet().Net.Name() {
+					r.Subnet().Name() != want.Subnet().Name() {
 					t.Fatalf("%s: relabelled reduction keeps %v/%v, Reduce on the twin keeps %v/%v",
 						name, r.KeptTransitionNames(twin), r.KeptPlaceNames(twin),
 						want.KeptTransitionNames(twin), want.KeptPlaceNames(twin))

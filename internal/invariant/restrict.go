@@ -2,9 +2,11 @@ package invariant
 
 import "fcpn/internal/petri"
 
-// RestrictTInvariants derives the minimal T-semiflows of an induced subnet
-// from the parent net's minimal T-semiflows, without running Farkas again.
-// It is the checked wrapper around RestrictToKept.
+// RestrictTInvariants derives the minimal T-semiflows of the subnet of
+// parent induced by keepT and keepP (petri.Net.InducedSubnet) from the
+// parent net's minimal T-semiflows, without running Farkas again. keepT
+// lists the kept transitions in ascending parent order, which is their
+// order in the subnet. It is the checked wrapper around RestrictToKept.
 //
 // It is exact precisely when every place adjacent to a kept transition is
 // kept. Under that condition extension-by-zero maps every subnet semiflow
@@ -24,20 +26,24 @@ import "fcpn/internal/petri"
 // compute the subnet's semiflows from scratch. No T-reduction of a net
 // that passes Validate is such a subnet (the proof is in
 // docs/ALGORITHM.md §6); arbitrary induced subnets can be.
-func RestrictTInvariants(parent *petri.Net, sub *petri.Subnet, parentTIs []TInvariant) ([]TInvariant, bool) {
-	for _, t := range sub.ParentTransition {
+func RestrictTInvariants(parent *petri.Net, keepT []petri.Transition, keepP []petri.Place, parentTIs []TInvariant) ([]TInvariant, bool) {
+	kept := petri.NewNodeSet(parent.NumPlaces())
+	for _, p := range keepP {
+		kept.Add(int(p))
+	}
+	for _, t := range keepT {
 		for _, a := range parent.Pre(t) {
-			if _, ok := sub.FromParentPlace(a.Place); !ok {
+			if !kept.Has(int(a.Place)) {
 				return nil, false
 			}
 		}
 		for _, a := range parent.Post(t) {
-			if _, ok := sub.FromParentPlace(a.Place); !ok {
+			if !kept.Has(int(a.Place)) {
 				return nil, false
 			}
 		}
 	}
-	return RestrictToKept(parentTIs, sub.ParentTransition), true
+	return RestrictToKept(parentTIs, keepT), true
 }
 
 // RestrictToKept is the restriction kernel: it keeps the semiflows whose

@@ -39,12 +39,11 @@ func checkRestriction(t *testing.T, n *petri.Net, keepT []petri.Transition, keep
 	if err != nil {
 		return false
 	}
-	sub := n.InducedSubnet("sub", keepT, keepP)
-	got, ok := RestrictTInvariants(n, sub, parentTIs)
+	got, ok := RestrictTInvariants(n, keepT, keepP, parentTIs)
 	if !ok {
 		return false
 	}
-	want, err := TInvariants(sub.Net, Options{})
+	want, err := TInvariants(n.InducedSubnet("sub", keepT, keepP), Options{})
 	if err != nil {
 		t.Fatalf("from-scratch invariants failed on restrictable subnet: %v", err)
 	}
@@ -87,8 +86,7 @@ func TestRestrictTInvariantsRefusesDroppedAdjacentPlace(t *testing.T) {
 	b.ArcTP(t1, p)
 	b.Arc(p, t2)
 	n := b.Build()
-	sub := n.InducedSubnet("cut", []petri.Transition{t1, t2}, nil)
-	if _, ok := RestrictTInvariants(n, sub, nil); ok {
+	if _, ok := RestrictTInvariants(n, []petri.Transition{t1, t2}, nil, nil); ok {
 		t.Fatal("restriction accepted a subnet that dropped an adjacent place")
 	}
 }
@@ -140,12 +138,11 @@ func FuzzRestrictTInvariants(f *testing.F) {
 			}
 			// Variant 1: adjacency-closed place set — must be exact.
 			adj := adjacentPlaces(n, keepT)
-			sub := n.InducedSubnet("adj", keepT, adj)
-			got, ok := RestrictTInvariants(n, sub, parentTIs)
+			got, ok := RestrictTInvariants(n, keepT, adj, parentTIs)
 			if !ok {
 				t.Fatalf("seed=%d: adjacency-closed subnet refused", seed)
 			}
-			want, err := TInvariants(sub.Net, Options{})
+			want, err := TInvariants(n.InducedSubnet("adj", keepT, adj), Options{})
 			if err == nil && !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed=%d tMask=%x: restricted %v != scratch %v", seed, tMask, got, want)
 			}
@@ -157,9 +154,8 @@ func FuzzRestrictTInvariants(f *testing.F) {
 					cut = append(cut, p)
 				}
 			}
-			sub2 := n.InducedSubnet("cut", keepT, cut)
-			if got2, ok := RestrictTInvariants(n, sub2, parentTIs); ok {
-				want2, err := TInvariants(sub2.Net, Options{})
+			if got2, ok := RestrictTInvariants(n, keepT, cut, parentTIs); ok {
+				want2, err := TInvariants(n.InducedSubnet("cut", keepT, cut), Options{})
 				if err == nil && !reflect.DeepEqual(got2, want2) {
 					t.Fatalf("seed=%d pDrop=%x: claimed-exact restriction diverges: %v != %v",
 						seed, pDrop, got2, want2)

@@ -523,7 +523,7 @@ func checkAgainstReference(n *Net) error {
 	if err := diffNets(n.CanonicalNet(), refCanonicalNet(n)); err != nil {
 		return fmt.Errorf("CanonicalNet: %w", err)
 	}
-	if err := diffNets(refInducedSubnet(n), n.InducedSubnet("sub", keptHalf[Transition](len(n.pre)), keptHalf[Place](len(n.placeNames))).Net); err != nil {
+	if err := diffNets(refInducedSubnet(n), n.InducedSubnet("sub", keptHalf[Transition](len(n.pre)), keptHalf[Place](len(n.placeNames)))); err != nil {
 		return fmt.Errorf("InducedSubnet: %w", err)
 	}
 	return checkClusters(n)

@@ -201,39 +201,32 @@ func TestSubnetInduction(t *testing.T) {
 	t4, _ := n.TransitionByName("t4")
 	p1, _ := n.PlaceByName("p1")
 	p2, _ := n.PlaceByName("p2")
-	s := n.InducedSubnet("r1", []Transition{t1, t2, t4}, []Place{p1, p2})
-	if s.Net.NumTransitions() != 3 || s.Net.NumPlaces() != 2 {
-		t.Fatalf("subnet shape = %d/%d", s.Net.NumTransitions(), s.Net.NumPlaces())
+	// The arguments are out of parent order; the subnet's nodes are not.
+	s := n.InducedSubnet("r1", []Transition{t4, t1, t2}, []Place{p2, p1})
+	if s.NumTransitions() != 3 || s.NumPlaces() != 2 {
+		t.Fatalf("subnet shape = %d/%d", s.NumTransitions(), s.NumPlaces())
 	}
-	if !s.Net.IsConflictFree() {
+	if !s.IsConflictFree() {
 		t.Fatal("reduced net must be conflict-free")
 	}
-	st2, ok := s.FromParentTransition(t2)
-	if !ok {
-		t.Fatal("t2 missing from subnet")
+	if s.Name() != "r1" {
+		t.Fatalf("subnet name = %q", s.Name())
 	}
-	if s.ToParentTransition(st2) != t2 {
-		t.Fatal("transition round-trip failed")
+	for i, name := range []string{"t1", "t2", "t4"} {
+		if got := s.TransitionName(Transition(i)); got != name {
+			t.Fatalf("subnet transition %d = %s, want %s", i, got, name)
+		}
 	}
-	if _, ok := s.FromParentTransition(Transition(2)); s.Net.TransitionName(st2) != "t2" && !ok {
-		t.Fatal("mapping inconsistent")
+	for i, name := range []string{"p1", "p2"} {
+		if got := s.PlaceName(Place(i)); got != name {
+			t.Fatalf("subnet place %d = %s, want %s", i, got, name)
+		}
 	}
-	sp1, ok := s.FromParentPlace(p1)
-	if !ok || s.ToParentPlace(sp1) != p1 {
-		t.Fatal("place round-trip failed")
+	if _, ok := s.TransitionByName("t3"); ok {
+		t.Fatal("dropped transition still present")
 	}
-	t3, _ := n.TransitionByName("t3")
-	if _, ok := s.FromParentTransition(t3); ok {
-		t.Fatal("dropped transition still mapped")
-	}
-	p3, _ := n.PlaceByName("p3")
-	if _, ok := s.FromParentPlace(p3); ok {
-		t.Fatal("dropped place still mapped")
-	}
-
-	seq := s.MapSequenceToParent([]Transition{0, 1, 2})
-	if len(seq) != 3 || seq[0] != t1 {
-		t.Fatalf("MapSequenceToParent = %v", seq)
+	if _, ok := s.PlaceByName("p3"); ok {
+		t.Fatal("dropped place still present")
 	}
 }
 
@@ -248,17 +241,17 @@ func TestSubnetKeepsMarkingAndWeights(t *testing.T) {
 	b.Arc(q, u)
 	n := b.Build()
 	s := n.InducedSubnet("sub", []Transition{tr}, []Place{p, q})
-	sp, _ := s.FromParentPlace(p)
-	if s.Net.InitialMarking()[sp] != 3 {
+	sp, _ := s.PlaceByName("p")
+	if s.InitialMarking()[sp] != 3 {
 		t.Fatal("marking not preserved")
 	}
-	st, _ := s.FromParentTransition(tr)
-	sq, _ := s.FromParentPlace(q)
-	if s.Net.Weight(sp, st) != 2 || s.Net.WeightTP(st, sq) != 4 {
+	st, _ := s.TransitionByName("t")
+	sq, _ := s.PlaceByName("q")
+	if s.Weight(sp, st) != 2 || s.WeightTP(st, sq) != 4 {
 		t.Fatal("weights not preserved")
 	}
 	// u was dropped; q must have no consumers in the subnet.
-	if len(s.Net.Consumers(sq)) != 0 {
+	if len(s.Consumers(sq)) != 0 {
 		t.Fatal("dropped consumer still present")
 	}
 }

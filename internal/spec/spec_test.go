@@ -103,8 +103,8 @@ func TestRepeatCompilesToMultirate(t *testing.T) {
 	// step fires twice per input, finalise once.
 	step, _ := n.TransitionByName("step")
 	prep, _ := n.TransitionByName("prepare")
-	if sched.Cycles[0].Counts[step] != 2*sched.Cycles[0].Counts[prep] {
-		t.Fatalf("counts = %v", sched.Cycles[0].Counts)
+	if counts := n.FiringCount(sched.Cycles[0].Sequence); counts[step] != 2*counts[prep] {
+		t.Fatalf("counts = %v", counts)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestTwoProcessPipeline(t *testing.T) {
 	// Per cycle: 2 samples, 1 frame.
 	smp, _ := n.TransitionByName("Sample")
 	asm, _ := n.TransitionByName("assemble")
-	if sched.Cycles[0].Counts[smp] != 2 || sched.Cycles[0].Counts[asm] != 1 {
-		t.Fatalf("counts = %v", sched.Cycles[0].Counts)
+	if counts := n.FiringCount(sched.Cycles[0].Sequence); counts[smp] != 2 || counts[asm] != 1 {
+		t.Fatalf("counts = %v", counts)
 	}
 	tp, err := core.PartitionTasks(n, core.Options{})
 	if err != nil || tp.NumTasks() != 1 {
@@ -226,8 +226,8 @@ func TestNestedIfAtBranchEnd(t *testing.T) {
 	// 'done' runs in every cycle.
 	done, _ := n.TransitionByName("done")
 	for _, c := range sched.Cycles {
-		if c.Counts[done] != 1 {
-			t.Fatalf("done missing from a cycle: %v", c.Counts)
+		if counts := n.FiringCount(c.Sequence); counts[done] != 1 {
+			t.Fatalf("done missing from a cycle: %v", counts)
 		}
 	}
 }
@@ -346,13 +346,14 @@ func TestParForkJoin(t *testing.T) {
 		t.Fatalf("cycles = %d", len(sched.Cycles))
 	}
 	// Every branch and the join run exactly once per input.
+	counts := n.FiringCount(sched.Cycles[0].Sequence)
 	for _, name := range []string{"left", "right", "right2", "merge"} {
 		tr, ok := n.TransitionByName(name)
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		if sched.Cycles[0].Counts[tr] != 1 {
-			t.Fatalf("%s fired %d times", name, sched.Cycles[0].Counts[tr])
+		if counts[tr] != 1 {
+			t.Fatalf("%s fired %d times", name, counts[tr])
 		}
 	}
 	// And the synthesised code is equivalent to the net.
@@ -405,8 +406,8 @@ func TestParWithNestedIf(t *testing.T) {
 	}
 	done, _ := n.TransitionByName("done")
 	for _, c := range sched.Cycles {
-		if c.Counts[done] != 1 {
-			t.Fatalf("done must fire once per cycle: %v", c.Counts)
+		if counts := n.FiringCount(c.Sequence); counts[done] != 1 {
+			t.Fatalf("done must fire once per cycle: %v", counts)
 		}
 	}
 }
