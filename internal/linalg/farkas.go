@@ -265,29 +265,3 @@ func minimalSemiflowsBig(a *Mat, maxRows int) ([]Vec, bool) {
 	}
 	return out, true
 }
-
-// CoversAll reports whether the union of the supports of the given vectors
-// covers every index in [0, n).
-func CoversAll(vs []Vec, n int) bool {
-	covered := make([]bool, n)
-	for _, v := range vs {
-		for _, i := range v.Support() {
-			covered[i] = true
-		}
-	}
-	for _, c := range covered {
-		if !c {
-			return false
-		}
-	}
-	return true
-}
-
-// SumVecs returns the componentwise sum of the given vectors (all length n).
-func SumVecs(vs []Vec, n int) Vec {
-	sum := NewVec(n)
-	for _, v := range vs {
-		sum.Add(v)
-	}
-	return sum
-}

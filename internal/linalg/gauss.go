@@ -47,18 +47,3 @@ func Rank(m *Mat) int {
 	}
 	return rank
 }
-
-// NullspaceDim returns the dimension of {x : A·x = 0} where the rows of a
-// are the equations: Cols − Rank.
-func NullspaceDim(a *Mat) int { return a.Cols - Rank(a) }
-
-// SolvesZero reports whether A·x = 0 for the given integer vector x
-// (rows of a are equations).
-func SolvesZero(a *Mat, x Vec) bool {
-	for _, row := range a.Data {
-		if row.Dot(x).Sign() != 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -125,20 +125,6 @@ func TestRank(t *testing.T) {
 	}
 }
 
-func TestNullspaceDimAndSolvesZero(t *testing.T) {
-	// x + y - z = 0 has nullspace of dimension 2.
-	a, _ := MatFromInts([][]int{{1, 1, -1}})
-	if got := NullspaceDim(a); got != 2 {
-		t.Fatalf("NullspaceDim = %d", got)
-	}
-	if !SolvesZero(a, VecFromInts([]int{1, 1, 2})) {
-		t.Fatal("(1,1,2) solves x+y-z=0")
-	}
-	if SolvesZero(a, VecFromInts([]int{1, 1, 1})) {
-		t.Fatal("(1,1,1) does not solve")
-	}
-}
-
 func TestMinimalSemiflowsSimple(t *testing.T) {
 	// One equation: x0 - x1 = 0 → single semiflow (1,1).
 	a, _ := MatFromInts([][]int{{1, -1}})
@@ -213,21 +199,6 @@ func TestMinimalSemiflowsCap(t *testing.T) {
 	}
 }
 
-func TestCoversAllAndSum(t *testing.T) {
-	flows := []Vec{VecFromInts([]int{1, 0, 1}), VecFromInts([]int{0, 1, 0})}
-	if !CoversAll(flows, 3) {
-		t.Fatal("flows cover all indices")
-	}
-	if CoversAll(flows[:1], 3) {
-		t.Fatal("single flow does not cover")
-	}
-	sum := SumVecs(flows, 3)
-	ints, _ := sum.Ints()
-	if ints[0] != 1 || ints[1] != 1 || ints[2] != 1 {
-		t.Fatalf("SumVecs = %v", ints)
-	}
-}
-
 // Property: every semiflow returned actually solves A·x = 0, is
 // non-negative and non-zero.
 func TestSemiflowsSolveProperty(t *testing.T) {
@@ -242,7 +213,7 @@ func TestSemiflowsSolveProperty(t *testing.T) {
 			if fl.Sign() != 1 || len(fl) != cols {
 				return false
 			}
-			if !SolvesZero(a, fl) {
+			if !solvesZero(a, fl) {
 				return false
 			}
 		}
@@ -251,6 +222,17 @@ func TestSemiflowsSolveProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// solvesZero reports whether A·x = 0 for the integer vector x (rows of a
+// are equations).
+func solvesZero(a *Mat, x Vec) bool {
+	for _, row := range a.Data {
+		if row.Dot(x).Sign() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Property: supports of returned semiflows are pairwise incomparable
