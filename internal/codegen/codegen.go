@@ -1,5 +1,10 @@
-// Package codegen synthesises software from a valid quasi-static schedule
-// (Section 4 of the paper). The same intermediate tree is lowered two ways:
+// Package codegen synthesises software for a quasi-statically schedulable
+// net (Section 4 of the paper). The program is a function of the net and
+// its task partition: each task walks the net from its source
+// transitions, branching at every free choice, and picks each consumer's
+// guard from the arc weights around its input place. The valid schedule
+// shows that the net has bounded-memory code; its cycles are not read.
+// The same intermediate tree is lowered two ways:
 //
 //   - to C source (cgen.go), following the paper's Schedule/Task algorithm:
 //     an if-then-else per free choice, counting variables with if-guards
@@ -147,7 +152,9 @@ type Program struct {
 	helperOf map[petri.Transition]*Helper
 }
 
-// Generate lowers a schedule and its task partition into a Program.
+// Generate builds the Program of sched's net under the task partition. It
+// reads only sched.Net: each task's code is a traversal of the net from
+// the task's sources, and no cycle of the schedule shapes it.
 func Generate(sched *core.Schedule, partition *core.TaskPartition) (*Program, error) {
 	n := sched.Net
 	prog := &Program{
