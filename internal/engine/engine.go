@@ -547,12 +547,12 @@ func rebuildSchedule(n *petri.Net, cf *petri.CanonicalForm, p *schedPayload) (*c
 			t := cf.TransAt[p.at(start+j)]
 			seq[j] = t
 			k := clusterOf[t]
-			switch {
-			case k < 0:
-			case !fired[k]:
-				fired[k] = true
-				chosen[k] = t
-			case chosen[k] != t:
+			if k < 0 {
+				continue
+			}
+			if !fired[k] {
+				fired[k], chosen[k] = true, t
+			} else if chosen[k] != t {
 				return nil, fmt.Errorf("engine: cached cycle fires 2 alternatives of choice %q of net %q",
 					n.PlaceName(clusters[k].Places[0]), n.Name())
 			}
