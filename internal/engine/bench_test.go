@@ -10,6 +10,7 @@ import (
 	"fcpn/internal/modem"
 	"fcpn/internal/netgen"
 	"fcpn/internal/petri"
+	"fcpn/internal/timing"
 )
 
 // benchNets is a fixed 64-net corpus of distinct generated pipelines.
@@ -40,18 +41,51 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWarm measures the same batch against a warmed cache —
-// the content-addressed hit path (canonical rebuild only).
+// BenchmarkEngineWarm measures what a warm twin pays: each op analyses
+// the benchNets batch freshly parsed from its Format text on an engine
+// that has analysed it before, so every net computes its canonical form
+// and then hits the cache. The parsing runs with the timer stopped. The
+// sub-benchmarks run with the timing pass off and with the (9,10) pass
+// and its margin search.
 func BenchmarkEngineWarm(b *testing.B) {
-	nets := benchNets()
-	e := New(Config{Workers: 4})
-	defer e.Close()
-	e.AnalyzeBatch(nets)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.AnalyzeBatch(nets)
+	texts := make([]string, 0, 64)
+	for _, n := range benchNets() {
+		texts = append(texts, petri.Format(n))
 	}
-	b.ReportMetric(float64(len(nets))*float64(b.N)/b.Elapsed().Seconds(), "nets/s")
+	parse := func() []*petri.Net {
+		nets := make([]*petri.Net, len(texts))
+		for i, text := range texts {
+			n, err := petri.ParseString(text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nets[i] = n
+		}
+		return nets
+	}
+	mk := timing.Constraint{M: 9, K: 10}
+	for _, x := range []struct {
+		name string
+		opt  TimingOptions
+	}{
+		{"timing=off", TimingOptions{}},
+		{"margin", TimingOptions{MK: mk, Margin: true}},
+	} {
+		b.Run(x.name, func(b *testing.B) {
+			e := New(Config{Workers: 4, Timing: x.opt})
+			defer e.Close()
+			e.AnalyzeBatch(parse())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nets := parse()
+				b.StartTimer()
+				e.AnalyzeBatch(nets)
+			}
+			b.ReportMetric(float64(len(texts))*float64(b.N)/b.Elapsed().Seconds(), "nets/s")
+		})
+	}
 }
 
 // handoffNets is the corpus of the schedule hand-off benchmarks: the ATM
