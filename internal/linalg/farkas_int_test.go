@@ -154,7 +154,7 @@ func TestIntTierMatchesBigPathWide(t *testing.T) {
 				t.Fatalf("%s cap %d: tier diverges\ntier: %v\nref:  %v", x.name, maxRows, out, ref)
 			}
 			for _, v := range out {
-				if sup := v.Support(); len(sup) > 0 && sup[len(sup)-1] >= 64 {
+				if sup := support(v); len(sup) > 0 && sup[len(sup)-1] >= 64 {
 					highWord++
 				}
 			}

@@ -82,17 +82,6 @@ func (v Vec) Sign() int {
 	}
 }
 
-// Support returns the indices of the non-zero components.
-func (v Vec) Support() []int {
-	var out []int
-	for i := range v {
-		if v[i].Sign() != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Ints converts the vector to []int64-sized ints; ok is false if any
 // component overflows int.
 func (v Vec) Ints() ([]int, bool) {
@@ -128,14 +117,6 @@ func (v Vec) NormalizeGCD() {
 	}
 }
 
-// Add sets v = v + w and returns v.
-func (v Vec) Add(w Vec) Vec {
-	for i := range v {
-		v[i].Add(v[i], w[i])
-	}
-	return v
-}
-
 // AddScaled sets v = v + k·w and returns v.
 func (v Vec) AddScaled(k *big.Int, w Vec) Vec {
 	tmp := new(big.Int)
@@ -144,17 +125,6 @@ func (v Vec) AddScaled(k *big.Int, w Vec) Vec {
 		v[i].Add(v[i], tmp)
 	}
 	return v
-}
-
-// Dot returns the inner product ⟨v,w⟩.
-func (v Vec) Dot(w Vec) *big.Int {
-	sum := new(big.Int)
-	tmp := new(big.Int)
-	for i := range v {
-		tmp.Mul(v[i], w[i])
-		sum.Add(sum, tmp)
-	}
-	return sum
 }
 
 // String renders the vector as [a b c].

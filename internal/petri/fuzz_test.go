@@ -85,9 +85,11 @@ func FuzzParse(f *testing.F) {
 // FuzzParsePN checks the .pn front end end-to-end: malformed documents
 // must be rejected with an error — never a panic — and accepted documents
 // must survive the structural pipeline (Validate, canonical hashing)
-// without panicking. The canonical hash must also be invariant under a
-// Format round-trip, since Format only renames nothing and reorders
-// declarations — exactly the variation the hash is defined to ignore.
+// without panicking. The canonical form must equal the string
+// refinement's (refCanonicalForm) in all five fields, and the hash must
+// be invariant under a Format round-trip, since Format only renames
+// nothing and reorders declarations — exactly the variation the hash is
+// defined to ignore.
 func FuzzParsePN(f *testing.F) {
 	seeds := []string{
 		"",
@@ -117,6 +119,9 @@ func FuzzParsePN(f *testing.F) {
 		h := n.CanonicalHash()
 		if h == "" {
 			t.Fatal("empty canonical hash")
+		}
+		if err := diffCanonicalForms(n.CanonicalForm(), refCanonicalForm(n)); err != nil {
+			t.Fatalf("CanonicalForm differs from the reference: %v", err)
 		}
 		back, err := ParseString(Format(n))
 		if err != nil {

@@ -1,6 +1,11 @@
 package petri
 
-import "testing"
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
 
 // fig3aLike builds the Figure-3a shape with controllable declaration order
 // and names so the canonical hash's invariance claims can be tested
@@ -122,4 +127,67 @@ func TestCanonicalFormIsDeterministic(t *testing.T) {
 			t.Fatal("place order not deterministic")
 		}
 	}
+}
+
+// TestCanonicalFormMatchesReference compares CanonicalForm with the
+// string refinement refCanonicalForm on 3,000 seeded random Builder nets
+// of 1–80 places and 1–80 transitions. Weights and markings are drawn
+// from values whose texts prefix one another (1, 10, 100, 101, …), so
+// that the integer keys meet every text-order case.
+func TestCanonicalFormMatchesReference(t *testing.T) {
+	values := []int64{1, 2, 3, 7, 9, 10, 11, 12, 19, 20, 100, 101, 1000, 123456789012}
+	rng := rand.New(rand.NewPCG(1, 2))
+	draw := func() int { return int(values[rng.IntN(len(values))]) }
+	nets := 3000
+	if testing.Short() {
+		nets = 300
+	}
+	for i := 0; i < nets; i++ {
+		b := NewBuilder("rand")
+		np, nt := 1+rng.IntN(80), 1+rng.IntN(80)
+		for p := 0; p < np; p++ {
+			tokens := 0
+			if rng.IntN(2) == 0 {
+				tokens = draw()
+			}
+			b.MarkedPlace(fmt.Sprintf("p%d", p), tokens)
+		}
+		for t := 0; t < nt; t++ {
+			b.Transition(fmt.Sprintf("t%d", t))
+		}
+		weighted := rng.IntN(2) == 0
+		for a := rng.IntN(3 * (np + nt)); a > 0; a-- {
+			p, t, w := Place(rng.IntN(np)), Transition(rng.IntN(nt)), 1
+			if weighted {
+				w = draw()
+			}
+			if rng.IntN(2) == 0 {
+				b.WeightedArc(p, t, w)
+			} else {
+				b.WeightedArcTP(t, p, w)
+			}
+		}
+		n := b.Build()
+		if err := diffCanonicalForms(n.CanonicalForm(), refCanonicalForm(n)); err != nil {
+			t.Fatalf("net %d: %v\n%s", i, err, Format(n))
+		}
+	}
+}
+
+// diffCanonicalForms reports the first field in which got differs from
+// want.
+func diffCanonicalForms(got, want *CanonicalForm) error {
+	switch {
+	case got.Hash != want.Hash:
+		return fmt.Errorf("Hash %s, reference %s", got.Hash, want.Hash)
+	case !slices.Equal(got.PlaceAt, want.PlaceAt):
+		return fmt.Errorf("PlaceAt %v, reference %v", got.PlaceAt, want.PlaceAt)
+	case !slices.Equal(got.TransAt, want.TransAt):
+		return fmt.Errorf("TransAt %v, reference %v", got.TransAt, want.TransAt)
+	case !slices.Equal(got.PlacePos, want.PlacePos):
+		return fmt.Errorf("PlacePos %v, reference %v", got.PlacePos, want.PlacePos)
+	case !slices.Equal(got.TransPos, want.TransPos):
+		return fmt.Errorf("TransPos %v, reference %v", got.TransPos, want.TransPos)
+	}
+	return nil
 }

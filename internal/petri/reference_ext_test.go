@@ -17,8 +17,8 @@ import (
 )
 
 // TestConstructorsMatchReference pins Builder.Build, Parse, CanonicalNet,
-// ConflictClusters and FreeChoiceSets against the map-based and pairwise
-// references in reference_test.go over the paper's figures, the shipped
+// ConflictClusters, FreeChoiceSets and CanonicalForm against the
+// map-based, pairwise and string references in reference_test.go over the paper's figures, the shipped
 // .pn files, the ATM server, the modem and RandomNet and
 // RandomSchedulablePipeline seeds 0–499, each RandomNet also in a variant
 // that is not free-choice (see unfree), and sharedFirstPlace nets.

@@ -2,6 +2,8 @@ package petri
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -13,8 +15,9 @@ import (
 // were assembled from slices, as references for the differential tests:
 // refBuilder accumulates arcs in per-transition maps, refParse is the
 // strings.Fields parser over it, refCanonicalNet and refInducedSubnet
-// build the twin and a subnet through refBuilder, and
-// refConflictClusters compares every transition pair. The
+// build the twin and a subnet through refBuilder,
+// refConflictClusters compares every transition pair, and
+// refCanonicalForm ranks colour-refinement signatures as strings. The
 // one addition is the overflow check: refBuilder flags an arc whose summed
 // weight leaves int and its build reports the first such arc in the order
 // Builder.build checks them (input arcs of every transition, then output
@@ -459,8 +462,8 @@ func diffNets(got, want *Net) error {
 // the references: Build replaying n's nodes and arcs (each arc of weight
 // w > 1 split into two repeated calls), Parse of Format(n) and of that text
 // with its arc lines reversed and split the same way, CanonicalNet,
-// InducedSubnet on about two thirds of the nodes, ConflictClusters and
-// FreeChoiceSets.
+// InducedSubnet on about two thirds of the nodes, ConflictClusters,
+// FreeChoiceSets and CanonicalForm.
 func checkAgainstReference(n *Net) error {
 	nb, rb := NewBuilder(n.name), newRefBuilder(n.name)
 	for p, name := range n.placeNames {
@@ -520,6 +523,9 @@ func checkAgainstReference(n *Net) error {
 		}
 	}
 
+	if err := diffCanonicalForms(n.CanonicalForm(), refCanonicalForm(n)); err != nil {
+		return fmt.Errorf("CanonicalForm: %w", err)
+	}
 	if err := diffNets(n.CanonicalNet(), refCanonicalNet(n)); err != nil {
 		return fmt.Errorf("CanonicalNet: %w", err)
 	}
@@ -607,3 +613,234 @@ func splitWeight(w int) []int {
 // CheckAgainstReference is checkAgainstReference for the external tests
 // in this directory, which draw nets from packages that import petri.
 var CheckAgainstReference = checkAgainstReference
+
+// refCanonicalForm is the canonical form computed on signature texts:
+// each round builds every node's signature as a string and ranks the
+// distinct strings through a sorted copy and a map.
+func refCanonicalForm(n *Net) *CanonicalForm {
+	nP, nT := n.NumPlaces(), n.NumTransitions()
+	pCol := make([]int, nP)
+	tCol := make([]int, nT)
+
+	var buf []byte
+
+	// Round 0: structural signatures independent of any prior colours.
+	sigs := make([]string, 0, nP+nT)
+	init := n.initialMark
+	for p := 0; p < nP; p++ {
+		buf = append(buf[:0], "P|m"...)
+		buf = strconv.AppendInt(buf, int64(markAt(init, p)), 10)
+		buf = append(buf, "|i"...)
+		buf = strconv.AppendInt(buf, int64(len(n.placeIn[p])), 10)
+		buf = append(buf, "|o"...)
+		buf = strconv.AppendInt(buf, int64(len(n.placeOut[p])), 10)
+		buf = append(buf, "|iw"...)
+		for _, w := range refSortedWeightsT(n.placeIn[p]) {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(w), 10)
+		}
+		buf = append(buf, "|ow"...)
+		for _, w := range refSortedWeightsT(n.placeOut[p]) {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(w), 10)
+		}
+		sigs = append(sigs, string(buf))
+	}
+	for t := 0; t < nT; t++ {
+		buf = append(buf[:0], "T|i"...)
+		buf = strconv.AppendInt(buf, int64(len(n.pre[t])), 10)
+		buf = append(buf, "|o"...)
+		buf = strconv.AppendInt(buf, int64(len(n.post[t])), 10)
+		buf = append(buf, "|iw"...)
+		for _, w := range refSortedWeightsP(n.pre[t]) {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(w), 10)
+		}
+		buf = append(buf, "|ow"...)
+		for _, w := range refSortedWeightsP(n.post[t]) {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(w), 10)
+		}
+		sigs = append(sigs, string(buf))
+	}
+	classes := refRankSignatures(sigs, pCol, tCol)
+
+	// Refinement rounds: a node's new signature is its colour plus the
+	// sorted multiset of (direction, weight, neighbour colour) tuples.
+	// Signature ranks are assigned by lexicographic order of the distinct
+	// signatures, so colours depend only on the multiset — never on the
+	// local iteration order — keeping the result declaration-order stable.
+	tuple := func(dir byte, weight, col int) string {
+		var b [24]byte
+		s := append(b[:0], dir)
+		s = strconv.AppendInt(s, int64(weight), 10)
+		s = append(s, ',')
+		s = strconv.AppendInt(s, int64(col), 10)
+		return string(s)
+	}
+	var tuples []string
+	joinSig := func(kind byte, col int) string {
+		sort.Strings(tuples)
+		buf = append(buf[:0], kind)
+		buf = strconv.AppendInt(buf, int64(col), 10)
+		buf = append(buf, '|')
+		for i, s := range tuples {
+			if i > 0 {
+				buf = append(buf, ';')
+			}
+			buf = append(buf, s...)
+		}
+		return string(buf)
+	}
+	for round := 0; round < nP+nT; round++ {
+		sigs = sigs[:0]
+		for p := 0; p < nP; p++ {
+			tuples = tuples[:0]
+			for _, ta := range n.placeIn[p] {
+				tuples = append(tuples, tuple('<', ta.Weight, tCol[ta.Transition]))
+			}
+			for _, ta := range n.placeOut[p] {
+				tuples = append(tuples, tuple('>', ta.Weight, tCol[ta.Transition]))
+			}
+			sigs = append(sigs, joinSig('P', pCol[p]))
+		}
+		for t := 0; t < nT; t++ {
+			tuples = tuples[:0]
+			for _, a := range n.pre[t] {
+				tuples = append(tuples, tuple('<', a.Weight, pCol[a.Place]))
+			}
+			for _, a := range n.post[t] {
+				tuples = append(tuples, tuple('>', a.Weight, pCol[a.Place]))
+			}
+			sigs = append(sigs, joinSig('T', tCol[t]))
+		}
+		next := refRankSignatures(sigs, pCol, tCol)
+		if next == classes {
+			break // partition stable
+		}
+		classes = next
+	}
+
+	cf := &CanonicalForm{
+		PlaceAt:  make([]Place, nP),
+		TransAt:  make([]Transition, nT),
+		PlacePos: make([]int, nP),
+		TransPos: make([]int, nT),
+	}
+	for i := range cf.PlaceAt {
+		cf.PlaceAt[i] = Place(i)
+	}
+	for i := range cf.TransAt {
+		cf.TransAt[i] = Transition(i)
+	}
+	// Canonical order: refined colour first, local index as the tie-break
+	// (ties are colour-equivalent nodes, interchangeable for all practical
+	// nets; a tie broken differently still yields a valid — merely
+	// unshared — hash).
+	sort.Slice(cf.PlaceAt, func(i, j int) bool {
+		a, b := cf.PlaceAt[i], cf.PlaceAt[j]
+		if pCol[a] != pCol[b] {
+			return pCol[a] < pCol[b]
+		}
+		return a < b
+	})
+	sort.Slice(cf.TransAt, func(i, j int) bool {
+		a, b := cf.TransAt[i], cf.TransAt[j]
+		if tCol[a] != tCol[b] {
+			return tCol[a] < tCol[b]
+		}
+		return a < b
+	})
+	for i, p := range cf.PlaceAt {
+		cf.PlacePos[p] = i
+	}
+	for i, t := range cf.TransAt {
+		cf.TransPos[t] = i
+	}
+
+	// Serialise the relabelled structure: node counts, markings in
+	// canonical place order, then per canonical transition the sorted
+	// (canonical place, weight) pre- and post-sets.
+	buf = append(buf[:0], "fcpn-canonical-v1|P"...)
+	buf = strconv.AppendInt(buf, int64(nP), 10)
+	buf = append(buf, "|T"...)
+	buf = strconv.AppendInt(buf, int64(nT), 10)
+	buf = append(buf, "\nm"...)
+	for _, p := range cf.PlaceAt {
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(markAt(init, int(p))), 10)
+	}
+	appendArcs := func(arcs []ArcRef) {
+		for _, pw := range refCanonicalArcs(arcs, cf.PlacePos) {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(pw[0]), 10)
+			buf = append(buf, '*')
+			buf = strconv.AppendInt(buf, int64(pw[1]), 10)
+		}
+	}
+	for i, t := range cf.TransAt {
+		buf = append(buf, "\nt"...)
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, " pre"...)
+		appendArcs(n.pre[t])
+		buf = append(buf, " post"...)
+		appendArcs(n.post[t])
+	}
+	sum := sha256.Sum256(buf)
+	cf.Hash = hex.EncodeToString(sum[:])
+	return cf
+}
+
+// refRankSignatures replaces pCol/tCol with the rank of each node's signature
+// in the lexicographically sorted distinct-signature list and returns the
+// number of distinct signatures.
+func refRankSignatures(sigs []string, pCol, tCol []int) int {
+	distinct := append([]string(nil), sigs...)
+	sort.Strings(distinct)
+	uniq := distinct[:0]
+	for i, s := range distinct {
+		if i == 0 || s != distinct[i-1] {
+			uniq = append(uniq, s)
+		}
+	}
+	rank := make(map[string]int, len(uniq))
+	for i, s := range uniq {
+		rank[s] = i
+	}
+	for p := range pCol {
+		pCol[p] = rank[sigs[p]]
+	}
+	for t := range tCol {
+		tCol[t] = rank[sigs[len(pCol)+t]]
+	}
+	return len(uniq)
+}
+
+func refSortedWeightsT(arcs []TArc) []int {
+	ws := make([]int, len(arcs))
+	for i, a := range arcs {
+		ws[i] = a.Weight
+	}
+	sort.Ints(ws)
+	return ws
+}
+
+func refSortedWeightsP(arcs []ArcRef) []int {
+	ws := make([]int, len(arcs))
+	for i, a := range arcs {
+		ws[i] = a.Weight
+	}
+	sort.Ints(ws)
+	return ws
+}
+
+// refCanonicalArcs maps a transition's arc list into sorted
+// (canonical place position, weight) pairs.
+func refCanonicalArcs(arcs []ArcRef, placePos []int) [][2]int {
+	out := make([][2]int, len(arcs))
+	for i, a := range arcs {
+		out[i] = [2]int{placePos[a.Place], a.Weight}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
