@@ -237,19 +237,15 @@ func (n *Net) computeCanonicalForm() *CanonicalForm {
 	// Canonical order: refined colour first, local index as the tie-break
 	// (ties are colour-equivalent nodes, interchangeable for all practical
 	// nets; a tie broken differently still yields a valid — merely
-	// unshared — hash). A counting sort over the colours keeps index
-	// order within a colour, and place colours come first.
-	clear(cnt[:classes])
-	for _, c := range col {
-		cnt[c]++
-	}
-	at := 0
-	for c := 0; c < classes; c++ {
-		at, cnt[c] = at+cnt[c], at
-	}
-	for v, c := range col {
-		order[cnt[c]] = v
-		cnt[c]++
+	// unshared — hash). The last round left order sorted by colour, place
+	// colours first; sort each colour's nodes by index.
+	for i := 0; i < nodes; {
+		end := i + 1
+		for end < nodes && col[order[end]] == col[order[i]] {
+			end++
+		}
+		slices.Sort(order[i:end])
+		i = end
 	}
 	cf := &CanonicalForm{
 		PlaceAt:  make([]Place, nP),
