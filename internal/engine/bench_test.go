@@ -52,7 +52,7 @@ func BenchmarkEngineWarm(b *testing.B) {
 	for _, n := range benchNets() {
 		texts = append(texts, petri.Format(n))
 	}
-	parse := func() []*petri.Net {
+	parse := func(b *testing.B) []*petri.Net {
 		nets := make([]*petri.Net, len(texts))
 		for i, text := range texts {
 			n, err := petri.ParseString(text)
@@ -74,12 +74,12 @@ func BenchmarkEngineWarm(b *testing.B) {
 		b.Run(x.name, func(b *testing.B) {
 			e := New(Config{Workers: 4, Timing: x.opt})
 			defer e.Close()
-			e.AnalyzeBatch(parse())
+			e.AnalyzeBatch(parse(b))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				nets := parse()
+				nets := parse(b)
 				b.StartTimer()
 				e.AnalyzeBatch(nets)
 			}

@@ -152,19 +152,19 @@ func TestCanonicalFormMatchesReference(t *testing.T) {
 			}
 			b.MarkedPlace(fmt.Sprintf("p%d", p), tokens)
 		}
-		for t := 0; t < nt; t++ {
-			b.Transition(fmt.Sprintf("t%d", t))
+		for k := 0; k < nt; k++ {
+			b.Transition(fmt.Sprintf("t%d", k))
 		}
 		weighted := rng.IntN(2) == 0
 		for a := rng.IntN(3 * (np + nt)); a > 0; a-- {
-			p, t, w := Place(rng.IntN(np)), Transition(rng.IntN(nt)), 1
+			p, tr, w := Place(rng.IntN(np)), Transition(rng.IntN(nt)), 1
 			if weighted {
 				w = draw()
 			}
 			if rng.IntN(2) == 0 {
-				b.WeightedArc(p, t, w)
+				b.WeightedArc(p, tr, w)
 			} else {
-				b.WeightedArcTP(t, p, w)
+				b.WeightedArcTP(tr, p, w)
 			}
 		}
 		n := b.Build()

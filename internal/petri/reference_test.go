@@ -12,16 +12,17 @@ import (
 )
 
 // This file keeps the map-based constructors the package used before nets
-// were assembled from slices, as references for the differential tests:
-// refBuilder accumulates arcs in per-transition maps, refParse is the
-// strings.Fields parser over it, refCanonicalNet and refInducedSubnet
-// build the twin and a subnet through refBuilder,
-// refConflictClusters compares every transition pair, and
-// refCanonicalForm ranks colour-refinement signatures as strings. The
-// one addition is the overflow check: refBuilder flags an arc whose summed
-// weight leaves int and its build reports the first such arc in the order
-// Builder.build checks them (input arcs of every transition, then output
-// arcs, each by place).
+// were assembled from slices, and the canonical form as it was computed
+// before it ranked integer keys, as references for the differential
+// tests: refBuilder accumulates arcs in per-transition maps, refParse is
+// the strings.Fields parser over it, refCanonicalNet and refInducedSubnet
+// build the twin and a subnet through refBuilder, refConflictClusters
+// compares every transition pair, and refCanonicalForm ranks each
+// round's signature strings through a sorted copy and a map. The one
+// addition to the constructors is the overflow check: refBuilder flags an
+// arc whose summed weight leaves int and its build reports the first such
+// arc in the order Builder.build checks them (input arcs of every
+// transition, then output arcs, each by place).
 
 type refBuilder struct {
 	name       string
