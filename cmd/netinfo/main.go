@@ -113,7 +113,7 @@ func printPhases(w io.Writer, rep *trace.Report) {
 // reachability and scheduling calls record their detail phases into it.
 func report(w io.Writer, n *petri.Net, maxStates int, tr *trace.Tracer) {
 	fmt.Fprintf(w, "net %q: %d places, %d transitions, %d arcs\n",
-		n.Name(), n.NumPlaces(), n.NumTransitions(), len(n.Arcs()))
+		n.Name(), n.NumPlaces(), n.NumTransitions(), n.NumArcs())
 	fmt.Fprintf(w, "class: %s\n", n.Classify())
 	fmt.Fprintf(w, "sources: %s\n", nameList(n, n.SourceTransitions()))
 	fmt.Fprintf(w, "sinks: %s\n", nameList(n, n.SinkTransitions()))

@@ -664,7 +664,7 @@ func minimalReport(n *petri.Net, cf *petri.CanonicalForm) *NetReport {
 		Hash:        cf.Hash,
 		Places:      n.NumPlaces(),
 		Transitions: n.NumTransitions(),
-		Arcs:        len(n.Arcs()),
+		Arcs:        n.NumArcs(),
 	}
 }
 
@@ -781,7 +781,7 @@ func (e *Engine) analyzeTraced(ctx context.Context, n *petri.Net, cf *petri.Cano
 		Hash:        cf.Hash,
 		Places:      n.NumPlaces(),
 		Transitions: n.NumTransitions(),
-		Arcs:        len(n.Arcs()),
+		Arcs:        n.NumArcs(),
 		Class:       n.Classify(),
 		FreeChoice:  n.IsFreeChoice(),
 		Sources:     sortedNames(n, n.SourceTransitions()),

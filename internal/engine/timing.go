@@ -43,8 +43,9 @@ const (
 func (o TimingOptions) Enabled() bool { return o.MK.Enabled() }
 
 // TimingReport is the per-net outcome of the timing pass, attached to
-// NetReport.Timing. Like every other report field it is decoded from a
-// canonical cached payload, hit and miss alike, so warm results marshal
+// NetReport.Timing. Like every other report field it is rebuilt from a
+// canonical cached payload, hit and miss alike: each job gets its own
+// deep copy of the stored report, so warm results marshal
 // byte-identically to cold ones; the verdict and margins carry no
 // net-local identifiers.
 type TimingReport struct {
@@ -158,9 +159,10 @@ func (cr *canonResolver) extend(p petri.Place, k int) {
 // "timing/monitor" span, reads the calibrated deadline and the verdict
 // off that run, then (when configured) searches each margin from it
 // under "timing/margin". The engine's timing options are fixed for its
-// lifetime, so the key carries none. The report is decoded from the
-// stored payload on hit and miss alike, so no report shares memory with
-// the cache.
+// lifetime, so the key carries none. The miss stores the report decoded
+// from its own JSON, which is exactly what the JSON says (the margins'
+// probe counters stay zero), and every job, hit or miss, gets a deep
+// copy of it, so no report shares memory with the cache.
 func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.Schedule, tp *core.TaskPartition, tr *trace.Tracer) (*TimingReport, error) {
 	opts := e.cfg.Timing
 	v, err := e.cache.getOrCompute("timing:"+cf.Hash, func() (any, error) {
@@ -189,16 +191,76 @@ func (e *Engine) timingPass(n *petri.Net, cf *petri.CanonicalForm, sched *core.S
 			return nil, err
 		}
 		tr.Add("cache/timing/bytes", int64(len(enc)))
-		return enc, nil
+		stored := &TimingReport{}
+		if err := json.Unmarshal(enc, stored); err != nil {
+			return nil, fmt.Errorf("engine: timing payload: %w", err)
+		}
+		return stored, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	trep := &TimingReport{}
-	if err := json.Unmarshal(v.([]byte), trep); err != nil {
-		return nil, fmt.Errorf("engine: timing payload: %w", err)
+	return cloneTimingReport(v.(*TimingReport)), nil
+}
+
+// cloneTimingReport returns a deep copy of r that shares no memory with
+// it but its strings, nil exactly where r is nil. The verdicts, the
+// violations, the margins and their results each come from one backing
+// array.
+func cloneTimingReport(r *TimingReport) *TimingReport {
+	c := *r
+	nVerdicts, nViolations := 0, 0
+	countVerdict := func(v *timing.Verdict) {
+		if v != nil {
+			nVerdicts++
+			if v.Violation != nil {
+				nViolations++
+			}
+		}
 	}
-	return trep, nil
+	countVerdict(r.Verdict)
+	for _, om := range r.Margins {
+		if om != nil && om.Result != nil {
+			countVerdict(om.Result.Pass)
+			countVerdict(om.Result.Fail)
+		}
+	}
+	verdicts := make([]timing.Verdict, 0, nVerdicts)
+	violations := make([]timing.Violation, 0, nViolations)
+	copyVerdict := func(v *timing.Verdict) *timing.Verdict {
+		if v == nil {
+			return nil
+		}
+		verdicts = append(verdicts, *v)
+		cv := &verdicts[len(verdicts)-1]
+		if v.Violation != nil {
+			violations = append(violations, *v.Violation)
+			cv.Violation = &violations[len(violations)-1]
+		}
+		return cv
+	}
+	c.Verdict = copyVerdict(r.Verdict)
+	if r.Margins != nil {
+		margins := make([]sim.OverloadMargin, 0, len(r.Margins))
+		results := make([]timing.MarginResult, 0, len(r.Margins))
+		c.Margins = make([]*sim.OverloadMargin, len(r.Margins))
+		for i, om := range r.Margins {
+			if om == nil {
+				continue
+			}
+			margins = append(margins, *om)
+			cm := &margins[len(margins)-1]
+			if om.Result != nil {
+				results = append(results, *om.Result)
+				res := &results[len(results)-1]
+				res.Pass = copyVerdict(om.Result.Pass)
+				res.Fail = copyVerdict(om.Result.Fail)
+				cm.Result = res
+			}
+			c.Margins[i] = cm
+		}
+	}
+	return &c
 }
 
 // timingVerdict generates the net's program, runs the canonical

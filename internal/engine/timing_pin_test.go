@@ -5,7 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"fcpn/internal/atm"
@@ -73,4 +76,54 @@ func TestTimingReportsPinned(t *testing.T) {
 		e.Close()
 	}
 	checkGolden(t, "timing_reports.golden", buf.Bytes())
+}
+
+// TestTimingHitsMatchPinned checks warm hits against the cold runs that
+// TestTimingReportsPinned pins: an engine in the "margin" setting
+// analyses the pinned corpus once, then each net again, parsed afresh
+// from its text, and every second report must hash to the golden's
+// "margin" line without a single miss of the timing layer.
+func TestTimingHitsMatchPinned(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "timing_reports.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("golden line %q: want SETTING LABEL SUM", line)
+		}
+		if f[0] == "margin" {
+			want[f[1]] = f[2]
+		}
+	}
+	labels, nets := timingPinNets(t)
+	e := New(Config{Workers: 1, Timing: TimingOptions{MK: timing.Constraint{M: 9, K: 10}, Margin: true}})
+	defer e.Close()
+	for _, label := range labels {
+		analyze(t, e, nets[label])
+	}
+	timingMisses := func() int64 { return e.Stats().Trace.Counters["cache/timing/miss"] }
+	misses := timingMisses()
+	if misses == 0 {
+		t.Fatal("the cold pass counted no timing misses")
+	}
+	for _, label := range labels {
+		twin, err := petri.ParseString(petri.Format(nets[label]))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		rep := analyze(t, e, twin)
+		sum := "-"
+		if rep.Timing != nil {
+			sum = fmt.Sprintf("%x", sha256.Sum256([]byte(timingJSON(t, rep))))
+		}
+		if w, ok := want[label]; !ok || sum != w {
+			t.Errorf("%s: warm timing report hashes to %s, golden says %q", label, sum, w)
+		}
+	}
+	if got := timingMisses(); got != misses {
+		t.Fatalf("the warm pass missed the timing layer %d times", got-misses)
+	}
 }

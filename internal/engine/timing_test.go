@@ -2,6 +2,8 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"fcpn/internal/figures"
@@ -160,5 +162,130 @@ func TestEngineTimingReportShape(t *testing.T) {
 	defer plain.Close()
 	if rep := analyze(t, plain, figures.Figure4()); rep.Timing != nil {
 		t.Fatal("timing pass ran without being configured")
+	}
+}
+
+// TestTimingReportNotShared edits every field reachable from a report's
+// timing section, then analyses a twin on the same engine: the twin's
+// timing report comes from the same cache entry and must read as the
+// original did.
+func TestTimingReportNotShared(t *testing.T) {
+	e := New(timingConfig(1))
+	defer e.Close()
+	n := figures.Figure2()
+	rep := analyze(t, e, n)
+	want := timingJSON(t, rep)
+	tr := rep.Timing
+	if tr == nil || tr.Verdict == nil || len(tr.Margins) != 2 {
+		t.Fatalf("figure2 timing report = %s, want a verdict and two margins", want)
+	}
+	for _, om := range tr.Margins {
+		if om.Result == nil || om.Result.Pass == nil || om.Result.Fail == nil || om.Result.Fail.Violation == nil {
+			t.Fatalf("figure2 margin %s lacks a pass, a fail or its violation: %s", om.Kind, want)
+		}
+	}
+
+	tr.MK += "edited"
+	tr.Deadline++
+	tr.Verdict.Events++
+	tr.Verdict.Misses++
+	for _, om := range tr.Margins {
+		om.Kind += "edited"
+		om.Result.Level++
+		om.Result.Pass.Events++
+		om.Result.Pass.Misses++
+		om.Result.Fail.Events++
+		om.Result.Fail.Misses++
+		om.Result.Fail.Violation.Window += "edited"
+	}
+	tr.Margins[0] = &sim.OverloadMargin{Kind: "replaced"}
+	tr.Margins = append(tr.Margins, &sim.OverloadMargin{Kind: "appended"})
+
+	twin, err := petri.ParseString(petri.Format(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := timingJSON(t, analyze(t, e, twin)); got != want {
+		t.Fatalf("a caller's edits reached a later hit:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestCloneTimingReportDeep fills every field reachable from a
+// TimingReport with distinct non-zero values and checks that the copy
+// equals the original and reaches none of its memory. A field added to
+// any of the report's types fails the test until the copy handles it.
+func TestCloneTimingReportDeep(t *testing.T) {
+	orig := &TimingReport{}
+	next := 0
+	fillDistinct(t, reflect.ValueOf(orig).Elem(), "TimingReport", &next)
+	c := cloneTimingReport(orig)
+	if !reflect.DeepEqual(c, orig) {
+		t.Fatalf("copy differs from the original:\n%+v\nvs\n%+v", c, orig)
+	}
+	owned := map[uintptr]string{}
+	walkMemory(reflect.ValueOf(orig), "orig", func(addr uintptr, path string) { owned[addr] = path })
+	walkMemory(reflect.ValueOf(c), "copy", func(addr uintptr, path string) {
+		if o, ok := owned[addr]; ok {
+			t.Errorf("%s shares memory with %s", path, o)
+		}
+	})
+}
+
+// fillDistinct sets every field reachable from v, allocating each
+// pointer and giving each slice two elements, to a value that no other
+// field of its kind holds.
+func fillDistinct(t *testing.T, v reflect.Value, path string, next *int) {
+	t.Helper()
+	*next++
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillDistinct(t, v.Elem(), path, next)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), next)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				t.Fatalf("%s.%s: unexported field", path, f.Name)
+			}
+			fillDistinct(t, v.Field(i), path+"."+f.Name, next)
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Uint64:
+		v.SetUint(uint64(*next))
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *next))
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("%s: fillDistinct does not handle kind %s", path, v.Kind())
+	}
+}
+
+// walkMemory calls visit with the address of every pointer target and
+// every slice element reachable from v.
+func walkMemory(v reflect.Value, path string, visit func(addr uintptr, path string)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			visit(v.Pointer(), path)
+			walkMemory(v.Elem(), path, visit)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			e := v.Index(i)
+			p := fmt.Sprintf("%s[%d]", path, i)
+			visit(e.UnsafeAddr(), p)
+			walkMemory(e, p, visit)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			walkMemory(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
 	}
 }

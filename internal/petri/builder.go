@@ -161,7 +161,7 @@ func (b *Builder) checkTransition(t Transition) {
 // subsequent Build calls produce independent nets. Build panics when the
 // weights of repeated arcs sum past the range of int.
 func (b *Builder) Build() *Net {
-	n, err := b.build()
+	n, err := b.build(false)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -171,16 +171,22 @@ func (b *Builder) Build() *Net {
 // build is Build with the weight overflow returned as an error, for
 // Parse. It buckets the arc log by transition (input arcs, then output
 // arcs) into one array, sorts each bucket by place and sums repeated
-// places in place, so a transition of degree d costs O(d log d).
-func (b *Builder) build() (*Net, error) {
+// places in place, so a transition of degree d costs O(d log d). With
+// handOver set the net takes the builder's name tables instead of copies,
+// and b must not be used again: Parse discards its Builder.
+func (b *Builder) build(handOver bool) (*Net, error) {
 	nT := len(b.transNames)
 	n := &Net{
 		name:        b.name,
-		placeNames:  slices.Clone(b.placeNames),
-		transNames:  slices.Clone(b.transNames),
-		placeIndex:  maps.Clone(b.placeIndex),
-		transIndex:  maps.Clone(b.transIndex),
+		placeNames:  b.placeNames,
+		transNames:  b.transNames,
+		placeIndex:  b.placeIndex,
+		transIndex:  b.transIndex,
 		initialMark: NewMarking(len(b.placeNames)),
+	}
+	if !handOver {
+		n.placeNames, n.transNames = slices.Clone(b.placeNames), slices.Clone(b.transNames)
+		n.placeIndex, n.transIndex = maps.Clone(b.placeIndex), maps.Clone(b.transIndex)
 	}
 	copy(n.initialMark, b.marking)
 

@@ -116,6 +116,9 @@ func FuzzParsePN(f *testing.F) {
 			return // malformed input must error, never panic
 		}
 		_ = n.Validate() // must not panic on any accepted net
+		if got, want := n.NumArcs(), len(n.Arcs()); got != want {
+			t.Fatalf("NumArcs = %d, len(Arcs()) = %d", got, want)
+		}
 		h := n.CanonicalHash()
 		if h == "" {
 			t.Fatal("empty canonical hash")

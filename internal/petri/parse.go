@@ -93,7 +93,7 @@ func Parse(r io.Reader) (*Net, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("petri: read: %w", err)
 	}
-	return b.build()
+	return b.build(true)
 }
 
 // ParseString is Parse over an in-memory document.

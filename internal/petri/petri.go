@@ -159,6 +159,16 @@ func (n *Net) NumPlaces() int { return len(n.placeNames) }
 // NumTransitions reports |T|.
 func (n *Net) NumTransitions() int { return len(n.transNames) }
 
+// NumArcs reports the number of arcs of the flow relation, len(Arcs())
+// without building them.
+func (n *Net) NumArcs() int {
+	total := 0
+	for t := range n.pre {
+		total += len(n.pre[t]) + len(n.post[t])
+	}
+	return total
+}
+
 // PlaceName reports the name of place p.
 func (n *Net) PlaceName(p Place) string { return n.placeNames[p] }
 

@@ -266,6 +266,39 @@ func TestAccumulatedArcWeights(t *testing.T) {
 	}
 }
 
+// TestBuilderReusableAfterBuild holds Build to its promise that the
+// Builder may keep being used: nodes and arcs added after a Build leave
+// the net it returned unchanged.
+func TestBuilderReusableAfterBuild(t *testing.T) {
+	b := NewBuilder("reuse")
+	p := b.Place("p")
+	tr := b.Transition("t")
+	b.Arc(p, tr)
+	first := b.Build()
+	q := b.Place("q")
+	u := b.Transition("u")
+	b.ArcTP(u, q)
+	second := b.Build()
+
+	if first.NumPlaces() != 1 || first.NumTransitions() != 1 || first.NumArcs() != 1 {
+		t.Fatalf("first net grew to %d places, %d transitions, %d arcs",
+			first.NumPlaces(), first.NumTransitions(), first.NumArcs())
+	}
+	if first.PlaceName(p) != "p" || first.TransitionName(tr) != "t" {
+		t.Fatalf("first net renamed its nodes: %q, %q", first.PlaceName(p), first.TransitionName(tr))
+	}
+	if _, ok := first.PlaceByName("q"); ok {
+		t.Fatal("first net finds the place added after it was built")
+	}
+	if _, ok := first.TransitionByName("u"); ok {
+		t.Fatal("first net finds the transition added after it was built")
+	}
+	if second.NumPlaces() != 2 || second.NumTransitions() != 2 || second.NumArcs() != 2 ||
+		second.PlaceName(q) != "q" || second.TransitionName(u) != "u" {
+		t.Fatalf("second net:\n%s", second)
+	}
+}
+
 func TestStringOutputs(t *testing.T) {
 	n := buildFig3a()
 	s := n.String()

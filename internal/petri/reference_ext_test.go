@@ -166,3 +166,34 @@ func TestFreeChoiceSetsSharedFirstPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestNumArcs checks that NumArcs counts what Arcs builds, on the
+// paper's figures, the ATM server, the modem and a net whose repeated
+// weighted arcs sum into one arc each.
+func TestNumArcs(t *testing.T) {
+	b := petri.NewBuilder("repeated")
+	p, q := b.Place("p"), b.Place("q")
+	tr := b.Transition("t")
+	b.WeightedArc(p, tr, 2)
+	b.WeightedArc(p, tr, 3)
+	b.Arc(q, tr)
+	b.WeightedArcTP(tr, q, 4)
+	b.WeightedArcTP(tr, q, 1)
+	repeated := b.Build()
+	if got := repeated.NumArcs(); got != 3 {
+		t.Fatalf("repeated: NumArcs = %d, want 3", got)
+	}
+	m, err := modem.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]*petri.Net{"atm": atm.New().Net, "modem": m.Net, "repeated": repeated}
+	for name, n := range figures.All() {
+		nets[name] = n
+	}
+	for name, n := range nets {
+		if got, want := n.NumArcs(), len(n.Arcs()); got != want {
+			t.Errorf("%s: NumArcs = %d, len(Arcs()) = %d", name, got, want)
+		}
+	}
+}
